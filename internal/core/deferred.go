@@ -271,7 +271,7 @@ func (t *Thread) deferDec(h arena.Handle, n uint32) {
 // FAA; a node that reaches zero becomes a ZCT reclaim candidate.
 func (t *Thread) applyDec(h arena.Handle, dec uint32) {
 	t.at(PFL1)
-	if t.s.ar.Ref(h).Add(-2 * int64(dec)) == 0 {
+	if t.s.ar.Ref(h).Add(-2*int64(dec)) == 0 {
 		t.zctPush(h)
 	}
 }

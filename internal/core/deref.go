@@ -107,28 +107,28 @@ func (t *Thread) deRefCounted(l mm.LinkID) mm.Ptr {
 		// Scheme field); the immediate scheme skips the counter.
 		s.annPending.v.Add(1)
 	}
-	row.index.Store(int64(index))          // D2
-	slot.readAddr.Store(encodeLink(l))     // D3
+	row.index.Store(int64(index))      // D2
+	slot.readAddr.Store(encodeLink(l)) // D3
 	t.at(PD3)
-	node := s.ar.LoadLink(l)               // D4
+	node := s.ar.LoadLink(l) // D4
 	t.at(PD4)
-	if node.Handle() != arena.Nil {        // D5
+	if node.Handle() != arena.Nil { // D5
 		s.ar.Ref(node.Handle()).Add(2)
 	}
 	t.at(PD6)
-	n1 := slot.readAddr.Swap(0)            // D6
+	n1 := slot.readAddr.Swap(0) // D6
 	if s.deferred {
 		s.annPending.v.Add(-1)
 	}
-	if n1 != encodeLink(l) {               // D7: a helper answered
+	if n1 != encodeLink(l) { // D7: a helper answered
 		if node.Handle() != arena.Nil {
-			t.ReleaseRef(node.Handle())    // D8
+			t.ReleaseRef(node.Handle()) // D8
 		}
-		node = mm.Ptr(n1)                  // D9
+		node = mm.Ptr(n1) // D9
 		t.stats.HelpsReceived++
 	}
 	t.stats.NoteDeRef(probes)
-	return node                            // D10
+	return node // D10
 }
 
 // ReleaseRef drops one guarded reference to node h (paper Figure 4,

@@ -37,7 +37,7 @@ const oomBroadcastRounds = 64
 // or freshly attached nodes, so the call stays bounded.
 func (t *Thread) AllocNode() (arena.Handle, error) {
 	s := t.s
-	helped := false               // A1
+	helped := false                // A1
 	helpID := s.helpCurrent.Load() // A2
 	var steps uint64
 	broadcasts := 0
@@ -105,7 +105,7 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 		current := s.currentFreeList.Load() // A5
 		t.at(PA5)
 		node := arena.Handle(s.freeList[current].v.Load()) // A6
-		if node == arena.Nil { // A7
+		if node == arena.Nil {                             // A7
 			s.currentFreeList.CompareAndSwap(current, (current+1)%int64(2*s.n))
 			continue
 		}
@@ -116,9 +116,9 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 			if !helped && s.annAlloc[helpID].v.Load() == 0 { // A11
 				t.at(PA12)
 				if s.annAlloc[helpID].v.CompareAndSwap(0, uint64(node)) { // A12
-					helped = true // A13
+					helped = true                                               // A13
 					s.helpCurrent.CompareAndSwap(helpID, (helpID+1)%int64(s.n)) // A14
-					continue // A15
+					continue                                                    // A15
 				}
 			}
 			s.helpCurrent.CompareAndSwap(helpID, (helpID+1)%int64(s.n)) // A16
@@ -148,14 +148,14 @@ func (t *Thread) freeNode(node arena.Handle) {
 	// Telemetry: node's memory is returning to the free structures —
 	// the reclaim edge of the retire→free lag (mm.LifecycleSink).
 	s.noteReclaimed(node)
-	helpID := s.helpCurrent.Load()                               // F1
+	helpID := s.helpCurrent.Load()                              // F1
 	s.helpCurrent.CompareAndSwap(helpID, (helpID+1)%int64(s.n)) // F2
 	t.at(PF3)
 	// The F3 offer is best-effort helping; when the target cell is
 	// observed occupied, skip it with one load instead of paying the
 	// erratum's +2/CAS/-2 round trip just to have the CAS decline.
 	if s.annAlloc[helpID].v.Load() == 0 {
-		s.ar.Ref(node).Add(2) // erratum: hand over at mm_ref==3, as line A12 does
+		s.ar.Ref(node).Add(2)                                     // erratum: hand over at mm_ref==3, as line A12 does
 		if s.annAlloc[helpID].v.CompareAndSwap(0, uint64(node)) { // F3
 			t.stats.NoteFree(1)
 			return

@@ -683,16 +683,16 @@ type Point int
 // scheduler (internal/sched) regains control on each probe, retry and
 // worklist item and no instrumented operation can spin outside its view.
 const (
-	PD3 Point = iota // announcement published, link not yet read
-	PD4              // link read, mm_ref not yet increased
-	PD6              // mm_ref increased, announcement not yet swapped out
-	PH4              // busy count raised, helper dereference not yet run
-	PH6              // helper dereference done, answer CAS not yet tried
-	PA9              // free-list head read and mm_ref raised, CAS not yet tried
-	PA12             // free-list CAS succeeded, help CAS not yet tried
-	PF3              // help cursor advanced, annAlloc CAS not yet tried
-	PF9              // mm_next written, free-list insertion CAS not yet tried
-	PR2              // mm_ref decremented, reclamation CAS not yet tried
+	PD3  Point = iota // announcement published, link not yet read
+	PD4               // link read, mm_ref not yet increased
+	PD6               // mm_ref increased, announcement not yet swapped out
+	PH4               // busy count raised, helper dereference not yet run
+	PH6               // helper dereference done, answer CAS not yet tried
+	PA9               // free-list head read and mm_ref raised, CAS not yet tried
+	PA12              // free-list CAS succeeded, help CAS not yet tried
+	PF3               // help cursor advanced, annAlloc CAS not yet tried
+	PF9               // mm_next written, free-list insertion CAS not yet tried
+	PR2               // mm_ref decremented, reclamation CAS not yet tried
 
 	PD1 // one D1 announcement-slot probe, busy counter not yet read
 	PH2 // helper read a row's announcement index, cell not yet read
