@@ -8,7 +8,6 @@ package epoch
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -31,11 +30,6 @@ type Config struct {
 	AllocRetryLimit int
 }
 
-type padCell struct {
-	v atomic.Uint64
-	_ [7]uint64
-}
-
 // Scheme is the epoch-based memory manager.  It implements mm.Scheme.
 type Scheme struct {
 	ar        *arena.Arena
@@ -45,19 +39,16 @@ type Scheme struct {
 
 	epoch atomic.Uint64
 	// pins[i] holds (observedEpoch<<1 | active) for thread i.
-	pins []padCell
+	pins []mm.PadU64
 
-	head atomic.Uint64 // tagged free-list head (same layout as hazard)
+	free         mm.FreeStack
+	reg          mm.Registry
+	mm.Lifecycle // retire/reclaim telemetry (mm.LifecycleSource)
 
-	// lifeSink receives retire/reclaim telemetry (mm.LifecycleSource);
-	// nil when no tracker is attached.
-	lifeSink atomic.Pointer[mm.LifecycleSink]
-
+	// limbo is epoch-tagged, unlike the shared mm.Limbo: an orphan may be
+	// freed only two epochs after it was parked.
 	limboMu sync.Mutex
 	limbo   []limboEntry
-
-	regMu   sync.Mutex
-	regUsed []bool
 }
 
 type limboEntry struct {
@@ -83,20 +74,13 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 	}
 	s := &Scheme{
 		ar: ar, n: cfg.Threads, threshold: threshold, lim: lim,
-		pins:    make([]padCell, cfg.Threads),
-		regUsed: make([]bool, cfg.Threads),
+		pins: make([]mm.PadU64, cfg.Threads),
 	}
 	// Start at epoch 2 so "retireEpoch+2 <= now" arithmetic never wraps
 	// below zero in the limbo drain.
 	s.epoch.Store(2)
-	nodes := ar.Nodes()
-	for h := 1; h < nodes; h++ {
-		ar.Next(arena.Handle(h)).Store(uint64(h + 1))
-	}
-	if nodes > 0 {
-		ar.Next(arena.Handle(nodes)).Store(0)
-		s.head.Store(1)
-	}
+	s.reg.Init("epoch", cfg.Threads)
+	s.free.Init(ar)
 	return s, nil
 }
 
@@ -112,27 +96,6 @@ func MustNew(ar *arena.Arena, cfg Config) *Scheme {
 // Name implements mm.Scheme.
 func (s *Scheme) Name() string { return "epoch" }
 
-// SetLifecycleSink implements mm.LifecycleSource.  A nil sink detaches.
-func (s *Scheme) SetLifecycleSink(sink mm.LifecycleSink) {
-	if sink == nil {
-		s.lifeSink.Store(nil)
-		return
-	}
-	s.lifeSink.Store(&sink)
-}
-
-func (s *Scheme) noteRetired(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteRetired(h)
-	}
-}
-
-func (s *Scheme) noteReclaimed(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteReclaimed(h)
-	}
-}
-
 // Arena implements mm.Scheme.
 func (s *Scheme) Arena() *arena.Arena { return s.ar }
 
@@ -141,47 +104,13 @@ func (s *Scheme) Threads() int { return s.n }
 
 // Register implements mm.Scheme.
 func (s *Scheme) Register() (mm.Thread, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for i := 0; i < s.n; i++ {
-		if !s.regUsed[i] {
-			s.regUsed[i] = true
-			return &Thread{s: s, id: i, lastSeen: s.epoch.Load()}, nil
-		}
+	id, err := s.reg.Acquire()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("epoch: all %d thread slots in use", s.n)
-}
-
-func (s *Scheme) unregister(id int) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	s.regUsed[id] = false
-}
-
-func (s *Scheme) popFree() arena.Handle {
-	for {
-		v := s.head.Load()
-		h := arena.Handle(v & 0xffffffff)
-		if h == arena.Nil {
-			return arena.Nil
-		}
-		next := s.ar.Next(h).Load() & 0xffffffff
-		tag := (v >> 32) + 1
-		if s.head.CompareAndSwap(v, next|tag<<32) {
-			return h
-		}
-	}
-}
-
-func (s *Scheme) pushFree(h arena.Handle) {
-	for {
-		v := s.head.Load()
-		s.ar.Next(h).Store(v & 0xffffffff)
-		tag := (v >> 32) + 1
-		if s.head.CompareAndSwap(v, uint64(h)|tag<<32) {
-			return
-		}
-	}
+	t := &Thread{s: s, id: id, lastSeen: s.epoch.Load()}
+	t.PlainLinks = mm.MakePlainLinks(s.ar, &t.stats)
+	return t, nil
 }
 
 // tryAdvance increments the global epoch if every active thread has
@@ -189,7 +118,7 @@ func (s *Scheme) pushFree(h arena.Handle) {
 func (s *Scheme) tryAdvance() uint64 {
 	e := s.epoch.Load()
 	for i := 0; i < s.n; i++ {
-		pin := s.pins[i].v.Load()
+		pin := s.pins[i].Load()
 		if pin&1 == 1 && pin>>1 != e {
 			return e // a straggler pins an older epoch
 		}
@@ -218,33 +147,24 @@ func (s *Scheme) drainLimbo(now uint64) {
 }
 
 func (s *Scheme) scrubAndFree(h arena.Handle) {
-	s.ar.LinkRange(h, func(id mm.LinkID) { s.ar.StoreLink(id, arena.NilPtr) })
+	mm.ScrubLinks(s.ar, h)
 	// Telemetry: every epoch-safe free funnels through here — the reclaim
 	// edge of the retire→free lag.
-	s.noteReclaimed(h)
-	s.pushFree(h)
+	s.NoteReclaimed(h)
+	s.free.Push(h)
 }
 
 // FreeNodes walks the free-list for tests; quiescence only.
-func (s *Scheme) FreeNodes() map[arena.Handle]int {
-	free := make(map[arena.Handle]int)
-	for h := arena.Handle(s.head.Load() & 0xffffffff); h != arena.Nil; {
-		free[h]++
-		if free[h] > s.ar.Nodes() {
-			break
-		}
-		h = arena.Handle(s.ar.Next(h).Load())
-	}
-	return free
-}
+func (s *Scheme) FreeNodes() map[arena.Handle]int { return s.free.Walk() }
 
 // Thread is a per-goroutine context.  It implements mm.Thread.
 type Thread struct {
-	s        *Scheme
-	id       int
-	lastSeen uint64 // epoch whose bucket assignments are current
-	retired  [3][]arena.Handle
-	stats    mm.OpStats
+	mm.PlainLinks // the epoch pin guards nodes, so links are plain
+	s             *Scheme
+	id            int
+	stats         mm.OpStats
+	lastSeen      uint64 // epoch whose bucket assignments are current
+	retired       [3][]arena.Handle
 }
 
 // ID implements mm.Thread.
@@ -257,7 +177,7 @@ func (t *Thread) Stats() *mm.OpStats { return &t.stats }
 func (t *Thread) BeginOp() {
 	for {
 		e := t.s.epoch.Load()
-		t.s.pins[t.id].v.Store(e<<1 | 1)
+		t.s.pins[t.id].Store(e<<1 | 1)
 		// Re-check so the pinned epoch is the one concurrent advancers
 		// see; a stale pin is safe but can stall reclamation.
 		if t.s.epoch.Load() == e {
@@ -269,7 +189,7 @@ func (t *Thread) BeginOp() {
 
 // EndOp implements mm.Thread: unpin.
 func (t *Thread) EndOp() {
-	t.s.pins[t.id].v.Store(0)
+	t.s.pins[t.id].Store(0)
 }
 
 // observe frees buckets made safe by epoch progress since lastSeen.
@@ -316,25 +236,19 @@ func (t *Thread) Copy(arena.Handle) {}
 
 // Alloc implements mm.Thread.
 func (t *Thread) Alloc() (arena.Handle, error) {
-	var steps uint64
-	for {
-		steps++
-		if steps > uint64(t.s.lim) {
-			t.stats.NoteAlloc(steps)
-			return arena.Nil, ErrOutOfMemory
-		}
-		if h := t.s.popFree(); h != arena.Nil {
-			t.stats.NoteAlloc(steps)
-			return h, nil
-		}
+	h, steps := t.s.free.PopRetry(t.s.lim, func() {
 		// Free-list empty: push reclamation forward.  An advance can
 		// require up to three epoch steps before our oldest bucket frees,
 		// and other threads must get CPU time to unpin stale epochs.
 		now := t.s.tryAdvance()
 		t.observe(now)
 		t.s.drainLimbo(now)
-		runtime.Gosched()
+	})
+	t.stats.NoteAlloc(steps)
+	if h == arena.Nil {
+		return arena.Nil, ErrOutOfMemory
 	}
+	return h, nil
 }
 
 // Retire implements mm.Thread.
@@ -346,7 +260,7 @@ func (t *Thread) Retire(h arena.Handle) {
 	t.observe(now)
 	// Telemetry: Retire is this scheme's retire instant — the node floats
 	// in its epoch bucket until two global advances prove it unreachable.
-	t.s.noteRetired(h)
+	t.s.NoteRetired(h)
 	b := int(now % 3)
 	t.retired[b] = append(t.retired[b], h)
 	t.stats.Retired++
@@ -357,25 +271,10 @@ func (t *Thread) Retire(h arena.Handle) {
 	}
 }
 
-// Load implements mm.Thread.
-func (t *Thread) Load(l mm.LinkID) mm.Ptr { return t.s.ar.LoadLink(l) }
-
-// CASLink implements mm.Thread: a plain CAS.
-func (t *Thread) CASLink(l mm.LinkID, old, new mm.Ptr) bool {
-	if t.s.ar.CASLinkRaw(l, old, new) {
-		return true
-	}
-	t.stats.CASFailures++
-	return false
-}
-
-// StoreLink implements mm.Thread.
-func (t *Thread) StoreLink(l mm.LinkID, p mm.Ptr) { t.s.ar.StoreLink(l, p) }
-
 // Unregister implements mm.Thread: park unfreed retirements in the limbo
 // list tagged with their retire epochs.
 func (t *Thread) Unregister() {
-	t.s.pins[t.id].v.Store(0)
+	t.s.pins[t.id].Store(0)
 	now := t.s.epoch.Load()
 	t.s.limboMu.Lock()
 	for i := range t.retired {
@@ -386,5 +285,5 @@ func (t *Thread) Unregister() {
 		t.retired[i] = nil
 	}
 	t.s.limboMu.Unlock()
-	t.s.unregister(t.id)
+	t.s.reg.Release(t.id)
 }

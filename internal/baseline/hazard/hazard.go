@@ -12,8 +12,6 @@ package hazard
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"wfrc/internal/arena"
@@ -39,11 +37,6 @@ type Config struct {
 	AllocRetryLimit int
 }
 
-type padCell struct {
-	v atomic.Uint64
-	_ [7]uint64
-}
-
 // Scheme is the hazard-pointer memory manager.  It implements mm.Scheme.
 type Scheme struct {
 	ar        *arena.Arena
@@ -51,22 +44,12 @@ type Scheme struct {
 	threshold int
 	lim       int
 
-	hp []padCell // n*k hazard cells holding raw Handles
+	hp []mm.PadU64 // n*k hazard cells holding raw Handles
 
-	// head is the tagged free-list head: handle in the low 32 bits, an
-	// ABA tag in the high 32.  The tag is required because hazard
-	// pointers do not protect the allocator's own pop/push races.
-	head atomic.Uint64
-
-	// lifeSink receives retire/reclaim telemetry (mm.LifecycleSource);
-	// nil when no tracker is attached.
-	lifeSink atomic.Pointer[mm.LifecycleSink]
-
-	limboMu sync.Mutex
-	limbo   []arena.Handle // retirements orphaned by Unregister
-
-	regMu   sync.Mutex
-	regUsed []bool
+	free         mm.FreeStack
+	reg          mm.Registry
+	limbo        mm.Limbo // retirements orphaned by Unregister
+	mm.Lifecycle          // retire/reclaim telemetry (mm.LifecycleSource)
 }
 
 // New creates a hazard-pointer scheme over ar with all nodes free.
@@ -91,17 +74,10 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 	}
 	s := &Scheme{
 		ar: ar, n: cfg.Threads, k: k, threshold: threshold, lim: lim,
-		hp:      make([]padCell, cfg.Threads*k),
-		regUsed: make([]bool, cfg.Threads),
+		hp: make([]mm.PadU64, cfg.Threads*k),
 	}
-	nodes := ar.Nodes()
-	for h := 1; h < nodes; h++ {
-		ar.Next(arena.Handle(h)).Store(uint64(h + 1))
-	}
-	if nodes > 0 {
-		ar.Next(arena.Handle(nodes)).Store(0)
-		s.head.Store(1)
-	}
+	s.reg.Init("hazard", cfg.Threads)
+	s.free.Init(ar)
 	return s, nil
 }
 
@@ -117,27 +93,6 @@ func MustNew(ar *arena.Arena, cfg Config) *Scheme {
 // Name implements mm.Scheme.
 func (s *Scheme) Name() string { return "hazard" }
 
-// SetLifecycleSink implements mm.LifecycleSource.  A nil sink detaches.
-func (s *Scheme) SetLifecycleSink(sink mm.LifecycleSink) {
-	if sink == nil {
-		s.lifeSink.Store(nil)
-		return
-	}
-	s.lifeSink.Store(&sink)
-}
-
-func (s *Scheme) noteRetired(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteRetired(h)
-	}
-}
-
-func (s *Scheme) noteReclaimed(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteReclaimed(h)
-	}
-}
-
 // Arena implements mm.Scheme.
 func (s *Scheme) Arena() *arena.Arena { return s.ar }
 
@@ -146,75 +101,31 @@ func (s *Scheme) Threads() int { return s.n }
 
 // Register implements mm.Scheme.
 func (s *Scheme) Register() (mm.Thread, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for i := 0; i < s.n; i++ {
-		if !s.regUsed[i] {
-			s.regUsed[i] = true
-			return &Thread{
-				s: s, id: i,
-				held:    make([]arena.Handle, s.k),
-				retired: make([]arena.Handle, 0, s.threshold+s.k),
-			}, nil
-		}
+	id, err := s.reg.Acquire()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("hazard: all %d thread slots in use", s.n)
-}
-
-func (s *Scheme) unregister(id int) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	s.regUsed[id] = false
-}
-
-// --- tagged free-list ------------------------------------------------------
-
-func (s *Scheme) popFree() arena.Handle {
-	for {
-		v := s.head.Load()
-		h := arena.Handle(v & 0xffffffff)
-		if h == arena.Nil {
-			return arena.Nil
-		}
-		next := s.ar.Next(h).Load() & 0xffffffff
-		tag := (v >> 32) + 1
-		if s.head.CompareAndSwap(v, next|tag<<32) {
-			return h
-		}
+	t := &Thread{
+		s:       s,
+		id:      id,
+		held:    make([]arena.Handle, s.k),
+		retired: make([]arena.Handle, 0, s.threshold+s.k),
 	}
-}
-
-func (s *Scheme) pushFree(h arena.Handle) {
-	for {
-		v := s.head.Load()
-		s.ar.Next(h).Store(v & 0xffffffff)
-		tag := (v >> 32) + 1
-		if s.head.CompareAndSwap(v, uint64(h)|tag<<32) {
-			return
-		}
-	}
+	t.PlainLinks = mm.MakePlainLinks(s.ar, &t.stats)
+	return t, nil
 }
 
 // FreeNodes walks the free-list for tests; quiescence only.
-func (s *Scheme) FreeNodes() map[arena.Handle]int {
-	free := make(map[arena.Handle]int)
-	for h := arena.Handle(s.head.Load() & 0xffffffff); h != arena.Nil; {
-		free[h]++
-		if free[h] > s.ar.Nodes() {
-			break
-		}
-		h = arena.Handle(s.ar.Next(h).Load())
-	}
-	return free
-}
+func (s *Scheme) FreeNodes() map[arena.Handle]int { return s.free.Walk() }
 
 // Thread is a per-goroutine context.  It implements mm.Thread.
 type Thread struct {
-	s       *Scheme
-	id      int
-	held    []arena.Handle // held[i] is the handle slot i protects (0 free)
-	retired []arena.Handle
-	stats   mm.OpStats
+	mm.PlainLinks // hazard pointers have no per-link obligations
+	s             *Scheme
+	id            int
+	stats         mm.OpStats
+	held          []arena.Handle // held[i] is the handle slot i protects (0 free)
+	retired       []arena.Handle
 }
 
 // ID implements mm.Thread.
@@ -229,7 +140,7 @@ func (t *Thread) BeginOp() {}
 // EndOp implements mm.Thread (no-op).
 func (t *Thread) EndOp() {}
 
-func (t *Thread) slot(i int) *atomic.Uint64 { return &t.s.hp[t.id*t.s.k+i].v }
+func (t *Thread) slot(i int) *atomic.Uint64 { return &t.s.hp[t.id*t.s.k+i].Uint64 }
 
 func (t *Thread) claim(h arena.Handle) int {
 	for i, held := range t.held {
@@ -295,24 +206,18 @@ func (t *Thread) Copy(h arena.Handle) { t.claim(h) }
 // slot so the uniform Alloc/publish/Release pattern of the refcounting
 // user model works unchanged.
 func (t *Thread) Alloc() (arena.Handle, error) {
-	var steps uint64
-	for {
-		steps++
-		if steps > uint64(t.s.lim) {
-			t.stats.NoteAlloc(steps)
-			return arena.Nil, ErrOutOfMemory
-		}
-		if h := t.s.popFree(); h != arena.Nil {
-			t.claim(h)
-			t.stats.NoteAlloc(steps)
-			return h, nil
-		}
+	h, steps := t.s.free.PopRetry(t.s.lim, func() {
 		// Free-list empty: reclaim our own retirements and any orphans,
 		// and let other threads run so their hazards clear.
 		t.adoptLimbo()
 		t.scan()
-		runtime.Gosched()
+	})
+	t.stats.NoteAlloc(steps)
+	if h == arena.Nil {
+		return arena.Nil, ErrOutOfMemory
 	}
+	t.claim(h)
+	return h, nil
 }
 
 // Retire implements mm.Thread: the node is queued until no hazard
@@ -323,7 +228,7 @@ func (t *Thread) Retire(h arena.Handle) {
 	}
 	// Telemetry: Retire is this scheme's retire instant — the node floats
 	// on the retire list until a scan proves no hazard protects it.
-	t.s.noteRetired(h)
+	t.s.NoteRetired(h)
 	t.retired = append(t.retired, h)
 	t.stats.Retired++
 	if len(t.retired) >= t.s.threshold {
@@ -337,7 +242,7 @@ func (t *Thread) scan() {
 	t.stats.Scans++
 	protected := make(map[arena.Handle]struct{}, len(t.s.hp))
 	for i := range t.s.hp {
-		if h := arena.Handle(t.s.hp[i].v.Load()); h != arena.Nil {
+		if h := arena.Handle(t.s.hp[i].Load()); h != arena.Nil {
 			protected[h] = struct{}{}
 		}
 	}
@@ -349,37 +254,15 @@ func (t *Thread) scan() {
 		}
 		// Scrub the node before reuse so stale links cannot leak into the
 		// next owner.
-		t.s.ar.LinkRange(h, func(id mm.LinkID) { t.s.ar.StoreLink(id, arena.NilPtr) })
-		t.s.noteReclaimed(h)
-		t.s.pushFree(h)
+		mm.ScrubLinks(t.s.ar, h)
+		t.s.NoteReclaimed(h)
+		t.s.free.Push(h)
 	}
 	t.retired = kept
 }
 
 // adoptLimbo takes over retirements orphaned by unregistered threads.
-func (t *Thread) adoptLimbo() {
-	t.s.limboMu.Lock()
-	orphans := t.s.limbo
-	t.s.limbo = nil
-	t.s.limboMu.Unlock()
-	t.retired = append(t.retired, orphans...)
-}
-
-// Load implements mm.Thread.
-func (t *Thread) Load(l mm.LinkID) mm.Ptr { return t.s.ar.LoadLink(l) }
-
-// CASLink implements mm.Thread: a plain CAS; hazard pointers have no
-// per-link obligations.
-func (t *Thread) CASLink(l mm.LinkID, old, new mm.Ptr) bool {
-	if t.s.ar.CASLinkRaw(l, old, new) {
-		return true
-	}
-	t.stats.CASFailures++
-	return false
-}
-
-// StoreLink implements mm.Thread.
-func (t *Thread) StoreLink(l mm.LinkID, p mm.Ptr) { t.s.ar.StoreLink(l, p) }
+func (t *Thread) adoptLimbo() { t.retired = t.s.limbo.AdoptInto(t.retired) }
 
 // Unregister implements mm.Thread: clear this thread's hazard slots,
 // reclaim what it can, and park the rest in the scheme-wide limbo list
@@ -390,11 +273,7 @@ func (t *Thread) Unregister() {
 		t.held[i] = arena.Nil
 	}
 	t.scan()
-	if len(t.retired) > 0 {
-		t.s.limboMu.Lock()
-		t.s.limbo = append(t.s.limbo, t.retired...)
-		t.s.limboMu.Unlock()
-		t.retired = nil
-	}
-	t.s.unregister(t.id)
+	t.s.limbo.Park(t.retired)
+	t.retired = nil
+	t.s.reg.Release(t.id)
 }

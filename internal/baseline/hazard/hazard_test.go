@@ -89,7 +89,7 @@ func TestDeRefPublishesHazard(t *testing.T) {
 	// A hazard slot of B must now hold h.
 	protected := false
 	for i := 0; i < s.k; i++ {
-		if arena.Handle(s.hp[tB.(*Thread).id*s.k+i].v.Load()) == h {
+		if arena.Handle(s.hp[tB.(*Thread).id*s.k+i].Load()) == h {
 			protected = true
 		}
 	}
@@ -173,37 +173,6 @@ func TestScanScrubsLinks(t *testing.T) {
 	th.Unregister()
 }
 
-func TestUnregisterParksRetirementsInLimbo(t *testing.T) {
-	s, ar := newScheme(t, 8, 2, Config{RetireThreshold: 1000})
-	tA, _ := s.Register()
-	tB, _ := s.Register()
-	root := ar.NewRoot()
-
-	h, _ := tA.Alloc()
-	tA.StoreLink(root, arena.MakePtr(h, false))
-	tA.Release(h)
-	p := tB.DeRef(root) // B protects h
-	tA.CASLink(root, p, arena.NilPtr)
-	tA.Retire(h)
-	tA.Unregister() // cannot free h: B's hazard blocks it
-
-	s.limboMu.Lock()
-	limboLen := len(s.limbo)
-	s.limboMu.Unlock()
-	if limboLen != 1 {
-		t.Fatalf("limbo = %d entries, want 1", limboLen)
-	}
-
-	tB.Release(h)
-	// B adopts the limbo entry and frees it.
-	tB.(*Thread).adoptLimbo()
-	tB.(*Thread).scan()
-	if _, free := s.FreeNodes()[h]; !free {
-		t.Error("orphaned retirement never freed")
-	}
-	tB.Unregister()
-}
-
 func TestAllocScansWhenEmpty(t *testing.T) {
 	s, _ := newScheme(t, 2, 1, Config{RetireThreshold: 1000})
 	th, _ := s.Register()
@@ -273,33 +242,5 @@ func TestConcurrentAllocFreeOwnership(t *testing.T) {
 	wg.Wait()
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d ownership violations", v)
-	}
-}
-
-func TestTaggedFreeListNoABA(t *testing.T) {
-	// Hammer pop/push from many goroutines; without the version tag this
-	// interleaving corrupts the list (lost nodes or cycles).
-	const threads = 8
-	iters := 30000
-	if testing.Short() {
-		iters = 3000
-	}
-	ar := arena.MustNew(arena.Config{Nodes: 16})
-	s := MustNew(ar, Config{Threads: threads})
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < iters; k++ {
-				if h := s.popFree(); h != arena.Nil {
-					s.pushFree(h)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(s.FreeNodes()); got != 16 {
-		t.Fatalf("free-list holds %d nodes after churn, want 16", got)
 	}
 }

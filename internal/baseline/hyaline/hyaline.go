@@ -36,8 +36,6 @@ package hyaline
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"wfrc/internal/arena"
@@ -137,16 +135,14 @@ type Scheme struct {
 
 	slots []slotCell
 
-	head atomic.Uint64 // tagged free-list head (same layout as hazard/epoch)
+	free         mm.FreeStack
+	reg          mm.Registry
+	mm.Lifecycle // retire/reclaim telemetry (mm.LifecycleSource)
 
 	// outstanding counts allocated-not-yet-freed nodes; unreclaimed
 	// counts retired-not-yet-freed nodes (the robustness metric).
 	outstanding atomic.Int64
 	unreclaimed atomic.Int64
-
-	// lifeSink receives retire/reclaim telemetry (mm.LifecycleSource);
-	// nil when no tracker is attached.
-	lifeSink atomic.Pointer[mm.LifecycleSink]
 
 	// Per-node side state, indexed by handle.  lnext chains a slot's
 	// retirement list, bnext chains the nodes of one batch, blink points
@@ -161,11 +157,7 @@ type Scheme struct {
 
 	// limbo holds retired nodes orphaned by Unregister before their
 	// batch could be dispatched; retiring threads adopt them.
-	limboMu sync.Mutex
-	limbo   []arena.Handle
-
-	regMu   sync.Mutex
-	regUsed []bool
+	limbo mm.Limbo
 }
 
 // New creates a Hyaline scheme over ar with all nodes free.
@@ -186,23 +178,16 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 	cap := ar.MaxNodes() + 1
 	s := &Scheme{
 		ar: ar, n: cfg.Threads, threshold: threshold, lim: lim,
-		slots:   make([]slotCell, cfg.Threads),
-		lnext:   make([]atomic.Uint64, cap),
-		bnext:   make([]atomic.Uint64, cap),
-		blink:   make([]atomic.Uint64, cap),
-		birth:   make([]atomic.Uint64, cap),
-		brefs:   make([]atomic.Int64, cap),
-		regUsed: make([]bool, cfg.Threads),
+		slots: make([]slotCell, cfg.Threads),
+		lnext: make([]atomic.Uint64, cap),
+		bnext: make([]atomic.Uint64, cap),
+		blink: make([]atomic.Uint64, cap),
+		birth: make([]atomic.Uint64, cap),
+		brefs: make([]atomic.Int64, cap),
 	}
 	s.era.Store(1)
-	nodes := ar.Nodes()
-	for h := 1; h < nodes; h++ {
-		ar.Next(arena.Handle(h)).Store(uint64(h + 1))
-	}
-	if nodes > 0 {
-		ar.Next(arena.Handle(nodes)).Store(0)
-		s.head.Store(1)
-	}
+	s.reg.Init("hyaline", cfg.Threads)
+	s.free.Init(ar)
 	return s, nil
 }
 
@@ -217,27 +202,6 @@ func MustNew(ar *arena.Arena, cfg Config) *Scheme {
 
 // Name implements mm.Scheme.
 func (s *Scheme) Name() string { return "hyaline" }
-
-// SetLifecycleSink implements mm.LifecycleSource.  A nil sink detaches.
-func (s *Scheme) SetLifecycleSink(sink mm.LifecycleSink) {
-	if sink == nil {
-		s.lifeSink.Store(nil)
-		return
-	}
-	s.lifeSink.Store(&sink)
-}
-
-func (s *Scheme) noteRetired(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteRetired(h)
-	}
-}
-
-func (s *Scheme) noteReclaimed(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteReclaimed(h)
-	}
-}
 
 // Arena implements mm.Scheme.
 func (s *Scheme) Arena() *arena.Arena { return s.ar }
@@ -257,21 +221,13 @@ func (s *Scheme) Register() (mm.Thread, error) {
 // RegisterHyaline is Register returning the concrete type, for tests
 // and the deterministic scheduler.
 func (s *Scheme) RegisterHyaline() (*Thread, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for i := 0; i < s.n; i++ {
-		if !s.regUsed[i] {
-			s.regUsed[i] = true
-			return &Thread{s: s, id: i}, nil
-		}
+	id, err := s.reg.Acquire()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("hyaline: all %d thread slots in use", s.n)
-}
-
-func (s *Scheme) unregister(id int) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	s.regUsed[id] = false
+	t := &Thread{s: s, id: id}
+	t.PlainLinks = mm.MakePlainLinks(s.ar, &t.stats)
+	return t, nil
 }
 
 // UnreclaimedNodes implements the optional mm.Robust capability: the
@@ -280,44 +236,8 @@ func (s *Scheme) unregister(id int) {
 // matrix cells record it to show the stalled-reader bound.
 func (s *Scheme) UnreclaimedNodes() int { return int(s.unreclaimed.Load()) }
 
-func (s *Scheme) popFree() arena.Handle {
-	for {
-		v := s.head.Load()
-		h := arena.Handle(v & 0xffffffff)
-		if h == arena.Nil {
-			return arena.Nil
-		}
-		next := s.ar.Next(h).Load() & 0xffffffff
-		tag := (v >> 32) + 1
-		if s.head.CompareAndSwap(v, next|tag<<32) {
-			return h
-		}
-	}
-}
-
-func (s *Scheme) pushFree(h arena.Handle) {
-	for {
-		v := s.head.Load()
-		s.ar.Next(h).Store(v & 0xffffffff)
-		tag := (v >> 32) + 1
-		if s.head.CompareAndSwap(v, uint64(h)|tag<<32) {
-			return
-		}
-	}
-}
-
 // FreeNodes walks the free-list for tests; quiescence only.
-func (s *Scheme) FreeNodes() map[arena.Handle]int {
-	free := make(map[arena.Handle]int)
-	for h := arena.Handle(s.head.Load() & 0xffffffff); h != arena.Nil; {
-		free[h]++
-		if free[h] > s.ar.Nodes() {
-			break
-		}
-		h = arena.Handle(s.ar.Next(h).Load())
-	}
-	return free
-}
+func (s *Scheme) FreeNodes() map[arena.Handle]int { return s.free.Walk() }
 
 // Era returns the global era clock, for tests.
 func (s *Scheme) Era() uint64 { return s.era.Load() }
@@ -340,11 +260,9 @@ func (s *Scheme) Audit(extraRefs map[arena.Handle]int) []error {
 			errs = append(errs, fmt.Errorf("hyaline audit: slot %d retirement list not empty (head=%d)", i, h))
 		}
 	}
-	s.limboMu.Lock()
-	if n := len(s.limbo); n != 0 {
+	if n := s.limbo.Len(); n != 0 {
 		errs = append(errs, fmt.Errorf("hyaline audit: %d orphaned retirement(s) in limbo", n))
 	}
-	s.limboMu.Unlock()
 	if n := s.unreclaimed.Load(); n != 0 {
 		errs = append(errs, fmt.Errorf("hyaline audit: %d retired node(s) unreclaimed at quiescence", n))
 	}
@@ -365,11 +283,12 @@ func (s *Scheme) Audit(extraRefs map[arena.Handle]int) []error {
 // Thread is a per-goroutine context.  It implements mm.Thread and the
 // optional mm.Flusher and mm.BatchRetirer capabilities.
 type Thread struct {
-	s     *Scheme
-	id    int
-	batch []arena.Handle // retired nodes awaiting batch dispatch
-	stats mm.OpStats
-	hook  func(Point)
+	mm.PlainLinks // the slot reference guards nodes, so links are plain
+	s             *Scheme
+	id            int
+	stats         mm.OpStats
+	batch         []arena.Handle // retired nodes awaiting batch dispatch
+	hook          func(Point)
 }
 
 // ID implements mm.Thread.
@@ -461,21 +380,6 @@ func (t *Thread) Release(arena.Handle) {}
 // Copy implements mm.Thread (no-op).
 func (t *Thread) Copy(arena.Handle) {}
 
-// Load implements mm.Thread.
-func (t *Thread) Load(l mm.LinkID) mm.Ptr { return t.s.ar.LoadLink(l) }
-
-// CASLink implements mm.Thread: a plain CAS.
-func (t *Thread) CASLink(l mm.LinkID, old, new mm.Ptr) bool {
-	if t.s.ar.CASLinkRaw(l, old, new) {
-		return true
-	}
-	t.stats.CASFailures++
-	return false
-}
-
-// StoreLink implements mm.Thread.
-func (t *Thread) StoreLink(l mm.LinkID, p mm.Ptr) { t.s.ar.StoreLink(l, p) }
-
 // Alloc implements mm.Thread: pop a free node and stamp its birth era.
 // On exhaustion it forces a dispatch of the accumulated batch (and
 // adopts orphans) before retrying, bounded by the retry limit.
@@ -490,48 +394,27 @@ func (t *Thread) StoreLink(l mm.LinkID, p mm.Ptr) { t.s.ar.StoreLink(l, p) }
 // invariant for nodes obtained through links; this is the allocation
 // side of it.
 func (t *Thread) Alloc() (arena.Handle, error) {
-	var steps uint64
-	for {
-		steps++
-		if steps > uint64(t.s.lim) {
-			t.stats.NoteAlloc(steps)
-			return arena.Nil, ErrOutOfMemory
-		}
-		if h := t.s.popFree(); h != arena.Nil {
-			e := t.s.era.Load()
-			sl := &t.s.slots[t.id]
-			if sl.era.Load() < e {
-				sl.era.Store(e)
-			}
-			t.s.birth[h].Store(e)
-			t.s.outstanding.Add(1)
-			t.stats.NoteAlloc(steps)
-			return h, nil
-		}
-		// Free list empty: push reclamation forward.  Our own batch may
-		// dispatch (freeing immediately if no reader is active), and
-		// other readers need CPU time to leave and drain their lists.
-		t.dispatchBatch()
-		runtime.Gosched()
+	// On an empty free list push reclamation forward: our own batch may
+	// dispatch (freeing immediately if no reader is active), and other
+	// readers need CPU time to leave and drain their lists.
+	h, steps := t.s.free.PopRetry(t.s.lim, func() { t.dispatchBatch() })
+	t.stats.NoteAlloc(steps)
+	if h == arena.Nil {
+		return arena.Nil, ErrOutOfMemory
 	}
+	e := t.s.era.Load()
+	sl := &t.s.slots[t.id]
+	if sl.era.Load() < e {
+		sl.era.Store(e)
+	}
+	t.s.birth[h].Store(e)
+	t.s.outstanding.Add(1)
+	return h, nil
 }
 
 // Retire implements mm.Thread: accumulate h into the thread's batch and
 // dispatch once the batch is large enough.
-func (t *Thread) Retire(h arena.Handle) {
-	if h == arena.Nil {
-		return
-	}
-	t.stats.Retired++
-	t.s.unreclaimed.Add(1)
-	// Telemetry: Retire is this scheme's retire instant — the node floats
-	// in the batch and then in slot lists until its counter hits zero.
-	t.s.noteRetired(h)
-	t.batch = append(t.batch, h)
-	if len(t.batch) >= t.s.threshold {
-		t.dispatchBatch()
-	}
-}
+func (t *Thread) Retire(h arena.Handle) { t.RetireBatch([]arena.Handle{h}) }
 
 // RetireBatch implements the optional mm.BatchRetirer capability: the
 // whole slice is retired as one batch (modulo the minimum-size rule).
@@ -542,7 +425,10 @@ func (t *Thread) RetireBatch(hs []arena.Handle) {
 		}
 		t.stats.Retired++
 		t.s.unreclaimed.Add(1)
-		t.s.noteRetired(h)
+		// Telemetry: Retire is this scheme's retire instant — the node
+		// floats in the batch and then in slot lists until its counter
+		// hits zero.
+		t.s.NoteRetired(h)
 		t.batch = append(t.batch, h)
 	}
 	if len(t.batch) >= t.s.threshold {
@@ -551,14 +437,7 @@ func (t *Thread) RetireBatch(hs []arena.Handle) {
 }
 
 // adoptLimbo folds orphaned retirements into this thread's batch.
-func (t *Thread) adoptLimbo() {
-	t.s.limboMu.Lock()
-	if n := len(t.s.limbo); n > 0 {
-		t.batch = append(t.batch, t.s.limbo...)
-		t.s.limbo = t.s.limbo[:0]
-	}
-	t.s.limboMu.Unlock()
-}
+func (t *Thread) adoptLimbo() { t.batch = t.s.limbo.AdoptInto(t.batch) }
 
 // dispatchBatch attempts the global retire of the accumulated batch:
 // tick the era clock, snapshot the active slots that could hold a batch
@@ -651,12 +530,12 @@ func (t *Thread) freeBatch(c arena.Handle) {
 	t.at(PFree)
 	for h := c; h != arena.Nil; {
 		nh := arena.Handle(t.s.bnext[h].Load())
-		t.s.ar.LinkRange(h, func(id mm.LinkID) { t.s.ar.StoreLink(id, arena.NilPtr) })
+		mm.ScrubLinks(t.s.ar, h)
 		t.s.unreclaimed.Add(-1)
 		t.s.outstanding.Add(-1)
-		t.s.noteReclaimed(h)
+		t.s.NoteReclaimed(h)
 		t.stats.NoteFree(1)
-		t.s.pushFree(h)
+		t.s.free.Push(h)
 		h = nh
 	}
 }
@@ -674,10 +553,8 @@ func (t *Thread) Flush() {
 // the batch undispatchable, then release the slot.
 func (t *Thread) Unregister() {
 	if !t.dispatchBatch() {
-		t.s.limboMu.Lock()
-		t.s.limbo = append(t.s.limbo, t.batch...)
-		t.s.limboMu.Unlock()
+		t.s.limbo.Park(t.batch)
 		t.batch = t.batch[:0]
 	}
-	t.s.unregister(t.id)
+	t.s.reg.Release(t.id)
 }

@@ -246,33 +246,6 @@ func TestDispatchMinimumSize(t *testing.T) {
 	}
 }
 
-// TestLimboAdoption: Unregister with an undispatchable batch parks it
-// in limbo; another thread's Flush adopts and reclaims it.
-func TestLimboAdoption(t *testing.T) {
-	s := newScheme(t, 16, 3, 8)
-	r, w := register(t, s), register(t, s)
-	r.BeginOp()
-
-	h0, _ := w.Alloc()
-	w.Retire(h0)
-	w.Unregister() // batch(1) < targets(1)+1: parked in limbo
-	if got := s.UnreclaimedNodes(); got != 1 {
-		t.Fatalf("UnreclaimedNodes = %d after Unregister, want 1 (limbo)", got)
-	}
-
-	r.EndOp()
-	adopter := register(t, s)
-	adopter.Flush()
-	if got := s.UnreclaimedNodes(); got != 0 {
-		t.Fatalf("UnreclaimedNodes = %d after limbo adoption, want 0", got)
-	}
-	r.Unregister()
-	adopter.Unregister()
-	for _, err := range s.Audit(nil) {
-		t.Error(err)
-	}
-}
-
 // TestConcurrentChurn is the race-detector smoke test: several threads
 // alloc/link/retire through a shared root while readers traverse.
 func TestConcurrentChurn(t *testing.T) {

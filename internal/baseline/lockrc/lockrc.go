@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"wfrc/internal/arena"
 	"wfrc/internal/mm"
@@ -33,12 +32,8 @@ type Scheme struct {
 	mu   sync.Mutex
 	free arena.Handle // free-list head, guarded by mu
 
-	// lifeSink receives retire/reclaim telemetry (mm.LifecycleSource);
-	// nil when no tracker is attached.
-	lifeSink atomic.Pointer[mm.LifecycleSink]
-
-	regMu   sync.Mutex
-	regUsed []bool
+	reg          mm.Registry
+	mm.Lifecycle // retire/reclaim telemetry (mm.LifecycleSource)
 }
 
 // New creates a lock-based scheme over ar with all nodes free.
@@ -46,15 +41,8 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 	if cfg.Threads <= 0 {
 		return nil, fmt.Errorf("lockrc: Threads must be positive, got %d", cfg.Threads)
 	}
-	s := &Scheme{ar: ar, n: cfg.Threads, regUsed: make([]bool, cfg.Threads)}
-	nodes := ar.Nodes()
-	for h := 1; h < nodes; h++ {
-		ar.Next(arena.Handle(h)).Store(uint64(h + 1))
-	}
-	if nodes > 0 {
-		ar.Next(arena.Handle(nodes)).Store(0)
-		s.free = 1
-	}
+	s := &Scheme{ar: ar, n: cfg.Threads, free: mm.ChainFree(ar)}
+	s.reg.Init("lockrc", cfg.Threads)
 	return s, nil
 }
 
@@ -70,27 +58,6 @@ func MustNew(ar *arena.Arena, cfg Config) *Scheme {
 // Name implements mm.Scheme.
 func (s *Scheme) Name() string { return "lock-rc" }
 
-// SetLifecycleSink implements mm.LifecycleSource.  A nil sink detaches.
-func (s *Scheme) SetLifecycleSink(sink mm.LifecycleSink) {
-	if sink == nil {
-		s.lifeSink.Store(nil)
-		return
-	}
-	s.lifeSink.Store(&sink)
-}
-
-func (s *Scheme) noteRetired(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteRetired(h)
-	}
-}
-
-func (s *Scheme) noteReclaimed(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteReclaimed(h)
-	}
-}
-
 // Arena implements mm.Scheme.
 func (s *Scheme) Arena() *arena.Arena { return s.ar }
 
@@ -99,36 +66,18 @@ func (s *Scheme) Threads() int { return s.n }
 
 // Register implements mm.Scheme.
 func (s *Scheme) Register() (mm.Thread, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for i := 0; i < s.n; i++ {
-		if !s.regUsed[i] {
-			s.regUsed[i] = true
-			return &Thread{s: s, id: i}, nil
-		}
+	id, err := s.reg.Acquire()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("lockrc: all %d thread slots in use", s.n)
-}
-
-func (s *Scheme) unregister(id int) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	s.regUsed[id] = false
+	return &Thread{s: s, id: id}, nil
 }
 
 // FreeNodes walks the free-list for auditing; quiescence only.
 func (s *Scheme) FreeNodes() map[arena.Handle]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	free := make(map[arena.Handle]int)
-	for h := s.free; h != arena.Nil; {
-		free[h]++
-		if free[h] > s.ar.Nodes() {
-			break
-		}
-		h = arena.Handle(s.ar.Next(h).Load())
-	}
-	return free
+	return mm.WalkFree(s.ar, s.free)
 }
 
 // Audit verifies the reference-counting invariants at quiescence.
@@ -150,7 +99,7 @@ func (t *Thread) ID() int { return t.id }
 func (t *Thread) Stats() *mm.OpStats { return &t.stats }
 
 // Unregister implements mm.Thread.
-func (t *Thread) Unregister() { t.s.unregister(t.id) }
+func (t *Thread) Unregister() { t.s.reg.Release(t.id) }
 
 // BeginOp implements mm.Thread (no-op).
 func (t *Thread) BeginOp() {}
@@ -195,7 +144,7 @@ func (t *Thread) releaseLocked(h arena.Handle) {
 			ref.Store(1)
 			// Telemetry: under the global lock retire and reclaim are
 			// adjacent; the near-zero lag is this scheme's baseline.
-			t.s.noteRetired(n)
+			t.s.NoteRetired(n)
 			ar.LinkRange(n, func(id mm.LinkID) {
 				p := ar.LoadLink(id)
 				if p != arena.NilPtr {
@@ -205,7 +154,7 @@ func (t *Thread) releaseLocked(h arena.Handle) {
 					}
 				}
 			})
-			t.s.noteReclaimed(n)
+			t.s.NoteReclaimed(n)
 			ar.Next(n).Store(uint64(t.s.free))
 			t.s.free = n
 			t.stats.NoteFree(1)

@@ -18,8 +18,6 @@ package valois
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"wfrc/internal/arena"
 	"wfrc/internal/mm"
@@ -45,19 +43,10 @@ type Scheme struct {
 	n   int
 	lim int
 
-	head padU64 // single free-list head holding a raw Handle
+	head mm.PadU64 // single free-list head holding a raw Handle
 
-	// lifeSink receives retire/reclaim telemetry (mm.LifecycleSource);
-	// nil when no tracker is attached.
-	lifeSink atomic.Pointer[mm.LifecycleSink]
-
-	regMu   sync.Mutex
-	regUsed []bool
-}
-
-type padU64 struct {
-	v atomic.Uint64
-	_ [7]uint64
+	reg          mm.Registry
+	mm.Lifecycle // retire/reclaim telemetry (mm.LifecycleSource)
 }
 
 // New creates a Valois-style scheme over ar, chaining all nodes onto the
@@ -70,15 +59,9 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 	if lim == 0 {
 		lim = 16*cfg.Threads*cfg.Threads + 64*cfg.Threads + 256
 	}
-	s := &Scheme{ar: ar, n: cfg.Threads, lim: lim, regUsed: make([]bool, cfg.Threads)}
-	nodes := ar.Nodes()
-	for h := 1; h < nodes; h++ {
-		ar.Next(arena.Handle(h)).Store(uint64(h + 1))
-	}
-	if nodes > 0 {
-		ar.Next(arena.Handle(nodes)).Store(0)
-		s.head.v.Store(1)
-	}
+	s := &Scheme{ar: ar, n: cfg.Threads, lim: lim}
+	s.reg.Init("valois", cfg.Threads)
+	s.head.Store(uint64(mm.ChainFree(ar)))
 	return s, nil
 }
 
@@ -94,27 +77,6 @@ func MustNew(ar *arena.Arena, cfg Config) *Scheme {
 // Name implements mm.Scheme.
 func (s *Scheme) Name() string { return "valois-rc" }
 
-// SetLifecycleSink implements mm.LifecycleSource.  A nil sink detaches.
-func (s *Scheme) SetLifecycleSink(sink mm.LifecycleSink) {
-	if sink == nil {
-		s.lifeSink.Store(nil)
-		return
-	}
-	s.lifeSink.Store(&sink)
-}
-
-func (s *Scheme) noteRetired(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteRetired(h)
-	}
-}
-
-func (s *Scheme) noteReclaimed(h arena.Handle) {
-	if sp := s.lifeSink.Load(); sp != nil {
-		(*sp).NoteReclaimed(h)
-	}
-}
-
 // Arena implements mm.Scheme.
 func (s *Scheme) Arena() *arena.Arena { return s.ar }
 
@@ -123,34 +85,16 @@ func (s *Scheme) Threads() int { return s.n }
 
 // Register implements mm.Scheme.
 func (s *Scheme) Register() (mm.Thread, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for i := 0; i < s.n; i++ {
-		if !s.regUsed[i] {
-			s.regUsed[i] = true
-			return &Thread{s: s, id: i, relStack: make([]arena.Handle, 0, 64)}, nil
-		}
+	id, err := s.reg.Acquire()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("valois: all %d thread slots in use", s.n)
-}
-
-func (s *Scheme) unregister(id int) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	s.regUsed[id] = false
+	return &Thread{s: s, id: id, relStack: make([]arena.Handle, 0, 64)}, nil
 }
 
 // FreeNodes walks the free-list for auditing; quiescence only.
 func (s *Scheme) FreeNodes() map[arena.Handle]int {
-	free := make(map[arena.Handle]int)
-	for h := arena.Handle(s.head.v.Load()); h != arena.Nil; {
-		free[h]++
-		if free[h] > s.ar.Nodes() {
-			break
-		}
-		h = arena.Handle(s.ar.Next(h).Load())
-	}
-	return free
+	return mm.WalkFree(s.ar, arena.Handle(s.head.Load()))
 }
 
 // Audit verifies the reference-counting invariants at quiescence.
@@ -181,7 +125,7 @@ func (t *Thread) ID() int { return t.id }
 func (t *Thread) Stats() *mm.OpStats { return &t.stats }
 
 // Unregister implements mm.Thread.
-func (t *Thread) Unregister() { t.s.unregister(t.id) }
+func (t *Thread) Unregister() { t.s.reg.Release(t.id) }
 
 // BeginOp implements mm.Thread (no-op).
 func (t *Thread) BeginOp() {}
@@ -236,7 +180,7 @@ func (t *Thread) release(h arena.Handle) {
 		ref.Add(-2)
 		if ref.Load() == 0 && ref.CompareAndSwap(0, 1) {
 			// Telemetry: the election win is this scheme's retire instant.
-			t.s.noteRetired(n)
+			t.s.NoteRetired(n)
 			ar.LinkRange(n, func(id mm.LinkID) {
 				p := ar.LoadLink(id)
 				if p != arena.NilPtr {
@@ -263,7 +207,7 @@ func (t *Thread) Alloc() (arena.Handle, error) {
 			t.stats.NoteAlloc(steps)
 			return arena.Nil, ErrOutOfMemory
 		}
-		h := arena.Handle(s.head.v.Load())
+		h := arena.Handle(s.head.Load())
 		if h == arena.Nil {
 			// Single list: emptiness is either exhaustion or a transient
 			// state while other threads hold nodes mid-free; retry up to
@@ -272,7 +216,7 @@ func (t *Thread) Alloc() (arena.Handle, error) {
 		}
 		s.ar.Ref(h).Add(2)
 		next := s.ar.Next(h).Load()
-		if s.head.v.CompareAndSwap(uint64(h), next) {
+		if s.head.CompareAndSwap(uint64(h), next) {
 			t.stats.NoteAlloc(steps)
 			s.ar.Ref(h).Add(-1)
 			return h, nil
@@ -286,13 +230,13 @@ func (t *Thread) freeNode(h arena.Handle) {
 	s := t.s
 	// Telemetry: h's memory returns to the free-list here — the reclaim
 	// edge of the retire→free lag.
-	s.noteReclaimed(h)
+	s.NoteReclaimed(h)
 	var steps uint64
 	for {
 		steps++
-		old := s.head.v.Load()
+		old := s.head.Load()
 		s.ar.Next(h).Store(old)
-		if s.head.v.CompareAndSwap(old, uint64(h)) {
+		if s.head.CompareAndSwap(old, uint64(h)) {
 			t.stats.NoteFree(steps)
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wfrc/internal/arena"
+	"wfrc/internal/mm"
 )
 
 // FreeNodes walks the scheme's free structures (all 2·NR_THREADS
@@ -11,19 +12,13 @@ import (
 // its multiplicity.  It must only be called at quiescence; it is the
 // scheme-side input to arena.AuditRC.
 func (s *Scheme) FreeNodes() map[arena.Handle]int {
-	free := make(map[arena.Handle]int)
+	heads := make([]arena.Handle, len(s.freeList))
 	for i := range s.freeList {
-		for h := arena.Handle(s.freeList[i].v.Load()); h != arena.Nil; {
-			free[h]++
-			if free[h] > s.ar.Nodes() {
-				// Cycle guard: a corrupted list would loop forever.
-				break
-			}
-			h = arena.Handle(s.ar.Next(h).Load())
-		}
+		heads[i] = arena.Handle(s.freeList[i].Load())
 	}
+	free := mm.WalkFree(s.ar, heads...)
 	for i := range s.annAlloc {
-		if h := arena.Handle(s.annAlloc[i].v.Load()); h != arena.Nil {
+		if h := arena.Handle(s.annAlloc[i].Load()); h != arena.Nil {
 			// Granted nodes sit at mm_ref==3 (handover convention); for
 			// audit purposes they are free but carry the grant's extra
 			// weight.  Normalize by accounting them as free with the
@@ -53,7 +48,7 @@ func (s *Scheme) Audit(extraRefs map[arena.Handle]int) []error {
 	// restoring afterwards.
 	var granted []arena.Handle
 	for i := range s.annAlloc {
-		if h := arena.Handle(s.annAlloc[i].v.Load()); h != arena.Nil {
+		if h := arena.Handle(s.annAlloc[i].Load()); h != arena.Nil {
 			granted = append(granted, h)
 		}
 	}
@@ -91,7 +86,7 @@ func (s *Scheme) auditDeferred() []error {
 			}
 		}
 	}
-	if n := s.orphanN.Load(); n > 0 {
+	if n := s.orphans.Len(); n > 0 {
 		errs = append(errs, fmt.Errorf(
 			"core: %d orphaned ZCT entr(ies) unreclaimed at quiescence", n))
 	}
@@ -115,12 +110,9 @@ func (s *Scheme) auditDeferred() []error {
 // and relies on this audit to flag the regression.
 func (s *Scheme) AuditAnnRows() []error {
 	var errs []error
-	s.regMu.Lock()
-	registered := append([]bool(nil), s.regUsed...)
-	s.regMu.Unlock()
 	for id := 0; id < s.n; id++ {
 		idx := s.ann[id].index.Load()
-		if !registered[id] && idx != -1 {
+		if !s.reg.InUse(id) && idx != -1 {
 			errs = append(errs, fmt.Errorf(
 				"core: unregistered row %d advertises announcement slot %d, want -1 (H2 hygiene: helpers will scan a dead row)",
 				id, idx))

@@ -41,25 +41,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestRegisterSlots(t *testing.T) {
-	s := newScheme(t, 4, 2, 0, 0, 0)
-	t1 := mustRegister(t, s)
-	t2 := mustRegister(t, s)
-	if t1.ID() == t2.ID() {
-		t.Fatal("duplicate thread ids")
-	}
-	if _, err := s.Register(); err == nil {
-		t.Fatal("third registration on 2-slot scheme succeeded")
-	}
-	t1.Unregister()
-	t3 := mustRegister(t, s)
-	if t3.ID() != t1.ID() {
-		t.Errorf("freed slot not reused: got %d, want %d", t3.ID(), t1.ID())
-	}
-	t2.Unregister()
-	t3.Unregister()
-}
-
 func TestAllocReleaseSingleNode(t *testing.T) {
 	s := newScheme(t, 4, 1, 0, 0, 0)
 	th := mustRegister(t, s)
@@ -319,7 +300,7 @@ func TestFreeNodeGrantsThroughAnnAlloc(t *testing.T) {
 	// Point the help cursor at B so A's free lands in annAlloc[B].
 	s.helpCurrent.Store(int64(tB.ID()))
 	tA.Release(h)
-	if got := arena.Handle(s.annAlloc[tB.ID()].v.Load()); got != h {
+	if got := arena.Handle(s.annAlloc[tB.ID()].Load()); got != h {
 		t.Fatalf("annAlloc[B] = %d, want %d", got, h)
 	}
 	if got := s.ar.Ref(h).Load(); got != 3 {
@@ -353,7 +334,7 @@ func TestAllocFirstSuccessHelpsTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	granted := arena.Handle(s.annAlloc[tB.ID()].v.Load())
+	granted := arena.Handle(s.annAlloc[tB.ID()].Load())
 	if granted == arena.Nil {
 		t.Fatal("allocation did not populate annAlloc[B]")
 	}

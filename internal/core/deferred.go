@@ -229,11 +229,11 @@ func (t *Thread) releaseDeferred(h arena.Handle) {
 func (t *Thread) deferCountedDec(h arena.Handle) {
 	t.stats.DeferredDecs++
 	t.deferDec(h, 1)
-	if t.s.memPressure.v.Load() != 0 && !t.inFlush {
+	if t.s.memPressure.Load() != 0 && !t.inFlush {
 		// An allocator ran the arena dry: answer the broadcast with a
 		// purging flush so our cached decrements, ZCT candidates, and
 		// released sticky pins become free nodes (see Scheme.memPressure).
-		t.s.memPressure.v.Store(0)
+		t.s.memPressure.Store(0)
 		t.flushDeferred(true)
 		return
 	}
@@ -259,7 +259,7 @@ func (t *Thread) deferDec(h arena.Handle, n uint32) {
 	case arena.Nil:
 		e.h, e.dec = h, n
 		t.dLive++
-		t.s.dcacheLive[t.id].v.Store(int64(t.dLive))
+		t.s.dcacheLive[t.id].Store(int64(t.dLive))
 		return
 	}
 	old, dec := e.h, e.dec
@@ -296,9 +296,9 @@ func (t *Thread) zctPush(h arena.Handle) {
 	// instant (idempotent for duplicate pushes); the mirror lets
 	// cross-thread gauges read the table's depth without touching the
 	// owner-private slice.
-	t.s.noteRetired(h)
+	t.s.NoteRetired(h)
 	t.zct = append(t.zct, h)
-	t.s.zctDepth[t.id].v.Store(int64(len(t.zct)))
+	t.s.zctDepth[t.id].Store(int64(len(t.zct)))
 	if len(t.zct) >= zctDrainThreshold && !t.inFlush {
 		t.inFlush = true
 		t.drainZCT()
@@ -355,7 +355,7 @@ func (t *Thread) flushDeferred(purge bool) (freed int) {
 				t.applyDec(h, dec)
 				applied = true
 			}
-			t.s.dcacheLive[t.id].v.Store(int64(t.dLive))
+			t.s.dcacheLive[t.id].Store(int64(t.dLive))
 		}
 		n := t.drainZCT()
 		freed += n
@@ -386,7 +386,7 @@ func (t *Thread) drainZCT() (freed int) {
 			// retired state as far as this table is concerned: cancel
 			// the retire stamp (no-op if the claimer's freeNode got
 			// there first), recording its ZCT residency as the lag.
-			t.s.noteReclaimed(h)
+			t.s.NoteReclaimed(h)
 			continue
 		}
 		if t.pinnedBySelf(h) || t.s.pinnedByOther(t.id, h) {
@@ -399,7 +399,7 @@ func (t *Thread) drainZCT() (freed int) {
 			freed++
 		}
 	}
-	t.s.zctDepth[t.id].v.Store(int64(len(t.zct)))
+	t.s.zctDepth[t.id].Store(int64(len(t.zct)))
 	return freed
 }
 
@@ -424,16 +424,7 @@ func (t *Thread) reclaimDeferred(n arena.Handle) {
 // unregistered threads whose candidates were still pinned) into this
 // thread's table.
 func (t *Thread) adoptOrphans() {
-	s := t.s
-	if s.orphanN.Load() == 0 {
-		return
-	}
-	s.orphanMu.Lock()
-	orphans := s.orphans
-	s.orphans = nil
-	s.orphanN.Store(0)
-	s.orphanMu.Unlock()
-	for _, h := range orphans {
+	for _, h := range t.s.orphans.AdoptInto(nil) {
 		t.zctPush(h)
 	}
 }
@@ -468,13 +459,9 @@ func (t *Thread) retireDeferred() {
 		t.flushDeferred(true)
 	}
 	if len(t.zct) > 0 {
-		s := t.s
-		s.orphanMu.Lock()
-		s.orphans = append(s.orphans, t.zct...)
-		s.orphanN.Store(int64(len(s.orphans)))
-		s.orphanMu.Unlock()
+		t.s.orphans.Park(t.zct)
 		t.zct = nil
-		s.zctDepth[t.id].v.Store(0)
+		t.s.zctDepth[t.id].Store(0)
 	}
 }
 
@@ -524,7 +511,7 @@ func (t *Thread) deRefAnnounced(l mm.LinkID) mm.Ptr {
 	}
 	slot := &row.slots[index]
 
-	s.annPending.v.Add(1)              // open the window before D3
+	s.annPending.Add(1)                // open the window before D3
 	row.index.Store(int64(index))      // D2
 	slot.readAddr.Store(encodeLink(l)) // D3
 	t.at(PD3)
@@ -538,7 +525,7 @@ func (t *Thread) deRefAnnounced(l mm.LinkID) mm.Ptr {
 	}
 	t.at(PD6)
 	n1 := slot.readAddr.Swap(0) // D6
-	s.annPending.v.Add(-1)      // window closed
+	s.annPending.Add(-1)        // window closed
 	if n1 != encodeLink(l) {    // D7: a helper answered with a counted ref
 		if node.Handle() != arena.Nil {
 			if pinIdx >= 0 { // D8: drop our own guard on the stale read

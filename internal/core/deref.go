@@ -105,7 +105,7 @@ func (t *Thread) deRefCounted(l mm.LinkID) mm.Ptr {
 		// Helper dereferences on the deferred variant announce too, so
 		// they must keep the annPending window count accurate (see the
 		// Scheme field); the immediate scheme skips the counter.
-		s.annPending.v.Add(1)
+		s.annPending.Add(1)
 	}
 	row.index.Store(int64(index))      // D2
 	slot.readAddr.Store(encodeLink(l)) // D3
@@ -118,7 +118,7 @@ func (t *Thread) deRefCounted(l mm.LinkID) mm.Ptr {
 	t.at(PD6)
 	n1 := slot.readAddr.Swap(0) // D6
 	if s.deferred {
-		s.annPending.v.Add(-1)
+		s.annPending.Add(-1)
 	}
 	if n1 != encodeLink(l) { // D7: a helper answered
 		if node.Handle() != arena.Nil {
@@ -171,7 +171,7 @@ func (t *Thread) ReleaseRef(h arena.Handle) {
 			// Telemetry: the election win is the immediate variant's
 			// retire instant — from here n is garbage until freeNode
 			// returns it to the free structures moments later.
-			s.noteRetired(n)
+			s.NoteRetired(n)
 			// R3: this thread now exclusively owns n.  Clear its link
 			// cells with plain stores (including poison markers — see
 			// the data structures' chain-breaking rule) and queue the
@@ -197,7 +197,7 @@ func (t *Thread) ReleaseRef(h arena.Handle) {
 func (t *Thread) HelpDeRef(l mm.LinkID) {
 	s := t.s
 	t.stats.HelpScans++
-	if s.deferred && s.annPending.v.Load() == 0 {
+	if s.deferred && s.annPending.Load() == 0 {
 		// No D3–D6 window is open anywhere: an announcer not yet
 		// visible here ordered its D4 link read after our link update
 		// and will see the fresh value itself (see Scheme.annPending).

@@ -83,7 +83,7 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 				// bounded by oomBroadcastRounds·lim extra steps.
 				if broadcasts < oomBroadcastRounds {
 					broadcasts++
-					s.memPressure.v.Store(1)
+					s.memPressure.Store(1)
 					runtime.Gosched()
 					steps = 0
 					continue
@@ -93,8 +93,8 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 			return arena.Nil, ErrOutOfMemory
 		}
 		// A4: adopt a node another thread granted us.
-		if s.annAlloc[t.id].v.Load() != 0 {
-			granted := arena.Handle(s.annAlloc[t.id].v.Swap(0))
+		if s.annAlloc[t.id].Load() != 0 {
+			granted := arena.Handle(s.annAlloc[t.id].Swap(0))
 			if granted != arena.Nil {
 				t.stats.AllocHelped++
 				t.stats.NoteAlloc(steps)
@@ -104,18 +104,18 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 		}
 		current := s.currentFreeList.Load() // A5
 		t.at(PA5)
-		node := arena.Handle(s.freeList[current].v.Load()) // A6
-		if node == arena.Nil {                             // A7
+		node := arena.Handle(s.freeList[current].Load()) // A6
+		if node == arena.Nil {                           // A7
 			s.currentFreeList.CompareAndSwap(current, (current+1)%int64(2*s.n))
 			continue
 		}
 		s.ar.Ref(node).Add(2) // A9: guard node so mm_next stays frozen
 		t.at(PA9)
 		next := s.ar.Next(node).Load()
-		if s.freeList[current].v.CompareAndSwap(uint64(node), next) { // A10
-			if !helped && s.annAlloc[helpID].v.Load() == 0 { // A11
+		if s.freeList[current].CompareAndSwap(uint64(node), next) { // A10
+			if !helped && s.annAlloc[helpID].Load() == 0 { // A11
 				t.at(PA12)
-				if s.annAlloc[helpID].v.CompareAndSwap(0, uint64(node)) { // A12
+				if s.annAlloc[helpID].CompareAndSwap(0, uint64(node)) { // A12
 					helped = true                                               // A13
 					s.helpCurrent.CompareAndSwap(helpID, (helpID+1)%int64(s.n)) // A14
 					continue                                                    // A15
@@ -147,16 +147,16 @@ func (t *Thread) freeNode(node arena.Handle) {
 	}
 	// Telemetry: node's memory is returning to the free structures —
 	// the reclaim edge of the retire→free lag (mm.LifecycleSink).
-	s.noteReclaimed(node)
+	s.NoteReclaimed(node)
 	helpID := s.helpCurrent.Load()                              // F1
 	s.helpCurrent.CompareAndSwap(helpID, (helpID+1)%int64(s.n)) // F2
 	t.at(PF3)
 	// The F3 offer is best-effort helping; when the target cell is
 	// observed occupied, skip it with one load instead of paying the
 	// erratum's +2/CAS/-2 round trip just to have the CAS decline.
-	if s.annAlloc[helpID].v.Load() == 0 {
-		s.ar.Ref(node).Add(2)                                     // erratum: hand over at mm_ref==3, as line A12 does
-		if s.annAlloc[helpID].v.CompareAndSwap(0, uint64(node)) { // F3
+	if s.annAlloc[helpID].Load() == 0 {
+		s.ar.Ref(node).Add(2)                                   // erratum: hand over at mm_ref==3, as line A12 does
+		if s.annAlloc[helpID].CompareAndSwap(0, uint64(node)) { // F3
 			t.stats.NoteFree(1)
 			return
 		}
@@ -175,10 +175,10 @@ func (t *Thread) freeNode(node arena.Handle) {
 	for { // F7
 		t.at(PF7)
 		steps++
-		head := s.freeList[index].v.Load()
+		head := s.freeList[index].Load()
 		s.ar.Next(node).Store(head) // F8
 		t.at(PF9)
-		if s.freeList[index].v.CompareAndSwap(head, uint64(node)) { // F9
+		if s.freeList[index].CompareAndSwap(head, uint64(node)) { // F9
 			break
 		}
 		t.stats.CASFailures++
@@ -212,10 +212,10 @@ func (t *Thread) spliceFresh(first arena.Handle, count int) {
 	}
 	for {
 		t.at(PF7)
-		head := s.freeList[index].v.Load()
+		head := s.freeList[index].Load()
 		s.ar.Next(tail).Store(head)
 		t.at(PF9)
-		if s.freeList[index].v.CompareAndSwap(head, uint64(first)) {
+		if s.freeList[index].CompareAndSwap(head, uint64(first)) {
 			return
 		}
 		t.stats.CASFailures++

@@ -56,7 +56,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"wfrc/internal/alloc"
@@ -69,19 +68,6 @@ import (
 const annEncodeBit uint64 = 1 << 63
 
 func encodeLink(l mm.LinkID) uint64 { return annEncodeBit | uint64(l) }
-
-// padU64 is a cache-line padded atomic word, used for contended global
-// cells (free-list heads, annAlloc) so neighbours do not false-share.
-type padU64 struct {
-	v atomic.Uint64
-	_ [7]uint64
-}
-
-// padI64 is a cache-line padded atomic integer.
-type padI64 struct {
-	v atomic.Int64
-	_ [7]uint64
-}
 
 // annSlot is one announcement variable with its busy counter
 // (annReadAddr[i][j] and annBusy[i][j] in the paper).
@@ -177,9 +163,9 @@ type Scheme struct {
 	ann []annRow
 
 	currentFreeList atomic.Int64
-	freeList        []padU64 // 2n heads holding raw Handles
+	freeList        []mm.PadU64 // 2n heads holding raw Handles
 	helpCurrent     atomic.Int64
-	annAlloc        []padU64 // n cells holding raw Handles
+	annAlloc        []mm.PadU64 // n cells holding raw Handles
 
 	// pool is the growth backend (nil on fixed arenas): when AllocNode's
 	// footnote-4 budget would declare the free-lists exhausted, the
@@ -187,8 +173,7 @@ type Scheme struct {
 	// into its own free-list (see AllocNode and internal/alloc.NodePool).
 	pool *alloc.NodePool
 
-	regMu   sync.Mutex
-	regUsed []bool
+	reg mm.Registry
 
 	// annScanViolations counts DeRefLink calls whose D1 slot scan
 	// exceeded AnnScanBound — the audit-visible record of broken
@@ -203,11 +188,19 @@ type Scheme struct {
 	// node is offered to any other thread (see SetNodeFreeHook).
 	nodeFreeHook atomic.Pointer[func(threadID int, h arena.Handle)]
 
-	// lifeSink, when set, receives retire/reclaim lifecycle transitions
-	// (see SetLifecycleSink).  It is deliberately separate from
-	// nodeFreeHook: the value layer owns that hook (DESIGN.md §14), and
-	// telemetry must not displace it.
-	lifeSink atomic.Pointer[mm.LifecycleSink]
+	// Lifecycle implements mm.LifecycleSource: the attached sink receives
+	// a NoteRetired the instant a node becomes garbage — the winner of the
+	// zero-count CAS(0,1) reclaim election on the immediate variant, the
+	// ZCT push on the deferred one — and a NoteReclaimed from freeNode when
+	// the node's memory returns to the free lists.  A deferred-variant node
+	// resurrected out of the ZCT (its count rose again before the drain)
+	// reports NoteReclaimed at the failed election, cancelling the retire.
+	// The sink must be wait-free and allocation-free (mm.LifecycleTracker
+	// is).  Production servers attach one tracker per shard; the only cost
+	// when unset is one atomic pointer load per reclamation.  It is
+	// deliberately separate from nodeFreeHook: the value layer owns that
+	// hook (DESIGN.md §14), and telemetry must not displace it.
+	mm.Lifecycle
 
 	// zctDepth and dcacheLive mirror each thread's ZCT length and
 	// delta-cache occupancy for cross-thread gauges (deferred variant
@@ -215,8 +208,8 @@ type Scheme struct {
 	// private values change, so a concurrent snapshotter reads a
 	// slightly stale but never torn occupancy — the same discipline as
 	// pinRow.live.
-	zctDepth   []padI64
-	dcacheLive []padI64
+	zctDepth   []mm.PadI64
+	dcacheLive []mm.PadI64
 
 	// tags holds one request tag per thread slot (see SetThreadTag).
 	// The tags are opaque to the scheme; the observability layer stores
@@ -228,7 +221,7 @@ type Scheme struct {
 	// legacyAnnIndex reverts the annRow.index lifecycle to its pre-fix
 	// behaviour for schedule-exploration tests (see
 	// TestingSetLegacyAnnIndex).  Never set in production.
-	legacyAnnIndex bool
+	legacyAnnIndex atomic.Bool
 
 	// deferred selects the deferred-decrement variant (Config.Deferred);
 	// pins is its per-thread pin table (one row per thread slot).
@@ -244,7 +237,7 @@ type Scheme struct {
 	// ordered its D4 link read after the helper's link update and needs
 	// no help.  The immediate scheme announces on every DeRefLink and
 	// never consults the counter, so it does not pay the two extra RMWs.
-	annPending padI64
+	annPending mm.PadI64
 
 	// memPressure is the deferred variant's out-of-memory broadcast.  An
 	// allocator that exhausted the free-lists and found nothing to
@@ -256,7 +249,7 @@ type Scheme struct {
 	// triggers, and on small arenas the other threads' bounded slack
 	// alone can exhaust the free-lists (footnote-4 amendment, see
 	// AllocNode).
-	memPressure padI64
+	memPressure mm.PadI64
 
 	// forceAnnounce makes the deferred variant's DeRefLink skip the
 	// pin-and-revalidate fast path and always take the announced path,
@@ -266,11 +259,8 @@ type Scheme struct {
 
 	// orphans holds ZCT entries a thread could not retire before
 	// Unregister (a peer still held a pin on them); the next flushing
-	// thread adopts them.  orphanN mirrors len(orphans) so the flush
-	// hot path can skip the lock.
-	orphanMu sync.Mutex
-	orphans  []arena.Handle
-	orphanN  atomic.Int64
+	// thread adopts them.
+	orphans mm.Limbo
 }
 
 // HelpEvent describes one successfully answered dereference
@@ -336,38 +326,6 @@ func (s *Scheme) SetNodeFreeHook(fn func(threadID int, h arena.Handle)) {
 	s.nodeFreeHook.Store(&fn)
 }
 
-// SetLifecycleSink implements mm.LifecycleSource: sink receives a
-// NoteRetired the instant a node becomes garbage — the winner of the
-// zero-count CAS(0,1) reclaim election on the immediate variant, the
-// ZCT push on the deferred one — and a NoteReclaimed from freeNode when
-// the node's memory returns to the free lists.  A deferred-variant node
-// resurrected out of the ZCT (its count rose again before the drain)
-// reports NoteReclaimed at the failed election, cancelling the retire.
-// sink must be wait-free and allocation-free (mm.LifecycleTracker is);
-// nil detaches.  Production servers attach one tracker per shard; the
-// only cost when unset is one atomic pointer load per reclamation.
-func (s *Scheme) SetLifecycleSink(sink mm.LifecycleSink) {
-	if sink == nil {
-		s.lifeSink.Store(nil)
-		return
-	}
-	s.lifeSink.Store(&sink)
-}
-
-// noteRetired reports h's retire transition to the lifecycle sink.
-func (s *Scheme) noteRetired(h arena.Handle) {
-	if p := s.lifeSink.Load(); p != nil {
-		(*p).NoteRetired(h)
-	}
-}
-
-// noteReclaimed reports h's reclaim transition to the lifecycle sink.
-func (s *Scheme) noteReclaimed(h arena.Handle) {
-	if p := s.lifeSink.Load(); p != nil {
-		(*p).NoteReclaimed(h)
-	}
-}
-
 // DeferredOccupancy sums the deferred variant's cross-thread occupancy
 // mirrors: how many reclaim candidates sit in ZCTs (plus the orphan
 // list) and how many delta-cache entries hold buffered decrements,
@@ -378,10 +336,10 @@ func (s *Scheme) DeferredOccupancy() (zct, dcache int64) {
 		return 0, 0
 	}
 	for i := range s.zctDepth {
-		zct += s.zctDepth[i].v.Load()
-		dcache += s.dcacheLive[i].v.Load()
+		zct += s.zctDepth[i].Load()
+		dcache += s.dcacheLive[i].Load()
 	}
-	zct += s.orphanN.Load()
+	zct += int64(s.orphans.Len())
 	return zct, dcache
 }
 
@@ -424,16 +382,15 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 		n:        n,
 		lim:      lim,
 		ann:      make([]annRow, n),
-		freeList: make([]padU64, 2*n),
-		annAlloc: make([]padU64, n),
-		regUsed:  make([]bool, n),
+		freeList: make([]mm.PadU64, 2*n),
+		annAlloc: make([]mm.PadU64, n),
 		tags:     make([]atomic.Uint64, n),
 		deferred: cfg.Deferred,
 	}
 	if cfg.Deferred {
 		s.pins = make([]pinRow, n)
-		s.zctDepth = make([]padI64, n)
-		s.dcacheLive = make([]padI64, n)
+		s.zctDepth = make([]mm.PadI64, n)
+		s.dcacheLive = make([]mm.PadI64, n)
 	}
 	for i := range s.ann {
 		s.ann[i].slots = make([]annSlot, n)
@@ -448,17 +405,10 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 	// scheme-level configuration is needed (fixed arenas get a nil pool
 	// and the pre-growable behaviour, bit for bit).
 	s.pool = alloc.NewNodePool(ar, n)
-	// Chain segment 0's nodes onto freeList[0]: 1 -> 2 -> ... -> Nodes
-	// -> nil (at construction time only segment 0 is attached, so
-	// ar.Nodes() is exactly its span).
-	nodes := ar.Nodes()
-	for h := 1; h < nodes; h++ {
-		ar.Next(arena.Handle(h)).Store(uint64(h + 1))
-	}
-	if nodes > 0 {
-		ar.Next(arena.Handle(nodes)).Store(0)
-		s.freeList[0].v.Store(1)
-	}
+	// Chain segment 0's nodes onto freeList[0] (at construction time only
+	// segment 0 is attached, so ar.Nodes() is exactly its span).
+	s.freeList[0].Store(uint64(mm.ChainFree(ar)))
+	s.reg.Init("core", n)
 	return s, nil
 }
 
@@ -506,26 +456,20 @@ func (s *Scheme) Register() (mm.Thread, error) {
 // RegisterCore is Register returning the concrete *Thread, giving access
 // to scheme-specific operations (HelpDeRef, FixRef, test hooks).
 func (s *Scheme) RegisterCore() (*Thread, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for i := 0; i < s.n; i++ {
-		if !s.regUsed[i] {
-			s.regUsed[i] = true
-			return &Thread{s: s, id: i, relStack: make([]arena.Handle, 0, 64)}, nil
-		}
+	id, err := s.reg.Acquire()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: all %d thread slots in use", s.n)
+	return &Thread{s: s, id: id, relStack: make([]arena.Handle, 0, 64)}, nil
 }
 
 func (s *Scheme) unregister(id int) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	s.regUsed[id] = false
 	// Stop helpers from scanning the departed thread's row: its last
 	// announcement index would otherwise stay valid-looking forever.
-	if !s.legacyAnnIndex {
+	if !s.legacyAnnIndex.Load() {
 		s.ann[id].index.Store(-1)
 	}
+	s.reg.Release(id)
 }
 
 // TestingSetLegacyAnnIndex reverts the annRow.index lifecycle fix (the
@@ -537,17 +481,17 @@ func (s *Scheme) unregister(id int) {
 // uses it as the standing injected-bug target: AuditAnnRows reports the
 // resulting H2-hygiene violation on every schedule that reaches
 // quiescence with an unregistered row still advertising a slot.  Test
-// hook only; never enable in production.
+// hook only; never enable in production.  Call it while no thread is
+// registering or unregistering: the flag itself is atomic, but the
+// row sweep below reads each slot's in-use bit and index separately.
 func (s *Scheme) TestingSetLegacyAnnIndex(on bool) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	s.legacyAnnIndex = on
+	s.legacyAnnIndex.Store(on)
 	for i := range s.ann {
 		idx := s.ann[i].index.Load()
 		if on && idx == -1 {
 			s.ann[i].index.Store(0) // the pre-fix zero value
 		}
-		if !on && !s.regUsed[i] && idx != -1 {
+		if !on && !s.reg.InUse(i) && idx != -1 {
 			s.ann[i].index.Store(-1)
 		}
 	}
@@ -565,11 +509,7 @@ func (s *Scheme) AnnSlotBusy(id, j int) int64 { return s.ann[id].slots[j].busy.L
 
 // RegisteredThread reports whether thread slot id is currently bound to
 // a registered thread.
-func (s *Scheme) RegisteredThread(id int) bool {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	return s.regUsed[id]
-}
+func (s *Scheme) RegisteredThread(id int) bool { return s.reg.InUse(id) }
 
 // Thread is a per-goroutine context on the wait-free scheme.  It
 // implements mm.Thread.

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"wfrc/internal/core"
 )
 
 // quickParams shrinks every experiment to smoke-test size.
@@ -56,21 +58,24 @@ func TestRegistryLookup(t *testing.T) {
 }
 
 // TestE2ShapeHolds asserts the paper's core qualitative claim at smoke
-// scale: the wait-free DeRef never exceeds one announcement round even
-// under writer pressure.
+// scale: under writer pressure the wait-free DeRef stays within Lemma 2's
+// 2n announcement-slot probes.  Exactly one probe per DeRef is what a
+// single CPU shows, not what the paper proves: under real parallelism a
+// helper's busy pin can make the D1 scan skip a slot.
 func TestE2ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contention test")
 	}
-	mean, max, _, err := e2WaitFree(3, 20000)
+	const writers = 3
+	mean, max, _, err := e2WaitFree(writers, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max != 1 {
-		t.Errorf("wait-free DeRef max steps = %d, want 1 (bounded by construction)", max)
+	if bound := uint64(core.AnnScanBound(writers + 1)); max < 1 || max > bound {
+		t.Errorf("wait-free DeRef max steps = %d, want within [1, %d] (Lemma 2)", max, bound)
 	}
-	if mean != 1 {
-		t.Errorf("wait-free DeRef mean steps = %f, want 1", mean)
+	if mean < 1 {
+		t.Errorf("wait-free DeRef mean steps = %f, want >= 1", mean)
 	}
 }
 

@@ -52,80 +52,70 @@ type Factory struct {
 	New func(acfg arena.Config, opts Options) (mm.Scheme, error)
 }
 
+// over adapts a scheme constructor to Factory.New: a fresh arena per
+// scheme, and the concrete *Scheme returned as the interface only when
+// construction succeeded (a typed nil would read as non-nil).
+func over[S mm.Scheme](build func(*arena.Arena, Options) (S, error)) func(arena.Config, Options) (mm.Scheme, error) {
+	return func(acfg arena.Config, o Options) (mm.Scheme, error) {
+		ar, err := arena.New(acfg)
+		if err != nil {
+			return nil, err
+		}
+		s, err := build(ar, o)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+}
+
 // Factories returns all seven schemes: the paper's wait-free
 // contribution, its deferred-decrement variant, and the five baselines.
 func Factories() []Factory {
-	newCore := func(deferred bool) func(acfg arena.Config, o Options) (mm.Scheme, error) {
-		return func(acfg arena.Config, o Options) (mm.Scheme, error) {
-			ar, err := arena.New(acfg)
-			if err != nil {
-				return nil, err
-			}
+	newCore := func(deferred bool) func(arena.Config, Options) (mm.Scheme, error) {
+		return over(func(ar *arena.Arena, o Options) (*core.Scheme, error) {
 			s, err := core.New(ar, core.Config{
 				Threads:         o.Threads,
 				AllocRetryLimit: o.AllocRetryLimit,
 				Deferred:        deferred,
 			})
-			if err != nil {
-				return nil, err
-			}
-			if OnNewWaitFree != nil {
+			if err == nil && OnNewWaitFree != nil {
 				OnNewWaitFree(s)
 			}
-			return s, nil
-		}
+			return s, err
+		})
 	}
 	return []Factory{
 		{Name: "waitfree", New: newCore(false)},
 		{Name: "waitfree-deferred", New: newCore(true)},
-		{Name: "valois", New: func(acfg arena.Config, o Options) (mm.Scheme, error) {
-			ar, err := arena.New(acfg)
-			if err != nil {
-				return nil, err
-			}
+		{Name: "valois", New: over(func(ar *arena.Arena, o Options) (*valois.Scheme, error) {
 			return valois.New(ar, valois.Config{Threads: o.Threads, AllocRetryLimit: o.AllocRetryLimit})
-		}},
-		{Name: "hazard", New: func(acfg arena.Config, o Options) (mm.Scheme, error) {
-			ar, err := arena.New(acfg)
-			if err != nil {
-				return nil, err
-			}
+		})},
+		{Name: "hazard", New: over(func(ar *arena.Arena, o Options) (*hazard.Scheme, error) {
 			return hazard.New(ar, hazard.Config{
 				Threads:         o.Threads,
 				SlotsPerThread:  o.HazardSlots,
 				AllocRetryLimit: o.AllocRetryLimit,
 				RetireThreshold: o.RetireThreshold,
 			})
-		}},
-		{Name: "epoch", New: func(acfg arena.Config, o Options) (mm.Scheme, error) {
-			ar, err := arena.New(acfg)
-			if err != nil {
-				return nil, err
-			}
+		})},
+		{Name: "epoch", New: over(func(ar *arena.Arena, o Options) (*epoch.Scheme, error) {
 			return epoch.New(ar, epoch.Config{
 				Threads:         o.Threads,
 				AllocRetryLimit: o.AllocRetryLimit,
 				RetireThreshold: o.RetireThreshold,
 			})
-		}},
-		{Name: "hyaline", New: func(acfg arena.Config, o Options) (mm.Scheme, error) {
-			ar, err := arena.New(acfg)
-			if err != nil {
-				return nil, err
-			}
+		})},
+		{Name: "hyaline", New: over(func(ar *arena.Arena, o Options) (*hyaline.Scheme, error) {
 			return hyaline.New(ar, hyaline.Config{
 				Threads:         o.Threads,
 				RetireThreshold: o.RetireThreshold,
 				AllocRetryLimit: o.AllocRetryLimit,
 			})
-		}},
-		{Name: "lockrc", New: func(acfg arena.Config, o Options) (mm.Scheme, error) {
-			ar, err := arena.New(acfg)
-			if err != nil {
-				return nil, err
-			}
+		})},
+		{Name: "lockrc", New: over(func(ar *arena.Arena, o Options) (*lockrc.Scheme, error) {
 			return lockrc.New(ar, lockrc.Config{Threads: o.Threads})
-		}},
+		})},
 	}
 }
 
