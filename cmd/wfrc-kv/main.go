@@ -81,7 +81,7 @@ func run() int {
 		slots      = flag.Int("slots", 8, "thread slots per shard scheme (NR_THREADS) = leasable connection slots")
 		nodes      = flag.Int("nodes", 1<<16, "initial arena segment per shard, in nodes")
 		maxMemory  = flag.String("max-memory", "", "total node-storage budget with K/M/G suffix (e.g. 256M); shards grow toward it by attaching arena segments at runtime, instead of being capped at -nodes (README \"Capacity model\")")
-		buckets    = flag.Int("buckets", 256, "hashmap buckets per shard (power of two)")
+		buckets    = flag.Int("buckets", 0, "hashmap buckets per shard (power of two); 0 derives it from the shard's node ceiling, one bucket per 4 nodes")
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "slot lease expiry for dead connections")
 		leaseWait  = flag.Duration("lease-max-wait", 2*time.Second, "how long a connection waits for a slot before Busy")
 		drainWait  = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
@@ -247,11 +247,11 @@ func run() int {
 	}
 	if srv.Store().Growable() {
 		max := srv.Store().Capacity()[0].MaxNodes
-		fmt.Printf("wfrc-kv: %d shards × %d slots, %d nodes/shard growable to %d, listening on %s\n",
-			*shards, *slots, *nodes, max, ln.Addr())
+		fmt.Printf("wfrc-kv: %d shards × %d slots, %d nodes/shard growable to %d, %d buckets/shard, listening on %s\n",
+			*shards, *slots, *nodes, max, srv.Store().Buckets(), ln.Addr())
 	} else {
-		fmt.Printf("wfrc-kv: %d shards × %d slots, %d nodes/shard (fixed), listening on %s\n",
-			*shards, *slots, *nodes, ln.Addr())
+		fmt.Printf("wfrc-kv: %d shards × %d slots, %d nodes/shard (fixed), %d buckets/shard, listening on %s\n",
+			*shards, *slots, *nodes, srv.Store().Buckets(), ln.Addr())
 	}
 
 	sigs := make(chan os.Signal, 1)

@@ -214,7 +214,7 @@ type Arena struct {
 
 	rootsCut uint32          // first node-link id; roots occupy 1..rootsCut-1
 	roots    []atomic.Uint64 // index 1..RootLinks; slot 0 unused
-	nextRoot atomic.Int64    // allocation cursor for NewRoot
+	nextRoot atomic.Int64    // root cells handed out so far (NewRoots)
 
 	// pages is the lock-free segment registry: a fixed table of page
 	// pointers, populated left to right by CAS.  nPages is the published
@@ -452,15 +452,37 @@ func (a *Arena) Valid(h Handle) bool {
 
 // --- link cells -----------------------------------------------------------
 
-// NewRoot reserves a fresh root link cell and returns its id.  It panics
-// if the configured RootLinks budget is exhausted; roots are allocated at
-// structure-construction time, so exhaustion is a programming error.
-func (a *Arena) NewRoot() LinkID {
-	n := a.nextRoot.Add(1)
-	if int(n) > a.cfg.RootLinks {
-		panic(fmt.Sprintf("arena: out of root links (budget %d)", a.cfg.RootLinks))
+// NewRoots reserves n consecutive root link cells in one step and
+// returns the id of the first; the others are first+1 … first+n-1.  A
+// hash index keeps its buckets this way: a bucket is an offset from
+// first, with no per-bucket object.  A request the remaining budget
+// cannot cover reserves nothing and returns an error.
+func (a *Arena) NewRoots(n int) (first LinkID, err error) {
+	if n < 1 {
+		return NoLink, fmt.Errorf("arena: NewRoots(%d): count must be positive", n)
 	}
-	return LinkID(n)
+	for {
+		used := a.nextRoot.Load()
+		if int64(n) > int64(a.cfg.RootLinks)-used {
+			return NoLink, fmt.Errorf("arena: out of root links (want %d, %d of budget %d left)",
+				n, int64(a.cfg.RootLinks)-used, a.cfg.RootLinks)
+		}
+		if a.nextRoot.CompareAndSwap(used, used+int64(n)) {
+			return LinkID(used + 1), nil
+		}
+	}
+}
+
+// NewRoot reserves a fresh root link cell and returns its id.  It panics
+// if the configured RootLinks budget is exhausted; single roots are
+// allocated at structure-construction time from a budget the caller
+// wrote down, so exhaustion is a programming error.
+func (a *Arena) NewRoot() LinkID {
+	id, err := a.NewRoots(1)
+	if err != nil {
+		panic(err.Error())
+	}
+	return id
 }
 
 // LinkOf returns the id of link slot i of node h.

@@ -92,7 +92,21 @@ func TestInitialRefCounts(t *testing.T) {
 }
 
 func TestRootAllocation(t *testing.T) {
-	a := MustNew(Config{Nodes: 2, RootLinks: 2})
+	a := MustNew(Config{Nodes: 2, RootLinks: 7})
+	first, err := a.NewRoots(4)
+	if err != nil || first != 1 {
+		t.Fatalf("NewRoots(4) = %d,%v, want the range starting at 1", first, err)
+	}
+	if _, err := a.NewRoots(4); err == nil {
+		t.Fatal("NewRoots(4) with 3 left succeeded")
+	}
+	if _, err := a.NewRoots(0); err == nil {
+		t.Fatal("NewRoots(0) succeeded")
+	}
+	// The refused request reserved nothing: the range continues at 5.
+	if r := a.NewRoot(); r != first+4 {
+		t.Fatalf("root after a 4-range = %d, want %d", r, first+4)
+	}
 	r1, r2 := a.NewRoot(), a.NewRoot()
 	if r1 == NoLink || r2 == NoLink || r1 == r2 {
 		t.Fatalf("roots not distinct/valid: %d %d", r1, r2)

@@ -1,15 +1,19 @@
-// Package hashmap implements a fixed-bucket lock-free hash map: an array
-// of Harris–Michael ordered lists indexed by a multiplicative hash.
-// Like the other structures it is written once against the
-// scheme-neutral mm interface and runs over every memory-management
-// scheme; it exists to exercise the schemes on a many-roots workload
-// (every bucket is an independent root link, so HelpDeRef traffic
-// spreads across links instead of converging on one).
+// Package hashmap implements a fixed-size lock-free hash index: one
+// contiguous range of arena root links, each the head of a
+// Harris–Michael ordered list, selected by a multiplicative hash.  A
+// bucket is a link id (first + hash) and nothing else — 8 bytes of arena,
+// no per-bucket object, no pointer to chase — so a table sized to its
+// arena's node capacity is cheap, and the server store sizes it that way
+// (DESIGN.md §9).  Like the other structures it is written once against
+// the scheme-neutral mm interface and runs over every memory-management
+// scheme; every bucket is an independent root link, so HelpDeRef traffic
+// spreads across links instead of converging on one.
 package hashmap
 
 import (
 	"fmt"
 
+	"wfrc/internal/arena"
 	"wfrc/internal/ds/list"
 	"wfrc/internal/mm"
 )
@@ -18,20 +22,22 @@ import (
 // bucket count.  Methods are safe for concurrent use; each goroutine
 // passes its own registered mm.Thread.
 type Map struct {
-	s       mm.Scheme
-	buckets []*list.List
-	mask    uint64
+	ar    *arena.Arena
+	first mm.LinkID // bucket i's head is root link first+i
+	mask  uint64
 }
 
 // Config parameterizes a Map.
 type Config struct {
 	// Buckets is the bucket count; it must be a power of two.  Zero
-	// selects 64.  The scheme's arena must reserve at least Buckets root
-	// links.
+	// selects 64.  New reserves exactly Buckets consecutive root links of
+	// the scheme's arena.
 	Buckets int
 }
 
-// New creates an empty map managed by s.
+// New creates an empty map managed by s.  It fails when the arena's
+// node geometry cannot carry a list or its root-link budget has fewer
+// than Buckets links left.
 func New(s mm.Scheme, cfg Config) (*Map, error) {
 	n := cfg.Buckets
 	if n == 0 {
@@ -40,15 +46,15 @@ func New(s mm.Scheme, cfg Config) (*Map, error) {
 	if n&(n-1) != 0 || n < 1 {
 		return nil, fmt.Errorf("hashmap: Buckets must be a power of two, got %d", n)
 	}
-	m := &Map{s: s, buckets: make([]*list.List, n), mask: uint64(n - 1)}
-	for i := range m.buckets {
-		l, err := list.New(s)
-		if err != nil {
-			return nil, err
-		}
-		m.buckets[i] = l
+	ar := s.Arena()
+	if err := list.CheckArena(ar); err != nil {
+		return nil, err
 	}
-	return m, nil
+	first, err := ar.NewRoots(n)
+	if err != nil {
+		return nil, fmt.Errorf("hashmap: %d buckets: %w", n, err)
+	}
+	return &Map{ar: ar, first: first, mask: uint64(n - 1)}, nil
 }
 
 // MustNew is New but panics on error.
@@ -65,7 +71,11 @@ func (m *Map) hash(key uint64) uint64 {
 	return (key * 0x9e3779b97f4a7c15) >> 32 & m.mask
 }
 
-func (m *Map) bucket(key uint64) *list.List { return m.buckets[m.hash(key)] }
+// bucket returns key's chain.  The List is two words built on the
+// caller's stack; no operation allocates.
+func (m *Map) bucket(key uint64) list.List { return m.at(m.hash(key)) }
+
+func (m *Map) at(i uint64) list.List { return list.At(m.ar, m.first+mm.LinkID(i)) }
 
 // Insert adds key→value; it returns false if the key is already present.
 func (m *Map) Insert(t mm.Thread, key, value uint64) (bool, error) {
@@ -103,8 +113,8 @@ func (m *Map) GetWith(t mm.Thread, key uint64, fn func(value uint64)) bool {
 // Range invokes fn with every live entry's key and value word.
 // Quiescence only.
 func (m *Map) Range(fn func(key, value uint64)) {
-	for _, b := range m.buckets {
-		b.Range(fn)
+	for i := uint64(0); i <= m.mask; i++ {
+		m.at(i).Range(fn)
 	}
 }
 
@@ -126,8 +136,8 @@ func (m *Map) Contains(t mm.Thread, key uint64) bool {
 // Len counts live entries across buckets.  Quiescence only.
 func (m *Map) Len() int {
 	total := 0
-	for _, b := range m.buckets {
-		n := b.Len()
+	for i := uint64(0); i <= m.mask; i++ {
+		n := m.at(i).Len()
 		if n < 0 {
 			return -1
 		}
@@ -140,11 +150,11 @@ func (m *Map) Len() int {
 // only.
 func (m *Map) Keys() []uint64 {
 	var out []uint64
-	for _, b := range m.buckets {
-		out = append(out, b.Keys()...)
+	for i := uint64(0); i <= m.mask; i++ {
+		out = append(out, m.at(i).Keys()...)
 	}
 	return out
 }
 
 // Buckets returns the bucket count.
-func (m *Map) Buckets() int { return len(m.buckets) }
+func (m *Map) Buckets() int { return int(m.mask) + 1 }

@@ -46,6 +46,67 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBucketsAreOneRootRange pins the index layout: New reserves exactly
+// Buckets consecutive root links, and an arena with fewer left is an
+// error, not a panic.
+func TestBucketsAreOneRootRange(t *testing.T) {
+	f, _ := schemes.ByName("waitfree")
+	s, _ := f.New(arenaCfg(8, 16), schemes.Options{Threads: 1}) // 18 root links
+	ar := s.Arena()
+	before := ar.NewRoot()
+	m, err := New(s, Config{Buckets: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := ar.NewRoot()
+	if m.first != before+1 || after != m.first+16 {
+		t.Fatalf("16 buckets took roots %d..%d between single roots %d and %d, want the 16 in between",
+			m.first, after-1, before, after)
+	}
+	for i := uint64(0); i < 16; i++ {
+		if id := m.first + mm.LinkID(i); !ar.LoadLink(id).IsNil() {
+			t.Fatalf("bucket %d (root %d) not empty", i, id)
+		}
+	}
+	if _, err := New(s, Config{Buckets: 2}); err == nil {
+		t.Fatal("New with 0 root links left succeeded")
+	}
+	s, _ = f.New(arenaCfg(8, 6), schemes.Options{Threads: 1}) // 8 root links
+	if _, err := New(s, Config{Buckets: 16}); err == nil {
+		t.Fatal("New with 8 root links for 16 buckets succeeded")
+	}
+	if first, err := s.Arena().NewRoots(8); err != nil || first != 1 {
+		t.Fatalf("the failed New consumed roots: NewRoots(8) = %d,%v", first, err)
+	}
+}
+
+// TestOperationsDoNotAllocate pins the flat index: building a bucket's
+// list is stack work, so the read path, a refused insert and a missed
+// delete reach no heap allocation.
+func TestOperationsDoNotAllocate(t *testing.T) {
+	f, _ := schemes.ByName("waitfree")
+	s, _ := f.New(arenaCfg(256, 16), schemes.Options{Threads: 1})
+	m := MustNew(s, Config{Buckets: 16})
+	th, _ := s.Register()
+	defer th.Unregister()
+	for k := uint64(0); k < 64; k += 2 {
+		if _, err := m.Insert(th, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := uint64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		k = (k + 1) % 64
+		_, found := m.Get(th, k)
+		ins, err := m.Insert(th, k&^1, k)
+		if found != (k%2 == 0) || ins || err != nil || m.Delete(th, k|1) {
+			t.Fatalf("key %d: Get found %v, Insert of a present key %v,%v", k, found, ins, err)
+		}
+	}); n != 0 {
+		t.Errorf("Get + Insert-existing + Delete-missing allocate %v times, want 0", n)
+	}
+}
+
 func TestMapSemanticsSequential(t *testing.T) {
 	forEachScheme(t, 128, 1, 8, func(t *testing.T, s mm.Scheme, m *Map) {
 		th, _ := s.Register()
@@ -205,8 +266,8 @@ func TestBucketSpread(t *testing.T) {
 		}
 	}
 	// Every bucket should hold a reasonable share of sequential keys.
-	for i, b := range m.buckets {
-		n := b.Len()
+	for i := 0; i < m.Buckets(); i++ {
+		n := m.at(uint64(i)).Len()
 		if n < 16 || n > 256 {
 			t.Errorf("bucket %d holds %d of 1024 keys: hash is skewed", i, n)
 		}

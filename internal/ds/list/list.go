@@ -21,22 +21,37 @@ import (
 
 // List is a lock-free sorted map from uint64 keys to uint64 values.
 // Methods are safe for concurrent use; each goroutine passes its own
-// registered mm.Thread.
+// registered mm.Thread.  A List is two words (arena, head link) and holds
+// no state of its own, so a caller that keeps many heads — the hash
+// index — builds one with At per operation instead of storing them.
 type List struct {
-	s    mm.Scheme
 	ar   *arena.Arena
 	head mm.LinkID
 }
+
+// CheckArena reports whether ar's node geometry can carry a list: at
+// least 1 link and 2 value words per node.
+func CheckArena(ar *arena.Arena) error {
+	if c := ar.Config(); c.LinksPerNode < 1 || c.ValsPerNode < 2 {
+		return fmt.Errorf("list: arena needs ≥1 link and ≥2 values per node, have %d/%d",
+			c.LinksPerNode, c.ValsPerNode)
+	}
+	return nil
+}
+
+// At returns the list whose head is root link head of ar.  The caller
+// reserved head (arena.NewRoots) and checked ar with CheckArena.
+func At(ar *arena.Arena, head mm.LinkID) List { return List{ar: ar, head: head} }
 
 // New creates an empty list managed by s.  The arena must provide at
 // least 1 link and 2 value words per node.
 func New(s mm.Scheme) (*List, error) {
 	ar := s.Arena()
-	if c := ar.Config(); c.LinksPerNode < 1 || c.ValsPerNode < 2 {
-		return nil, fmt.Errorf("list: arena needs ≥1 link and ≥2 values per node, have %d/%d",
-			c.LinksPerNode, c.ValsPerNode)
+	if err := CheckArena(ar); err != nil {
+		return nil, err
 	}
-	return &List{s: s, ar: ar, head: ar.NewRoot()}, nil
+	l := At(ar, ar.NewRoot())
+	return &l, nil
 }
 
 // MustNew is New but panics on error.
@@ -48,7 +63,7 @@ func MustNew(s mm.Scheme) *List {
 	return l
 }
 
-func (l *List) next(h arena.Handle) mm.LinkID { return l.ar.LinkOf(h, 0) }
+func (l List) next(h arena.Handle) mm.LinkID { return l.ar.LinkOf(h, 0) }
 
 // pos is a search result.  The caller holds guarded references on
 // prevNode (when non-nil), cur's node and next's node, and must release
@@ -70,7 +85,7 @@ func (p *pos) release(t mm.Thread) {
 // find locates key, unlinking marked nodes it passes (Michael's helping
 // rule).  Lock-free: a traversal restarts when a CAS race invalidates
 // its position.
-func (l *List) find(t mm.Thread, key uint64) pos {
+func (l List) find(t mm.Thread, key uint64) pos {
 retry:
 	for {
 		prev := l.head
@@ -126,7 +141,7 @@ retry:
 
 // Insert adds key→value.  It returns false (without modifying the list)
 // if the key is already present, and an error on arena exhaustion.
-func (l *List) Insert(t mm.Thread, key, value uint64) (bool, error) {
+func (l List) Insert(t mm.Thread, key, value uint64) (bool, error) {
 	n, err := t.Alloc() // outside the pinned section
 	if err != nil {
 		return false, err
@@ -171,7 +186,7 @@ func (l *List) Insert(t mm.Thread, key, value uint64) (bool, error) {
 // delete: the value write lands in a node that is (or is about to be)
 // unlinked, and the key reads as absent afterwards — the same contract
 // as every in-node-value Harris list.
-func (l *List) Set(t mm.Thread, key, value uint64) (inserted bool, err error) {
+func (l List) Set(t mm.Thread, key, value uint64) (inserted bool, err error) {
 	// Update pass: no allocation when the key is present.
 	t.BeginOp()
 	p := l.find(t, key)
@@ -223,7 +238,7 @@ func (l *List) Set(t mm.Thread, key, value uint64) (inserted bool, err error) {
 // old, via CAS on the node's value word.  It reports whether the swap
 // happened and whether the key was present at all; (false, true) means
 // the key exists but held a different value.
-func (l *List) CompareAndSet(t mm.Thread, key, old, new uint64) (swapped, found bool) {
+func (l List) CompareAndSet(t mm.Thread, key, old, new uint64) (swapped, found bool) {
 	t.BeginOp()
 	defer t.EndOp()
 	p := l.find(t, key)
@@ -237,7 +252,7 @@ func (l *List) CompareAndSet(t mm.Thread, key, old, new uint64) (swapped, found 
 }
 
 // Delete removes key.  It returns false if the key is not present.
-func (l *List) Delete(t mm.Thread, key uint64) bool {
+func (l List) Delete(t mm.Thread, key uint64) bool {
 	t.BeginOp()
 	defer t.EndOp()
 	for {
@@ -266,7 +281,7 @@ func (l *List) Delete(t mm.Thread, key uint64) bool {
 }
 
 // Get returns the value stored under key.
-func (l *List) Get(t mm.Thread, key uint64) (value uint64, ok bool) {
+func (l List) Get(t mm.Thread, key uint64) (value uint64, ok bool) {
 	t.BeginOp()
 	defer t.EndOp()
 	p := l.find(t, key)
@@ -285,7 +300,7 @@ func (l *List) Get(t mm.Thread, key uint64) (value uint64, ok bool) {
 // reclaimed — and therefore the blocks from being freed by the
 // node-free hook — until fn returns, so fn may safely decode the
 // payload behind the word.  fn must not call back into the list.
-func (l *List) GetWith(t mm.Thread, key uint64, fn func(value uint64)) bool {
+func (l List) GetWith(t mm.Thread, key uint64, fn func(value uint64)) bool {
 	t.BeginOp()
 	defer t.EndOp()
 	p := l.find(t, key)
@@ -297,9 +312,9 @@ func (l *List) GetWith(t mm.Thread, key uint64, fn func(value uint64)) bool {
 	return ok
 }
 
-// Replace stores key→value by node replacement: any existing node for
-// key is deleted (mark + unlink + retire) and a fresh private node
-// carrying value is inserted.  Unlike Set it never overwrites a value
+// Replace stores key→value by node replacement: a fresh private node
+// carrying value takes the place of any existing node for key, which is
+// marked, unlinked and retired.  Unlike Set it never overwrites a value
 // word in place, which is the required discipline when values reference
 // external storage — the old node's blocks are freed only by the
 // node-free hook once every guard drops, and the new value ref is never
@@ -308,12 +323,19 @@ func (l *List) GetWith(t mm.Thread, key uint64, fn func(value uint64)) bool {
 // returns an error, which cannot happen after allocation), so a retry
 // can never double-free the new value's blocks.
 //
-// Replace is not atomic: a concurrent reader can observe the key absent
-// between the delete and the insert — the usual cache-tier SET
-// contract, not a linearizable map update.  It returns whether an
-// existing entry was replaced, and an error on arena exhaustion (in
-// which case the list is unmodified).
-func (l *List) Replace(t mm.Thread, key, value uint64) (existed bool, err error) {
+// One traversal: the CAS that unlinks the old node is the CAS that links
+// the new one (prev swings from old to new, new already pointing at
+// old's successor).  Once old's next link carries the mark it is frozen,
+// so the successor cannot be unlinked from behind old before the swing.
+//
+// Replace is not atomic: a reader that meets the old node between the
+// mark and the swing — the very next CAS — sees the key absent, and if
+// that reader's helping unlinks the old node first the key stays absent
+// until Replace's next traversal inserts the new node.  That is the
+// usual cache-tier SET contract, not a linearizable map update.  It
+// returns whether an existing entry was replaced, and an error on arena
+// exhaustion (in which case the list is unmodified).
+func (l List) Replace(t mm.Thread, key, value uint64) (existed bool, err error) {
 	n, err := t.Alloc() // outside the pinned section (see Insert)
 	if err != nil {
 		return false, err
@@ -322,36 +344,48 @@ func (l *List) Replace(t mm.Thread, key, value uint64) (existed bool, err error)
 	l.ar.SetVal(n, 1, value)
 	t.BeginOp()
 	defer t.EndOp()
+	np := arena.MakePtr(n, false)
 	var hooked mm.Ptr // current target of n's private next link
 	for {
 		p := l.find(t, key)
+		// n goes in front of cur, or — when cur carries key — in cur's
+		// place, in front of cur's successor.
+		cur := arena.MakePtr(p.cur.Handle(), false)
+		succ := cur
 		if p.found {
-			// Delete the existing node (same two-phase discipline as
-			// Delete), then retry the find to insert our private node.
-			nextUnmarked := arena.MakePtr(p.next.Handle(), false)
-			if !t.CASLink(l.next(p.cur.Handle()), nextUnmarked, nextUnmarked.WithMark(true)) {
+			succ = arena.MakePtr(p.next.Handle(), false)
+		}
+		// n is private: this CAS cannot fail, it only moves references.
+		if !t.CASLink(l.next(n), hooked, succ) {
+			panic("list: private link CAS failed")
+		}
+		hooked = succ
+		if !p.found {
+			if t.CASLink(p.prev, cur, np) {
 				p.release(t)
-				continue
-			}
-			existed = true
-			if t.CASLink(p.prev, arena.MakePtr(p.cur.Handle(), false), nextUnmarked) {
-				// Break the unlinked node's chain (see arena.PoisonPtr).
-				t.CASLink(l.next(p.cur.Handle()), nextUnmarked.WithMark(true), arena.PoisonPtr)
-				t.Retire(p.cur.Handle())
+				t.Release(n)
+				return existed, nil
 			}
 			p.release(t)
 			continue
 		}
-		curp := arena.MakePtr(p.cur.Handle(), false)
-		// n is private: this CAS cannot fail, it only moves references.
-		if !t.CASLink(l.next(n), hooked, curp) {
-			panic("list: private link CAS failed")
+		// Logical deletion of the old node, as in Delete.  Losing this CAS
+		// means a deleter, an inserter or another replacer interfered.
+		if !t.CASLink(l.next(cur.Handle()), succ, succ.WithMark(true)) {
+			p.release(t)
+			continue
 		}
-		hooked = curp
-		if t.CASLink(p.prev, curp, arena.MakePtr(n, false)) {
+		existed = true
+		// The swing.  It fails when a traversal already unlinked the marked
+		// node, an insert landed in front of it, or prev's owner was marked;
+		// the next find then finishes the unlink and takes the insert branch.
+		if t.CASLink(p.prev, cur, np) {
+			// Break the unlinked node's chain (see arena.PoisonPtr).
+			t.CASLink(l.next(cur.Handle()), succ.WithMark(true), arena.PoisonPtr)
+			t.Retire(cur.Handle())
 			p.release(t)
 			t.Release(n)
-			return existed, nil
+			return true, nil
 		}
 		p.release(t)
 	}
@@ -360,7 +394,7 @@ func (l *List) Replace(t mm.Thread, key, value uint64) (existed bool, err error)
 // Range invokes fn with every unmarked entry's key and value word, in
 // key order.  Quiescence only — the drain audit uses it to collect the
 // set of live value words before checking block conservation.
-func (l *List) Range(fn func(key, value uint64)) {
+func (l List) Range(fn func(key, value uint64)) {
 	for p := l.ar.LoadLink(l.head); !p.IsNil(); {
 		nx := l.ar.LoadLink(l.next(p.Handle()))
 		if !nx.Marked() {
@@ -371,13 +405,13 @@ func (l *List) Range(fn func(key, value uint64)) {
 }
 
 // Contains reports whether key is present.
-func (l *List) Contains(t mm.Thread, key uint64) bool {
+func (l List) Contains(t mm.Thread, key uint64) bool {
 	_, ok := l.Get(t, key)
 	return ok
 }
 
 // Len walks the list counting unmarked nodes.  Quiescence only.
-func (l *List) Len() int {
+func (l List) Len() int {
 	n := 0
 	for p := l.ar.LoadLink(l.head); !p.IsNil(); {
 		nx := l.ar.LoadLink(l.next(p.Handle()))
@@ -393,7 +427,7 @@ func (l *List) Len() int {
 }
 
 // Keys returns the unmarked keys in order.  Quiescence only.
-func (l *List) Keys() []uint64 {
+func (l List) Keys() []uint64 {
 	var out []uint64
 	for p := l.ar.LoadLink(l.head); !p.IsNil(); {
 		nx := l.ar.LoadLink(l.next(p.Handle()))

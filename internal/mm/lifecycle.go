@@ -24,7 +24,7 @@ import (
 //
 // Wait-freedom discipline (same as OpStats/StepHist): each note is a
 // constant number of the caller's own atomic steps — one timestamp
-// read, one CAS or Swap on the node's stamp cell, one or two
+// read, one CAS or Swap on the node's stamp cell, up to three
 // fetch-and-adds, and a bounded (hwmCASBound) CAS-max attempt for the
 // high-water mark that gives up rather than loop, so a contended update
 // can at worst under-report the peak by a transient value.  No locks,
@@ -122,11 +122,18 @@ func (t *LifecycleTracker) NoteRetired(h Handle) {
 		}
 		return
 	}
-	if !t.stamp[h].CompareAndSwap(0, t.now()) {
+	if t.stamp[h].Load() != 0 {
 		return // already retired this cycle; first note wins
 	}
-	t.retired.Add(1)
+	// Raise floating before the stamp is visible: a NoteReclaimed of h can
+	// pair with this retire the moment the CAS lands, and its decrement
+	// must find the increment already there or the gauge dips below zero.
 	f := t.floating.Add(1)
+	if !t.stamp[h].CompareAndSwap(0, t.now()) {
+		t.floating.Add(-1) // lost to a racing note of the same retire
+		return
+	}
+	t.retired.Add(1)
 	// Bounded CAS-max: a lost race leaves the recorded peak at another
 	// thread's (also current) value; after hwmCASBound failures give up
 	// rather than loop — wait-freedom over exactness.

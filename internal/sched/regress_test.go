@@ -112,9 +112,9 @@ var regressionSeeds = []struct {
 	},
 	{
 		scenario: "value-free-vs-help",
-		seed:     9,
-		about:    "every read lands in Replace's delete-insert window; all three displaced value words still reach the hook",
-		minNotes: map[string]int64{"read-misses": 3, "hook-frees": 3, "reads": 3},
+		seed:     69,
+		about:    "replacer parked between Replace's mark and its swing: the first read's traversal unlinks the marked node, so the swing fails and the insert branch finishes; every read misses and all three displaced value words still reach the hook",
+		minNotes: map[string]int64{"read-misses": 3, "cas-failures": 1, "hook-frees": 3, "reads": 3},
 	},
 	{
 		scenario:    "legacy-annindex",

@@ -101,8 +101,10 @@ func buildValueFreeVsHelp(w *World) {
 				}
 			})
 			if !ok {
-				// Legal: Replace is delete-then-insert, so a reader can
-				// land in the window where the key is briefly absent.
+				// Legal: Replace marks the old node and then swings prev to
+				// the new one, so a reader landing between the two CASes
+				// sees the key absent (and, by unlinking the marked node
+				// itself, keeps it absent until Replace re-inserts).
 				w.Note("read-misses", 1)
 			}
 			w.Note("reads", 1)

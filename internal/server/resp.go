@@ -46,11 +46,73 @@ const (
 	respMaxBatch = 64
 )
 
-// respItem is one parsed command, or the parse error that ended the
-// stream (protocol errors are reported to the client before closing).
+// respItem is one parsed command with its name resolved, or the parse
+// error that ended the stream (protocol errors are reported to the
+// client before closing).
 type respItem struct {
 	cmd resp.Command
+	op  respOp
 	err error
+}
+
+// respOp is a command name resolved once, at parse time, so the executor
+// dispatches on an integer instead of upper-casing the name (two heap
+// allocations) every time it looks at the command.
+type respOp uint8
+
+const (
+	respUnknown respOp = iota
+	respGet
+	respSet
+	respDel
+	respUnlink
+	respExists
+	respMGet
+	respMSet
+	respPing
+	respEcho
+	respQuit
+	respSelect
+	respClient
+	respCommand
+	respConfig
+	respInfo
+)
+
+// respOpNames is indexed by respOp; respUnknown has no name.
+var respOpNames = [...]string{
+	respGet: "GET", respSet: "SET", respDel: "DEL", respUnlink: "UNLINK",
+	respExists: "EXISTS", respMGet: "MGET", respMSet: "MSET",
+	respPing: "PING", respEcho: "ECHO", respQuit: "QUIT",
+	respSelect: "SELECT", respClient: "CLIENT", respCommand: "COMMAND",
+	respConfig: "CONFIG", respInfo: "INFO",
+}
+
+// resolveRESP matches the command name against the known names, ASCII
+// case-insensitively and without allocating.
+func resolveRESP(cmd *resp.Command) respOp {
+	if len(cmd.Args) == 0 {
+		return respUnknown
+	}
+	name := cmd.Args[0]
+next:
+	for op := respGet; int(op) < len(respOpNames); op++ {
+		want := respOpNames[op]
+		if len(name) != len(want) {
+			continue
+		}
+		for i := 0; i < len(want); i++ {
+			c := name[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			if c != want[i] {
+				continue next
+			}
+		}
+		return op
+	}
+	return respUnknown
 }
 
 // handleRESP serves one RESP connection.  br already holds the sniffed
@@ -73,7 +135,7 @@ func (s *Server) handleRESP(conn net.Conn, br *bufio.Reader) {
 		defer close(ch)
 		for {
 			cmd, err := rd.ReadCommand()
-			it := respItem{cmd: cmd, err: err}
+			it := respItem{cmd: cmd, op: resolveRESP(&cmd), err: err}
 			if err != nil {
 				var pe *resp.ProtoError
 				if !errors.As(err, &pe) {
@@ -138,7 +200,7 @@ func (sess *respSession) serveBatch(batch []respItem) bool {
 	ops := 0
 	for i := range batch {
 		if batch[i].err == nil {
-			ops += respOps(&batch[i].cmd)
+			ops += respOps(&batch[i])
 		}
 	}
 	var lease *slotpool.Lease
@@ -167,11 +229,11 @@ func (sess *respSession) serveBatch(batch []respItem) bool {
 			break
 		}
 		s.reqsRESP.Add(1)
-		if busy && respOps(&it.cmd) > 0 {
+		if busy && respOps(it) > 0 {
 			sess.out = resp.AppendError(sess.out, "BUSY no thread slot free, retry")
 			continue
 		}
-		if !sess.serveCommand(lease, &it.cmd) {
+		if !sess.serveCommand(lease, it) {
 			alive = false
 			break
 		}
@@ -191,14 +253,14 @@ func (sess *respSession) serveBatch(batch []respItem) bool {
 // respOps counts the store operations a command will perform — the
 // batch's LeaseBatch amortization weight.  Protocol-only commands
 // (PING, INFO, ...) weigh zero and never need a lease.
-func respOps(cmd *resp.Command) int {
-	switch cmd.Name() {
-	case "GET", "SET":
+func respOps(it *respItem) int {
+	switch it.op {
+	case respGet, respSet:
 		return 1
-	case "DEL", "UNLINK", "EXISTS", "MGET":
-		return max(len(cmd.Args)-1, 1)
-	case "MSET":
-		return max((len(cmd.Args)-1)/2, 1)
+	case respDel, respUnlink, respExists, respMGet:
+		return max(len(it.cmd.Args)-1, 1)
+	case respMSet:
+		return max((len(it.cmd.Args)-1)/2, 1)
 	default:
 		return 0
 	}
@@ -206,43 +268,43 @@ func respOps(cmd *resp.Command) int {
 
 // serveCommand appends one command's reply to sess.out.  It returns
 // false to close the connection (QUIT).
-func (sess *respSession) serveCommand(l *slotpool.Lease, cmd *resp.Command) bool {
+func (sess *respSession) serveCommand(l *slotpool.Lease, it *respItem) bool {
 	s := sess.s
-	args := cmd.Args
-	switch cmd.Name() {
-	case "PING":
+	args := it.cmd.Args
+	switch it.op {
+	case respPing:
 		if len(args) > 1 {
 			sess.out = resp.AppendBulk(sess.out, args[1])
 		} else {
 			sess.out = resp.AppendSimple(sess.out, "PONG")
 		}
-	case "ECHO":
+	case respEcho:
 		if len(args) != 2 {
 			sess.out = respWrongArgs(sess.out, "echo")
 			break
 		}
 		sess.out = resp.AppendBulk(sess.out, args[1])
-	case "QUIT":
+	case respQuit:
 		sess.out = resp.AppendSimple(sess.out, "OK")
 		return false
-	case "SELECT", "CLIENT":
+	case respSelect, respClient:
 		// Single keyspace; client tracking options are irrelevant here.
 		sess.out = resp.AppendSimple(sess.out, "OK")
-	case "COMMAND":
+	case respCommand:
 		sess.out = resp.AppendArrayHeader(sess.out, 0)
-	case "CONFIG":
+	case respConfig:
 		if len(args) > 1 && bytes.EqualFold(args[1], []byte("GET")) {
 			sess.out = resp.AppendArrayHeader(sess.out, 0)
 		} else {
 			sess.out = resp.AppendSimple(sess.out, "OK")
 		}
-	case "GET":
+	case respGet:
 		if len(args) != 2 {
 			sess.out = respWrongArgs(sess.out, "get")
 			break
 		}
 		sess.appendGet(l, respKey(args[1]))
-	case "SET":
+	case respSet:
 		if len(args) < 3 {
 			sess.out = respWrongArgs(sess.out, "set")
 			break
@@ -255,7 +317,7 @@ func (sess *respSession) serveCommand(l *slotpool.Lease, cmd *resp.Command) bool
 		} else {
 			sess.out = resp.AppendSimple(sess.out, "OK")
 		}
-	case "DEL", "UNLINK":
+	case respDel, respUnlink:
 		if len(args) < 2 {
 			sess.out = respWrongArgs(sess.out, "del")
 			break
@@ -267,7 +329,7 @@ func (sess *respSession) serveCommand(l *slotpool.Lease, cmd *resp.Command) bool
 			}
 		}
 		sess.out = resp.AppendInt(sess.out, int64(n))
-	case "EXISTS":
+	case respExists:
 		if len(args) < 2 {
 			sess.out = respWrongArgs(sess.out, "exists")
 			break
@@ -279,7 +341,7 @@ func (sess *respSession) serveCommand(l *slotpool.Lease, cmd *resp.Command) bool
 			}
 		}
 		sess.out = resp.AppendInt(sess.out, int64(n))
-	case "MGET":
+	case respMGet:
 		if len(args) < 2 {
 			sess.out = respWrongArgs(sess.out, "mget")
 			break
@@ -288,7 +350,7 @@ func (sess *respSession) serveCommand(l *slotpool.Lease, cmd *resp.Command) bool
 		for _, k := range args[1:] {
 			sess.appendGet(l, respKey(k))
 		}
-	case "MSET":
+	case respMSet:
 		if len(args) < 3 || (len(args)-1)%2 != 0 {
 			sess.out = respWrongArgs(sess.out, "mset")
 			break
@@ -304,7 +366,7 @@ func (sess *respSession) serveCommand(l *slotpool.Lease, cmd *resp.Command) bool
 		} else {
 			sess.out = resp.AppendSimple(sess.out, "OK")
 		}
-	case "INFO":
+	case respInfo:
 		var buf bytes.Buffer
 		if err := s.collector.WriteInfo(&buf, s.infoSections()...); err != nil {
 			sess.out = resp.AppendError(sess.out, "ERR "+err.Error())
@@ -312,7 +374,7 @@ func (sess *respSession) serveCommand(l *slotpool.Lease, cmd *resp.Command) bool
 		}
 		sess.out = resp.AppendBulk(sess.out, buf.Bytes())
 	default:
-		sess.out = resp.AppendError(sess.out, "ERR unknown command '"+cmd.Name()+"'")
+		sess.out = resp.AppendError(sess.out, "ERR unknown command '"+it.cmd.Name()+"'")
 	}
 	return true
 }

@@ -63,7 +63,7 @@ func TestRESPBasic(t *testing.T) {
 	if r, err := c.Do("EXISTS", "k1"); err != nil || r.Int != 0 {
 		t.Fatalf("EXISTS after DEL: %v %+v", err, r)
 	}
-	if r, err := c.Do("NOSUCHCMD"); err != nil || !r.IsError() {
+	if r, err := c.Do("NoSuchCmd"); err != nil || !r.IsError() || string(r.Str) != "ERR unknown command 'NOSUCHCMD'" {
 		t.Fatalf("unknown command: %v %+v", err, r)
 	}
 
@@ -76,6 +76,60 @@ func TestRESPBasic(t *testing.T) {
 		if !strings.Contains(info, want) {
 			t.Errorf("INFO missing %q:\n%s", want, info)
 		}
+	}
+}
+
+// TestRESPDispatchAllocs pins the command dispatch: a name resolves
+// case-insensitively to its op once, and counting and executing a parsed
+// GET or SET allocates nothing.
+func TestRESPDispatchAllocs(t *testing.T) {
+	srv, err := New(Config{Store: respStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	item := func(args ...string) *respItem {
+		it := &respItem{}
+		for _, a := range args {
+			it.cmd.Args = append(it.cmd.Args, []byte(a))
+		}
+		it.op = resolveRESP(&it.cmd)
+		return it
+	}
+	for name, want := range map[string]respOp{
+		"get": respGet, "Set": respSet, "UNLINK": respUnlink, "mset": respMSet,
+		"info": respInfo, "GETX": respUnknown, "GE": respUnknown, "": respUnknown,
+	} {
+		if got := item(name).op; got != want {
+			t.Errorf("resolveRESP(%q) = %d, want %d", name, got, want)
+		}
+	}
+	if got := resolveRESP(&resp.Command{}); got != respUnknown {
+		t.Errorf("resolveRESP(empty command) = %d, want unknown", got)
+	}
+
+	lease, err := srv.pool.Lease(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	sess := respSession{s: srv}
+	set, get := item("set", "42", strings.Repeat("v", 64)), item("GET", "42")
+	run := func() {
+		sess.out = sess.out[:0]
+		if respOps(set)+respOps(get) != 2 {
+			t.Fatal("GET and SET must weigh one store op each")
+		}
+		if !sess.serveCommand(lease, set) || !sess.serveCommand(lease, get) {
+			t.Fatal("serveCommand asked to close the connection")
+		}
+	}
+	run() // grow sess.out and sess.scratch once
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Errorf("dispatching a parsed SET+GET allocates %v times, want 0", n)
+	}
+	if want := "+OK\r\n$64\r\n" + strings.Repeat("v", 64) + "\r\n"; string(sess.out) != want {
+		t.Errorf("replies = %q, want %q", sess.out, want)
 	}
 }
 

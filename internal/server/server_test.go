@@ -282,6 +282,75 @@ func TestStoreShardBalance(t *testing.T) {
 	}
 }
 
+// TestStoreGeometry pins the index sizing rule: one bucket per 4 nodes of
+// the shard's ceiling (not of its first segment), rounded down to a
+// power of two, never below 16; an explicit bucket count is honoured.
+func TestStoreGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  StoreConfig
+		want int
+	}{
+		{"default", StoreConfig{}, 1 << 14},
+		{"fixed", StoreConfig{NodesPerShard: 1 << 10}, 256},
+		{"fixed, not a power of two", StoreConfig{NodesPerShard: 1000}, 128},
+		{"growable: ceiling, not first segment", StoreConfig{NodesPerShard: 1 << 10, MaxNodesPerShard: 1 << 13}, 2048},
+		{"ceiling below the first segment", StoreConfig{NodesPerShard: 1 << 10, MaxNodesPerShard: 64}, 256},
+		{"tiny", StoreConfig{NodesPerShard: 8}, 16},
+		{"explicit", StoreConfig{NodesPerShard: 1 << 10, MaxNodesPerShard: 1 << 13, Buckets: 32}, 32},
+	} {
+		c.cfg.Shards, c.cfg.Slots = 1, 1
+		if got := c.cfg.ArenaConfig().RootLinks; got != c.want+2 {
+			t.Errorf("%s: ArenaConfig().RootLinks = %d, want %d buckets + 2", c.name, got, c.want)
+		}
+		st, err := NewStore(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := st.Buckets(); got != c.want {
+			t.Errorf("%s: %d buckets per shard, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestStoreChainsStayShort fills a small store to half its node budget
+// and measures every key's chain position as a count: a Get dereferences
+// the bucket head plus one link per node up to the key.
+func TestStoreChainsStayShort(t *testing.T) {
+	srv, err := New(Config{Store: StoreConfig{Shards: 2, Slots: 2, NodesPerShard: 1 << 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	st := srv.Store()
+	lease, err := srv.Pool().Lease(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	const keys = 1 << 12 // half of 2 shards × 4096 nodes
+	for k := uint64(0); k < keys; k++ {
+		if _, err := st.Set(lease, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	longest := uint64(0)
+	for k := uint64(0); k < keys; k++ {
+		stats := lease.Thread(st.Shard(k)).Stats()
+		before := stats.DeRefs
+		if v, ok := st.Get(lease, k); !ok || v != k {
+			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
+		}
+		if pos := stats.DeRefs - before - 1; pos > longest {
+			longest = pos
+		}
+	}
+	if longest < 2 || longest > 8 {
+		t.Errorf("longest chain holds %d nodes at half occupancy of %d buckets/shard, want 2..8",
+			longest, st.Buckets())
+	}
+}
+
 // TestServerSpansRecorded drives requests through the TCP path with a
 // span tracer attached and checks that each request produced a span
 // with the right op/status names, the shard it routed to, and the

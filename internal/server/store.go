@@ -32,8 +32,10 @@ type StoreConfig struct {
 	// keeps the shard fixed at NodesPerShard — the pre-growable
 	// behaviour.  wfrc-kv derives this from -max-memory.
 	MaxNodesPerShard int
-	// Buckets is each shard's hashmap bucket count (power of two,
-	// default 256).
+	// Buckets is each shard's hashmap bucket count (power of two).  Zero
+	// derives it from the shard's node ceiling — MaxNodesPerShard when
+	// the shard can grow, NodesPerShard otherwise — one bucket per
+	// nodesPerBucket nodes (DESIGN.md §9).
 	Buckets int
 	// MaxValue, when positive, enables the variable-size value layer
 	// (internal/value): RESP SETs carry byte payloads up to MaxValue
@@ -56,9 +58,28 @@ func (c *StoreConfig) defaults() {
 		c.NodesPerShard = 1 << 16
 	}
 	if c.Buckets == 0 {
-		c.Buckets = 256
+		// The table cannot grow after construction, so it is sized for what
+		// the arena may reach, not for its first segment.
+		ceiling := c.NodesPerShard
+		if c.MaxNodesPerShard > ceiling {
+			ceiling = c.MaxNodesPerShard
+		}
+		c.Buckets = minBuckets
+		for c.Buckets*2 <= ceiling/nodesPerBucket {
+			c.Buckets *= 2
+		}
 	}
 }
+
+// The derived index geometry: one bucket (8 bytes of root link, untouched
+// until used) per nodesPerBucket nodes of shard ceiling, rounded down to
+// a power of two.  With the arena full a chain averages between
+// nodesPerBucket and twice that, so a store operation visits O(1) nodes
+// whatever the capacity.
+const (
+	nodesPerBucket = 4
+	minBuckets     = 16
+)
 
 // Store is a sharded wait-free KV store.  Every operation runs on the
 // scheme thread that the caller's slotpool lease holds for the target
@@ -180,6 +201,9 @@ func (st *Store) CoreSchemes() []*core.Scheme {
 
 // Shards returns the shard count.
 func (st *Store) Shards() int { return len(st.shards) }
+
+// Buckets returns each shard's hashmap bucket count, derived or explicit.
+func (st *Store) Buckets() int { return st.cfg.Buckets }
 
 // Shard maps a key to its shard index.  The mix constant differs from
 // the hashmap's Fibonacci multiplier so shard and bucket selection stay

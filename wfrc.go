@@ -195,7 +195,8 @@ type PQueueConfig = pqueue.Config
 // each thread needs about 2·MaxLevel+8 hazard slots.
 func NewPQueue(s Scheme, cfg PQueueConfig) (*PQueue, error) { return pqueue.New(s, cfg) }
 
-// HashMap is a lock-free fixed-bucket hash map from uint64 to uint64.
+// HashMap is a lock-free fixed-size hash index from uint64 to uint64; its
+// buckets are one contiguous range of the arena's root links.
 type HashMap = hashmap.Map
 
 // HashMapConfig parameterizes a HashMap.
