@@ -10,8 +10,10 @@ import (
 
 // FuzzRESP throws arbitrary bytes at the command Reader.  Invariants:
 // the parser never panics, every parsed command re-encodes to something
-// the parser accepts again (round-trip closure), and the only error
-// kinds that escape are *ProtoError, io.EOF and io.ErrUnexpectedEOF.
+// the parser accepts again (round-trip closure), the only error kinds
+// that escape are *ProtoError, io.EOF and io.ErrUnexpectedEOF, and the
+// in-place parser agrees with the Reader on the whole input and with
+// itself at every split point (checkSplits).
 //
 // Run with `go test -fuzz FuzzRESP ./internal/resp` to explore; the
 // seed corpus runs in normal `go test`.
@@ -26,10 +28,15 @@ func FuzzRESP(f *testing.F) {
 	f.Add([]byte("*-1\r\n"))
 	f.Add([]byte("$5\r\nstray\r\n"))
 	f.Add([]byte("\r\n\r\nPING\r\n"))
+	f.Add([]byte("INFO\r\n"))
+	f.Add([]byte(" \r\n*0\r\n\r\nSET  a\tb \r\n*1\r\n$4\r\nPINGxx"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
+		}
+		if len(data) <= 2048 { // every split point: quadratic in len(data)
+			checkSplits(t, data, 1<<20)
 		}
 		r := NewReader(bufio.NewReader(bytes.NewReader(data)), 1<<20)
 		for i := 0; i < 1024; i++ {

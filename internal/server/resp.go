@@ -4,15 +4,22 @@
 // handleConn sniffs the first byte — and differ only in framing; all
 // operations land on the same shards through the same slotpool leases.
 //
-// The front-end is pipelined on both sides.  A reader goroutine parses
-// commands ahead into a bounded queue without ever blocking on store
-// execution; the executor drains the queue in batches, takes ONE slot
-// lease per batch (slotpool.LeaseBatch — the batch is the lease
-// amortization unit), executes in arrival order, and writes all replies
-// with a single flush.  A lone command costs a plain Lease; a pipeline
-// burst or a multi-key command (MGET/MSET/DEL) costs one batched lease
-// however many keys it touches, which is the acceptance criterion the
-// TestRESPMGETOneLease test pins down.
+// The front-end runs each connection to completion in one loop: fill the
+// read buffer, parse every complete command in place, take ONE slot
+// lease for what was parsed (slotpool.LeaseBatch — the batch is the
+// lease amortization unit), execute in arrival order, write all replies
+// with a single write, consume the parsed bytes, go round.  A lone
+// command costs a plain Lease; a pipeline burst or a multi-key command
+// (MGET/MSET/DEL) costs one batched lease however many keys it touches,
+// which is the acceptance criterion the TestRESPMGETOneLease test pins
+// down.  The lease is taken only after a full parse, so a half-received
+// command holds no slot and a slow sender never stalls the store.
+//
+// Aliasing contract: a parsed command's Args point into the
+// connection's read buffer and are valid until that buffer is next
+// consumed or filled.  A batch is therefore executed, and its replies
+// built, before the loop reads again; nothing keeps an argument past
+// serveBatch.
 //
 // Commands: GET SET DEL UNLINK EXISTS MGET MSET PING ECHO INFO SELECT
 // QUIT, plus tolerant no-ops for CONFIG/COMMAND/CLIENT so stock tools'
@@ -37,22 +44,14 @@ import (
 	"wfrc/internal/value"
 )
 
-const (
-	// respQueue is the parse-ahead depth per connection: how many
-	// commands the reader may buffer before it blocks on the executor.
-	respQueue = 128
-	// respMaxBatch bounds how many queued commands one executor batch
-	// drains (and so how many replies one flush carries).
-	respMaxBatch = 64
-)
+// respMaxBatch bounds how many parsed commands share one lease and one
+// write.
+const respMaxBatch = 64
 
-// respItem is one parsed command with its name resolved, or the parse
-// error that ended the stream (protocol errors are reported to the
-// client before closing).
+// respItem is one parsed command with its name resolved.
 type respItem struct {
 	cmd resp.Command
 	op  respOp
-	err error
 }
 
 // respOp is a command name resolved once, at parse time, so the executor
@@ -115,8 +114,8 @@ next:
 	return respUnknown
 }
 
-// handleRESP serves one RESP connection.  br already holds the sniffed
-// first byte.
+// handleRESP serves one RESP connection.  br holds whatever the protocol
+// sniff buffered; everything after that is read straight from conn.
 func (s *Server) handleRESP(conn net.Conn, br *bufio.Reader) {
 	maxBulk := s.store.MaxValue()
 	if maxBulk < resp.MaxInline {
@@ -124,85 +123,70 @@ func (s *Server) handleRESP(conn net.Conn, br *bufio.Reader) {
 		// when the value layer is off or tiny.
 		maxBulk = resp.MaxInline
 	}
-	rd := resp.NewReader(br, maxBulk)
-
-	ch := make(chan respItem, respQueue)
-	done := make(chan struct{})
-	defer close(done)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(ch)
-		for {
-			cmd, err := rd.ReadCommand()
-			it := respItem{cmd: cmd, op: resolveRESP(&cmd), err: err}
-			if err != nil {
-				var pe *resp.ProtoError
-				if !errors.As(err, &pe) {
-					return // EOF, death, or drain deadline: nothing to report
-				}
-			}
-			select {
-			case ch <- it:
-			case <-done:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-
-	sess := respSession{s: s, w: bufio.NewWriter(conn)}
+	sess := respSession{s: s, conn: conn}
+	parser := resp.Parser{MaxBulk: maxBulk}
+	var rb resp.Buffer
+	// Takes over what the sniff buffered: a bufio.Reader that holds bytes
+	// hands them out without reading further.
+	if rb.Fill(br, 1) != nil {
+		return
+	}
 	batch := make([]respItem, 0, respMaxBatch)
 	for {
-		it, ok := <-ch
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], it)
-	drain:
+		parser.Reset()
+		batch = batch[:0]
+		need := 0
+		var perr error
 		for len(batch) < respMaxBatch {
-			select {
-			case it, ok := <-ch:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, it)
-			default:
-				break drain
+			cmd, n, more, err := parser.Parse(rb.Bytes())
+			rb.Consume(n)
+			if more > 0 || err != nil {
+				need, perr = more, err
+				break
+			}
+			batch = append(batch, respItem{cmd: cmd, op: resolveRESP(&cmd)})
+		}
+		if len(batch) > 0 || perr != nil {
+			if !sess.serveBatch(batch, perr) {
+				return
+			}
+			if s.draining.Load() {
+				return // replies written; part cleanly mid-drain
 			}
 		}
-		if !sess.serveBatch(batch) {
-			return
-		}
-		if s.draining.Load() {
-			return // replies flushed; part cleanly mid-drain
+		// Blocked here, the loop is woken by Shutdown's read deadline.
+		if need > 0 && rb.Fill(conn, need) != nil {
+			return // EOF, death, or drain deadline: a torn command is dropped
 		}
 	}
 }
 
 // respSession is one connection's executor state.
 type respSession struct {
-	s *Server
-	w *bufio.Writer
-	// out accumulates a batch's replies for the single flush; scratch
+	s    *Server
+	conn net.Conn
+	// out accumulates a batch's replies for the single write; scratch
 	// holds decoded payloads between GetBytes and AppendBulk.
 	out     []byte
 	scratch []byte
 }
 
-// serveBatch leases, executes, and flushes one drained batch.  It
-// returns false when the connection should close (protocol error, QUIT,
-// or a dead socket).
-func (sess *respSession) serveBatch(batch []respItem) bool {
+// serveBatch leases, executes, and answers one parsed batch, then the
+// protocol error that ended the parse, if any.  It returns false when
+// the connection should close (protocol error, QUIT, or a dead socket).
+func (sess *respSession) serveBatch(batch []respItem, perr error) bool {
 	s := sess.s
 	ops := 0
 	for i := range batch {
-		if batch[i].err == nil {
-			ops += respOps(&batch[i])
+		ops += respOps(&batch[i])
+		if batch[i].op == respQuit {
+			// Nothing after QUIT is weighed, counted or answered.
+			batch, perr = batch[:i+1], nil
+			break
 		}
 	}
+	// One add per batch: the counter's line is shared by every connection.
+	s.reqsRESP.Add(uint64(len(batch)))
 	var lease *slotpool.Lease
 	busy := false
 	if ops > 0 {
@@ -218,33 +202,24 @@ func (sess *respSession) serveBatch(batch []respItem) bool {
 		}
 	}
 
-	alive := true
+	alive := perr == nil
 	sess.out = sess.out[:0]
 	for i := range batch {
 		it := &batch[i]
-		if it.err != nil {
-			s.protoErrors.Add(1)
-			sess.out = resp.AppendError(sess.out, "ERR Protocol error: "+it.err.Error())
-			alive = false
-			break
-		}
-		s.reqsRESP.Add(1)
 		if busy && respOps(it) > 0 {
 			sess.out = resp.AppendError(sess.out, "BUSY no thread slot free, retry")
 			continue
 		}
-		if !sess.serveCommand(lease, it) {
-			alive = false
-			break
-		}
+		alive = sess.serveCommand(lease, it) && alive
 	}
 	if lease != nil {
 		lease.Release()
 	}
-	if _, err := sess.w.Write(sess.out); err != nil {
-		return false
+	if perr != nil {
+		s.protoErrors.Add(1)
+		sess.out = resp.AppendError(sess.out, "ERR Protocol error: "+perr.Error())
 	}
-	if err := sess.w.Flush(); err != nil {
+	if _, err := sess.conn.Write(sess.out); err != nil {
 		return false
 	}
 	return alive

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -180,9 +184,9 @@ func TestRESPMGETOneLease(t *testing.T) {
 	}
 }
 
-// TestRESPPipeline drives many commands through one flush: the reader
-// parses ahead, the executor drains them in batches, and replies come
-// back in order.
+// TestRESPPipeline drives many commands through one flush: the loop
+// parses what each read delivers, executes it in batches, and replies
+// come back in order.
 func TestRESPPipeline(t *testing.T) {
 	srv, addr := startServer(t, Config{Store: respStore()})
 	defer srv.Shutdown(context.Background())
@@ -255,6 +259,283 @@ func TestRESPValueChurnDrainAudit(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("drain audit: %v", err)
+	}
+}
+
+// replayConn is an in-memory net.Conn for driving the RESP loop without
+// a socket: Read hands out the scripted stream at most chunk bytes at a
+// time and then io.EOF, Write discards and counts.  Only Read and Write
+// are ever called.
+type replayConn struct {
+	net.Conn
+	in      []byte
+	chunk   int
+	reads   int
+	onRead  func(reads int)
+	written int
+}
+
+func (c *replayConn) Read(p []byte) (int, error) {
+	if c.onRead != nil {
+		c.onRead(c.reads)
+	}
+	c.reads++
+	if len(c.in) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.in[:min(c.chunk, len(c.in))])
+	c.in = c.in[n:]
+	return n, nil
+}
+
+func (c *replayConn) Write(p []byte) (int, error) {
+	c.written += len(p)
+	return len(p), nil
+}
+
+// TestRESPSteadyStateAllocs is the allocation floor of the whole
+// connection loop, driven one 32-deep batch per read.  The loop itself
+// allocates nothing once warm: a GET-only pipeline costs exactly the
+// batch's Lease object (slotpool.grant), 1/32 per command.  With half
+// the commands SETs of 64 B values, internal/alloc adds a shared-pool
+// list node or two per batch as value blocks recycle (0.073 here; the
+// share depends on how SETs and frees alternate).  Both are outside this
+// package.  The two-goroutine front-end read about 6 per command.
+func TestRESPSteadyStateAllocs(t *testing.T) {
+	const depth, warm, measured = 32, 50, 200
+	val := strings.Repeat("v", 64)
+	okReply, valReply := len("+OK\r\n"), len("$64\r\n")+len(val)+len("\r\n")
+	for _, tc := range []struct {
+		name    string
+		sets    int // of the depth commands; the rest are GETs of set keys
+		ceiling float64
+	}{
+		{"GET and SET", depth / 2, 0.1},
+		{"GET only", 0, 0.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{Store: respStore()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown(context.Background())
+
+			var prime, batch []byte
+			for i := 0; i < depth; i++ {
+				key := strconv.Itoa(i)
+				prime = resp.AppendCommandStrings(prime, "SET", key, val)
+				if i < tc.sets {
+					batch = resp.AppendCommandStrings(batch, "SET", key, val)
+				} else {
+					batch = resp.AppendCommandStrings(batch, "GET", key)
+				}
+			}
+			var before, after runtime.MemStats
+			conn := &replayConn{in: append(prime, bytes.Repeat(batch, warm+measured)...), chunk: len(prime)}
+			conn.onRead = func(reads int) {
+				conn.chunk = len(batch) // after the priming read
+				if reads == 1+warm {
+					runtime.ReadMemStats(&before)
+				}
+			}
+			srv.handleRESP(conn, bufio.NewReader(conn))
+			runtime.ReadMemStats(&after)
+
+			want := depth*okReply + (warm+measured)*(tc.sets*okReply+(depth-tc.sets)*valReply)
+			if conn.written != want {
+				t.Fatalf("wrote %d reply bytes, want %d", conn.written, want)
+			}
+			if got, want := srv.Stats().RequestsRESP, uint64((1+warm+measured)*depth); got != want {
+				t.Errorf("requests_resp = %d, want %d", got, want)
+			}
+			perCmd := float64(after.Mallocs-before.Mallocs) / (measured * depth)
+			if perCmd > tc.ceiling {
+				t.Errorf("steady state allocates %.3f objects per command, want <= %v", perCmd, tc.ceiling)
+			}
+			t.Logf("%.3f objects per command", perCmd)
+		})
+	}
+}
+
+// TestRESPOversize round-trips commands at the edges of the read buffer
+// and the value limit, each pipelined between small ones: a value of
+// exactly MaxValue, and an MSET several times the read buffer.  One byte
+// over MaxValue is a per-command error; one byte over the bulk ceiling
+// (the larger of MaxValue and resp.MaxInline) is a protocol error,
+// answered after the replies before it, and closes the connection.
+func TestRESPOversize(t *testing.T) {
+	srv, addr := startServer(t, Config{Store: respStore()})
+	defer srv.Shutdown(context.Background())
+	c, err := resp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	maxValue := srv.Store().MaxValue()
+	big := bytes.Repeat([]byte("wait-free!"), maxValue/10+1)[:maxValue]
+	mset := [][]byte{[]byte("MSET")}
+	for i := 0; i < 40; i++ {
+		mset = append(mset, []byte(fmt.Sprintf("m:%d", i)), bytes.Repeat([]byte{byte('a' + i%26)}, 1000))
+	}
+	if n := len(resp.AppendCommand(nil, mset...)); n <= 2*resp.BufSize {
+		t.Fatalf("MSET encodes to %d bytes, want more than two read buffers (%d)", n, 2*resp.BufSize)
+	}
+	c.Send("SET", "small", "s")
+	c.SendBytes([]byte("SET"), []byte("big"), big)
+	c.Send("GET", "small")
+	c.SendBytes(mset...)
+	c.Send("GET", "big")
+	c.Send("GET", "m:39")
+	c.SendBytes([]byte("SET"), []byte("huge"), append(big, 'x'))
+	c.Send("PING")
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"OK", "OK", "s", "OK", string(big), string(mset[80]), "", "PONG"} {
+		r, err := c.Receive()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if want == "" {
+			if !r.IsError() {
+				t.Fatalf("reply %d: one byte over MaxValue accepted: %+v", i, r)
+			}
+			continue
+		}
+		if r.IsError() || string(r.Str) != want {
+			t.Fatalf("reply %d = %.40q (error %v), want %.40q", i, r.Str, r.IsError(), want)
+		}
+	}
+
+	// The header alone is the violation: no payload need follow it.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	fmt.Fprintf(raw, "PING\r\n*2\r\n$4\r\nECHO\r\n$2\r\nhi\r\n*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$%d\r\n", resp.MaxInline+1)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(raw)
+	if err != nil {
+		t.Fatalf("connection not closed after the protocol error: %v", err)
+	}
+	want := fmt.Sprintf("+PONG\r\n$2\r\nhi\r\n-ERR Protocol error: Protocol error: invalid bulk length (%d exceeds %d byte limit)\r\n",
+		resp.MaxInline+1, resp.MaxInline)
+	if string(got) != want {
+		t.Errorf("got %q, want %q", got, want)
+	}
+}
+
+// TestRESPPartialCommandHoldsNoLease: the lease is taken only after a
+// full parse, so with a single slot a sender stalled mid-command starves
+// nobody, and the drain still wakes it and audits clean.
+func TestRESPPartialCommandHoldsNoLease(t *testing.T) {
+	cfg := respStore()
+	cfg.Slots = 1
+	srv, addr := startServer(t, Config{Store: cfg})
+
+	a, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	// One write, so the PONG proves the loop has seen the torn SET too.
+	if _, err := a.Write([]byte("PING\r\n*3\r\n$3\r\nSET\r\n$1\r\n1\r\n$5\r\nab")); err != nil {
+		t.Fatal(err)
+	}
+	pong := make([]byte, len("+PONG\r\n"))
+	if _, err := io.ReadFull(a, pong); err != nil || string(pong) != "+PONG\r\n" {
+		t.Fatalf("stalled sender's PING: %q, %v", pong, err)
+	}
+
+	b, err := resp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	start := time.Now()
+	if r, err := b.Do("GET", "1"); err != nil || r.IsError() || !r.Null {
+		t.Fatalf("GET beside a stalled sender: %+v, %v; want a null reply", r, err)
+	}
+	if d := time.Since(start); d > srv.cfg.LeaseMaxWait/2 {
+		t.Errorf("GET beside a stalled sender took %v, LeaseMaxWait is %v", d, srv.cfg.LeaseMaxWait)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start = time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain with a sender stalled mid-command: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("drain took %v, want the 50 ms read-deadline wake-up plus margin", d)
+	}
+}
+
+// TestRESPRequestCounter: the per-batch add keeps the per-command
+// meaning of requests_resp in all three places it is reported.
+func TestRESPRequestCounter(t *testing.T) {
+	srv, addr := startServer(t, Config{Store: respStore()})
+	defer srv.Shutdown(context.Background())
+	c, err := resp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i := 0; i < 32; i++ {
+		switch i % 3 {
+		case 0:
+			c.Send("SET", strconv.Itoa(i), "v")
+		case 1:
+			c.Send("MGET", "1", "2", "3") // multi-key commands count one
+		default:
+			c.Send("PING")
+		}
+	}
+	for i := 0; i < 32; i++ {
+		if r, err := c.Receive(); err != nil || r.IsError() {
+			t.Fatalf("reply %d: %+v, %v", i, r, err)
+		}
+	}
+	if got := srv.Stats().RequestsRESP; got != 32 {
+		t.Errorf("after a 32-deep pipeline: requests_resp = %d, want 32", got)
+	}
+	// INFO counts itself, as it always has.
+	if r, err := c.Do("INFO"); err != nil || !strings.Contains(string(r.Str), "requests_resp:33\r\n") {
+		t.Errorf("INFO after the pipeline does not report requests_resp:33 (%v):\n%s", err, r.Str)
+	}
+	var prom bytes.Buffer
+	srv.WriteProm(&prom)
+	if want := `wfrc_server_requests_total{proto="resp"} 33`; !strings.Contains(prom.String(), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, prom.String())
+	}
+
+	// A batch cut short counts only the commands answered: two before a
+	// protocol error, two up to and including a QUIT.
+	for _, tc := range []struct{ in, want string }{
+		{"PING\r\nPING\r\n*1\r\n$x\r\nPING\r\n", "+PONG\r\n+PONG\r\n-ERR Protocol error: Protocol error: invalid bulk length\r\n"},
+		{"PING\r\nQUIT\r\nPING\r\n", "+PONG\r\n+OK\r\n"},
+	} {
+		before := srv.Stats().RequestsRESP
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Write([]byte(tc.in))
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, err := io.ReadAll(raw)
+		raw.Close()
+		if err != nil || string(got) != tc.want {
+			t.Errorf("%q: got %q, %v; want %q and a closed connection", tc.in, got, err, tc.want)
+		}
+		if n := srv.Stats().RequestsRESP - before; n != 2 {
+			t.Errorf("%q: counted %d requests, want 2", tc.in, n)
+		}
+	}
+	if got := srv.Stats().ProtoErrors; got != 1 {
+		t.Errorf("proto_errors = %d, want 1", got)
 	}
 }
 
