@@ -1,8 +1,9 @@
-// Benchmarks mirroring the experiment suite (DESIGN.md §4): one
-// benchmark family per reproduced table/figure.  The full parameter
-// sweeps with table output live in cmd/wfrc-bench; these testing.B
-// benches regenerate each experiment's headline comparison in a form
-// `go test -bench` can track over time.
+// Benchmarks for the claims DESIGN.md §4 lists: one benchmark family
+// per E-row that is a measurement, each over all seven schemes.  The
+// rows that are bounds are asserted by tests instead (the table names
+// them), and the numbers that gate a PR come from benchmark/ (fresh
+// processes, medians, quartiles); these testing.B benches are the
+// per-scheme view `go test -bench` can run anywhere.
 package wfrc_test
 
 import (
@@ -177,7 +178,8 @@ func BenchmarkE3AllocFree(b *testing.B) {
 
 // BenchmarkE4PQueueOversubscribed is experiment E4's load point: the
 // E1 workload with 4x oversubscription, where latency tails separate the
-// schemes.  Tail percentiles are reported by `wfrc-bench -exp e4`.
+// schemes.  Tail percentiles for the served form of this load are
+// benchmark/'s client.latency_p99_us and p999.
 func BenchmarkE4PQueueOversubscribed(b *testing.B) {
 	benchSchemes(b, pqArena(1<<16), 2*benchPQLevels+8, func(b *testing.B, s wfrc.Scheme) {
 		pq, err := wfrc.NewPQueue(s, wfrc.PQueueConfig{MaxLevel: benchPQLevels})
@@ -352,7 +354,8 @@ func BenchmarkE7OOMDetection(b *testing.B) {
 }
 
 // BenchmarkE8ListChurn is experiment E8's workload: mixed ordered-list
-// operations per scheme (the audit itself runs in `wfrc-bench -exp e8`).
+// operations per scheme (the audit itself is schemes.AuditRC at the end
+// of ds/list's concurrent tests and of TestConformanceChurn).
 func BenchmarkE8ListChurn(b *testing.B) {
 	acfg := wfrc.ArenaConfig{Nodes: 1 << 14, LinksPerNode: 1, ValsPerNode: 2, RootLinks: 4}
 	benchSchemes(b, acfg, 0, func(b *testing.B, s wfrc.Scheme) {

@@ -6,7 +6,7 @@
 // counters it reads back through the STATS protocol op.
 //
 //	wfrc-load -addr 127.0.0.1:7700 -conns 32 -duration 10s
-//	wfrc-load -addr 127.0.0.1:7700 -out BENCH_results.json     # schema-v5 report
+//	wfrc-load -addr 127.0.0.1:7700 -out BENCH_kv.json          # schema-v5 report
 //	wfrc-load -proto resp -value-size 512                      # drive the RESP front-end
 //	wfrc-load -rate 20000 -slo 2ms                             # open loop, CO-free
 //
@@ -20,10 +20,13 @@
 // fraction of requests that met -slo.
 //
 // The exit code is nonzero if the server reported any slot-reuse audit
-// violations, so CI can gate on it directly.
+// violations, or if the -out report fails its own schema check (which,
+// for an open-loop run, requires the open_loop section), so CI can gate
+// on it directly.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"wfrc/internal/harness"
 	"wfrc/internal/obs"
 	"wfrc/internal/resp"
 	"wfrc/internal/server"
@@ -58,7 +60,7 @@ func run() int {
 		rate      = flag.Float64("rate", 0, "open-loop offered load in req/s across all connections (0 = closed loop)")
 		slo       = flag.Duration("slo", time.Millisecond, "open-loop latency SLO for the under-SLO fraction")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		out       = flag.String("out", "", "write a schema-v5 BENCH_results.json here")
+		out       = flag.String("out", "", "write the schema-v5 server report (JSON) here")
 		maxHWM    = flag.Int64("max-floating-hwm", 0,
 			"fail (exit 1) if the server's floating-garbage high-water mark, summed over shards, exceeds this node count (0 = no gate); CI derives the bound from the paper's Lemma 3")
 	)
@@ -77,10 +79,14 @@ func run() int {
 		}
 	}
 
+	// One histogram column per connection, so every column has a single
+	// writer; the rows are the four ops plus their union.  The histogram
+	// reports bucket bounds, so each worker also keeps the exact maxima.
+	opNames := []string{"get", "set", "del", "cas", "all"}
+	const opAll = 4
+	hists := obs.NewOpShardHist(opNames, *conns)
 	type workerResult struct {
-		hist      harness.Histogram
-		opHists   [4]harness.Histogram // get, set, del, cas
-		ops       uint64
+		maxLat    [opAll + 1]time.Duration
 		underSLO  uint64
 		lateSends uint64
 		maxLag    time.Duration
@@ -225,9 +231,12 @@ func run() int {
 						break
 					}
 					d := time.Since(sched)
-					res.hist.Record(d)
-					res.opHists[opIdx].Record(d)
-					res.ops++
+					for _, op := range [2]int{opIdx, opAll} {
+						hists.Record(op, wkr, d)
+						if d > res.maxLat[op] {
+							res.maxLat[op] = d
+						}
+					}
 					if d <= *slo {
 						res.underSLO++
 					}
@@ -241,17 +250,16 @@ func run() int {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var merged harness.Histogram
-	var mergedOps [4]harness.Histogram
-	var ops, busy, errCount, underSLO, lateSends uint64
+	var busy, errCount, underSLO, lateSends uint64
 	var maxLag time.Duration
+	var maxLat [opAll + 1]time.Duration
 	var lastErr error
 	for i := range results {
-		merged.Merge(&results[i].hist)
-		for j := range mergedOps {
-			mergedOps[j].Merge(&results[i].opHists[j])
+		for op, d := range results[i].maxLat {
+			if d > maxLat[op] {
+				maxLat[op] = d
+			}
 		}
-		ops += results[i].ops
 		busy += results[i].busy
 		errCount += results[i].errs
 		underSLO += results[i].underSLO
@@ -263,6 +271,8 @@ func run() int {
 			lastErr = results[i].lastErr
 		}
 	}
+	all := hists.MergedOp(opAll)
+	ops := all.Count
 	if ops == 0 {
 		fmt.Fprintf(os.Stderr, "wfrc-load: no request succeeded (last error: %v)\n", lastErr)
 		return 1
@@ -280,10 +290,10 @@ func run() int {
 		Ops:             ops,
 		ElapsedNS:       elapsed.Nanoseconds(),
 		OpsPerSec:       float64(ops) / elapsed.Seconds(),
-		LatencyP50NS:    uint64(merged.Quantile(0.50)),
-		LatencyP99NS:    uint64(merged.Quantile(0.99)),
-		LatencyP999NS:   uint64(merged.Quantile(0.999)),
-		LatencyMaxNS:    uint64(merged.Max()),
+		LatencyP50NS:    all.P50NS,
+		LatencyP99NS:    all.P99NS,
+		LatencyP999NS:   all.P999NS,
+		LatencyMaxNS:    uint64(maxLat[opAll]),
 		OpLatency:       map[string]obs.BenchOpLatency{},
 		LeaseWaitP50NS:  stats.Pool.WaitP50Ns,
 		LeaseWaitP99NS:  stats.Pool.WaitP99Ns,
@@ -304,15 +314,14 @@ func run() int {
 			MaxSchedLagNS:    uint64(maxLag),
 		}
 	}
-	opNames := [4]string{"get", "set", "del", "cas"}
-	for j, name := range opNames {
-		h := &mergedOps[j]
+	for op, name := range opNames[:opAll] {
+		snap := hists.MergedOp(op)
 		sec.OpLatency[name] = obs.BenchOpLatency{
-			Count:  h.Count(),
-			P50NS:  uint64(h.Quantile(0.50)),
-			P99NS:  uint64(h.Quantile(0.99)),
-			P999NS: uint64(h.Quantile(0.999)),
-			MaxNS:  uint64(h.Max()),
+			Count:  snap.Count,
+			P50NS:  snap.P50NS,
+			P99NS:  snap.P99NS,
+			P999NS: snap.P999NS,
+			MaxNS:  uint64(maxLat[op]),
 		}
 	}
 	sec.SetShardOps(stats.ShardOps)
@@ -330,7 +339,7 @@ func run() int {
 		fmt.Printf("  open loop: %.4f of requests under SLO %v; %d late sends, max sched lag %v\n",
 			sec.OpenLoop.UnderSLOFraction, *slo, lateSends, maxLag.Round(time.Microsecond))
 	}
-	for _, name := range opNames {
+	for _, name := range opNames[:opAll] {
 		ol := sec.OpLatency[name]
 		if ol.Count == 0 {
 			continue
@@ -362,13 +371,21 @@ func run() int {
 	}
 
 	if *out != "" {
-		rep := obs.NewBenchReport(false)
-		rep.Server = sec
-		if err := rep.WriteFile(*out); err != nil {
-			fmt.Fprintf(os.Stderr, "wfrc-load: %v\n", err)
+		// Validate the exact bytes about to be written: the check reads
+		// raw keys, so a section dropped from the struct fails here, and
+		// this is the one place that knows whether open_loop is owed.
+		data, err := json.MarshalIndent(obs.NewBenchReport(sec), "", "  ")
+		if err == nil {
+			_, err = obs.ValidateBenchJSON(data, openLoop)
+		}
+		if err == nil {
+			err = os.WriteFile(*out, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "wfrc-load: %s: %v\n", *out, err)
 			return 1
 		}
-		fmt.Printf("  wrote %s (schema v%d, per-op latency included)\n", *out, rep.SchemaVersion)
+		fmt.Printf("  wrote %s (schema v%d, per-op latency included)\n", *out, obs.BenchSchemaVersion)
 	}
 	if sec.AuditViolations > 0 {
 		fmt.Fprintf(os.Stderr, "wfrc-load: server reported %d slot-reuse audit violations\n", sec.AuditViolations)

@@ -7,11 +7,15 @@
 //
 //	wfrc-top -addr 127.0.0.1:7701              # refresh every second
 //	wfrc-top -addr 127.0.0.1:7701 -once        # one plain frame (CI snapshot)
+//	wfrc-top -flight wfrc-kv-flight.json       # check a flight-recorder dump
 //
 // Rates are computed from counter deltas between polls, so the first
 // frame of a live session shows totals and every later frame shows
 // per-second rates.  -once renders a single frame without ANSI control
 // sequences and exits, which is what CI attaches to its artifacts.
+// -flight reads no live server: it schema-checks a dump wfrc-kv wrote
+// on SIGQUIT and exits nonzero unless a help event joins a recorded
+// span, which is what CI's kv-trace job gates on.
 package main
 
 import (
@@ -27,6 +31,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"wfrc/internal/obs"
 )
 
 func main() {
@@ -38,8 +44,12 @@ func run() int {
 		addr     = flag.String("addr", "127.0.0.1:7701", "wfrc-kv observability address (-obs-addr)")
 		interval = flag.Duration("interval", time.Second, "refresh interval")
 		once     = flag.Bool("once", false, "render one plain frame (no ANSI) and exit; CI snapshot mode")
+		flight   = flag.String("flight", "", "validate this wfrc-kv flight-recorder dump and exit (requires a span↔help join)")
 	)
 	flag.Parse()
+	if *flight != "" {
+		return checkFlight(*flight)
+	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	prev, prevSpans, err := poll(client, *addr)
@@ -79,6 +89,38 @@ func run() int {
 			prev, prevSpans, prevAt = cur, curSpans, now
 		}
 	}
+}
+
+// checkFlight implements -flight: schema-check a flight-recorder dump
+// and require that it demonstrates the span↔help join — at least one
+// span, and at least one help event whose helpee span ID matches a span
+// in the dump.  Returns the exit code.
+func checkFlight(path string) int {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	d, err := obs.ValidateFlightDump(data)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+		return 1
+	}
+	if len(d.Spans) == 0 {
+		fmt.Fprintf(os.Stderr, "%s: dump contains no spans\n", path)
+		return 1
+	}
+	joined := d.JoinedHelps()
+	if len(joined) == 0 {
+		fmt.Fprintf(os.Stderr, "%s: no help event joins a recorded span (%d spans, %d help events) — span tagging is broken or no helping occurred\n",
+			path, len(d.Spans), len(d.HelpEvents))
+		return 1
+	}
+	ev := joined[0]
+	fmt.Printf("%s: %s, %d spans (%d total), %d help events (%d total), %d joined — e.g. slot %d helped slot %d's span %d\n",
+		path, obs.FlightDumpSchema, len(d.Spans), d.TotalSpans, len(d.HelpEvents), d.TotalHelps,
+		len(joined), ev.Helper, ev.Helpee, ev.HelpeeSpan)
+	return 0
 }
 
 // scrape is one parsed /metrics exposition: metric name → label string

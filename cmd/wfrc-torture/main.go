@@ -16,10 +16,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"text/tabwriter"
 
 	"wfrc/internal/chaos"
-	"wfrc/internal/core"
-	"wfrc/internal/harness"
 	"wfrc/internal/obs"
 	"wfrc/internal/schemes"
 )
@@ -33,26 +32,20 @@ func main() {
 		nodes        = flag.Int("nodes", 0, "arena size in nodes (0 = scenario default)")
 		seed         = flag.Int64("seed", 1, "fault-injection seed (reports carry it for replay)")
 		list         = flag.Bool("list", false, "list scenarios and schemes, then exit")
-		obsAddr      = flag.String("obs-addr", "", "serve /metrics, /trace and /debug/pprof on this address during the run")
-		traceN       = flag.Int("trace", 0, "ring-buffer the most recent N help events for /trace (0 disables)")
+		obsAddr      = flag.String("obs-addr", "", "serve /metrics and /debug/pprof on this address during the run")
 	)
 	flag.Parse()
 
 	var collector *obs.Collector
-	var ring *obs.TraceRing
-	if *traceN > 0 {
-		ring = obs.NewTraceRing(*traceN)
-		schemes.OnNewWaitFree = func(s *core.Scheme) { s.SetHelpTracer(ring.CoreTracer()) }
-	}
 	if *obsAddr != "" {
 		collector = obs.NewCollector()
-		srv, err := obs.Serve(*obsAddr, collector, ring)
+		srv, err := obs.Serve(*obsAddr, collector, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obs: %v\n", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics (also /trace, /debug/vars, /debug/pprof)\n", srv.Addr())
+		fmt.Printf("observability: http://%s/metrics (also /debug/vars, /debug/pprof)\n", srv.Addr())
 	}
 
 	if *list {
@@ -70,11 +63,10 @@ func main() {
 	}
 	sc := chaos.SuiteConfig{Threads: *threads, Ops: *ops, Nodes: *nodes, Seed: *seed}
 
-	tbl := &harness.Table{
-		Title: fmt.Sprintf("torture suite: %d threads x %d ops, seed %d", *threads, *ops, *seed),
-		Note:  "budgets enforced on the wait-free scheme only; OOMs under stalls are informational",
-		Cols:  []string{"scenario", "scheme", "result", "ops", "ooms", "stalls", "violations", "elapsed"},
-	}
+	// The rows stay buffered until Flush (column widths need them all),
+	// so FAIL lines on stderr never interleave with the table.
+	tbl := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tbl, "scenario\tscheme\tresult\tops\tooms\tstalls\tviolations\telapsed")
 	failed := false
 	for _, scen := range scenarios {
 		for _, scheme := range schemeNames {
@@ -107,11 +99,13 @@ func main() {
 						scen, scheme, e, rep.Seed)
 				}
 			}
-			tbl.AddRow(scen, scheme, result, rep.Ops, rep.OOMs, rep.Stalls,
-				len(rep.Violations), rep.Elapsed.Round(1e6))
+			fmt.Fprintf(tbl, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%v\n", scen, scheme, result,
+				rep.Ops, rep.OOMs, rep.Stalls, len(rep.Violations), rep.Elapsed.Round(1e6))
 		}
 	}
-	fmt.Print(tbl.Render())
+	fmt.Printf("== torture suite: %d threads x %d ops, seed %d ==\n", *threads, *ops, *seed)
+	fmt.Println("budgets enforced on the wait-free scheme only; OOMs under stalls are informational")
+	tbl.Flush()
 	if failed {
 		os.Exit(1)
 	}

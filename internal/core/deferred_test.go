@@ -64,13 +64,14 @@ func TestDeferredFastPathCounts(t *testing.T) {
 }
 
 // TestDeferredScanViolationGateAgreement pins the satellite invariant
-// that the two Lemma-2 gates agree on the deferred path: the bench
-// -validate gate trips on AnnScanViolations > 0 (incremented exactly
-// once per over-bound D1 scan), while the chaos step-budget checker
-// trips on DeRefMaxSteps > AnnScanBound(n) (NoteDeRef records raw
+// that the two Lemma-2 gates agree on the deferred path: the violation
+// counter (AnnScanViolations > 0, incremented exactly once per
+// over-bound D1 scan; what the tests and the repository benchmark's
+// core.ann_scan_violations read), and the chaos step-budget checker,
+// which trips on DeRefMaxSteps > AnnScanBound(n) (NoteDeRef records raw
 // probes).  A scan that exceeds the bound must therefore move BOTH
 // counters, a bounded scan NEITHER, and the scheme's aggregate counter
-// must equal the per-thread stats sum the bench gate reads.
+// must equal the sum of the per-thread stats.
 func TestDeferredScanViolationGateAgreement(t *testing.T) {
 	s := newDeferredScheme(t, 8, 2, 1, 0, 1)
 	tA := mustRegister(t, s)
@@ -110,13 +111,13 @@ func TestDeferredScanViolationGateAgreement(t *testing.T) {
 	<-got
 
 	st = tA.Stats()
-	// Bench-gate side: exactly one violation per over-bound scan, no
-	// matter how many probes past the bound the scan burned.
+	// Violation-counter side: exactly one violation per over-bound scan,
+	// no matter how many probes past the bound the scan burned.
 	if st.AnnScanViolations != 1 {
 		t.Errorf("thread AnnScanViolations = %d, want 1 (once per scan)", st.AnnScanViolations)
 	}
-	// The scheme aggregate the audit reports must equal the stats sum
-	// the bench -validate gate reads.
+	// The scheme aggregate the audit reports must equal the sum of the
+	// per-thread stats.
 	if s.AnnScanViolations() != st.AnnScanViolations {
 		t.Errorf("scheme counter %d != thread stats counter %d",
 			s.AnnScanViolations(), st.AnnScanViolations)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -86,6 +88,74 @@ func TestFixedArenaStillOOMs(t *testing.T) {
 	}
 	for _, h := range held {
 		th.ReleaseRef(h)
+	}
+}
+
+// TestOOMDetectionBoundedAndRecoverable holds the paper's footnote-4
+// rule (DESIGN.md §4, E7/E7b) for NR_THREADS in {1, 2, 4, 8, 16}: with
+// the arena drained, Alloc reports ErrOutOfMemory after at most
+// AllocRetryLimit()+1 loop iterations — wait-freedom survives the
+// failure case — and the verdict is not sticky.  A growable arena
+// routes the same verdict through the growth escape hatch first:
+// allocations keep succeeding while segments attach, and out-of-memory
+// is reported only with every segment up to MaxNodes attached.
+func TestOOMDetectionBoundedAndRecoverable(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		for _, growable := range []bool{false, true} {
+			acfg, name := arena.Config{Nodes: n}, fmt.Sprintf("fixed/n=%d", n)
+			if growable {
+				acfg, name = arena.Config{Nodes: n, MaxNodes: n + 128}, fmt.Sprintf("growable/n=%d", n)
+			}
+			t.Run(name, func(t *testing.T) {
+				ar := arena.MustNew(acfg)
+				s := MustNew(ar, Config{Threads: n})
+				th := mustRegisterT(t, s)
+				defer th.Unregister()
+
+				var held []arena.Handle
+				var err error
+				for {
+					var h arena.Handle
+					if h, err = th.Alloc(); err != nil {
+						break
+					}
+					held = append(held, h)
+				}
+				if !errors.Is(err, ErrOutOfMemory) {
+					t.Fatalf("exhaustion reported %v, want ErrOutOfMemory", err)
+				}
+				if len(held) == 0 || len(held) > ar.MaxNodes() {
+					t.Fatalf("drained %d nodes from an arena of at most %d", len(held), ar.MaxNodes())
+				}
+				if budget := uint64(s.AllocRetryLimit()) + 1; th.Stats().AllocMaxSteps > budget {
+					t.Errorf("out-of-memory took %d alloc steps, bound %d", th.Stats().AllocMaxSteps, budget)
+				}
+				if growable {
+					if len(held) <= n || s.Segments() < 2 {
+						t.Errorf("exhausted after %d allocations over %d segment(s) without growing past the initial %d nodes",
+							len(held), s.Segments(), n)
+					}
+					if ar.Nodes() != ar.MaxNodes() {
+						t.Errorf("out-of-memory with %d of %d nodes attached", ar.Nodes(), ar.MaxNodes())
+					}
+				} else if s.Segments() != 1 {
+					t.Errorf("fixed arena attached %d segments", s.Segments())
+				}
+
+				// Release everything: some nodes may sit parked in other
+				// slots' annAlloc cells (grants), so a single free need not
+				// make this thread's next allocation succeed; all must.
+				for _, h := range held {
+					th.Release(h)
+				}
+				h, err := th.Alloc()
+				if err != nil {
+					t.Fatalf("alloc after releasing everything: %v", err)
+				}
+				th.Release(h)
+				audit(t, s, nil)
+			})
+		}
 	}
 }
 

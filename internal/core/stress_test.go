@@ -151,6 +151,83 @@ func TestConcurrentDeRefCASLinkChurn(t *testing.T) {
 	}
 }
 
+// TestDeRefBoundedUnderAdversarialWriters holds the quantity the
+// wait-freedom proof bounds (DESIGN.md §4, E2): one reader dereferences
+// a root that three writers swing between freshly allocated nodes as
+// fast as they can, and every one of its DeRefs must finish within
+// Lemma 2's 2n announcement-slot probes.  Exactly one probe per DeRef is
+// what a single CPU shows, not what the paper proves: under real
+// parallelism a helper's busy pin can make the D1 scan skip a slot.
+func TestDeRefBoundedUnderAdversarialWriters(t *testing.T) {
+	const writers = 3
+	reads := stressIters(20000)
+	ar := arena.MustNew(arena.Config{Nodes: 64 * (writers + 1), RootLinks: 1})
+	s := MustNew(ar, Config{Threads: writers + 1})
+	root := ar.NewRoot()
+	reader := mustRegisterT(t, s)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var swings atomic.Int64
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th, err := s.RegisterCore()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer th.Unregister()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				swings.Add(1)
+				n, err := th.Alloc()
+				if err != nil {
+					continue // exhaustion is transient under churn
+				}
+				old := th.DeRef(root)
+				th.CASLink(root, old, arena.MakePtr(n, false))
+				th.Release(old.Handle())
+				th.Release(n)
+			}
+		}()
+	}
+	// At least `reads` dereferences, and no stopping before the writers
+	// are actually swinging (20 000 reads can outrun goroutine start-up).
+	for i := 0; i < reads || swings.Load() < writers; i++ {
+		p := reader.DeRef(root)
+		reader.Release(p.Handle())
+	}
+	close(stop)
+	wg.Wait()
+
+	st := reader.Stats()
+	if st.DeRefs < uint64(reads) || st.DeRefSteps < st.DeRefs {
+		t.Errorf("reader recorded %d steps over %d DeRefs, want at least %d DeRefs of at least one step", st.DeRefSteps, st.DeRefs, reads)
+	}
+	if bound := uint64(AnnScanBound(writers + 1)); st.DeRefMaxSteps < 1 || st.DeRefMaxSteps > bound {
+		t.Errorf("wait-free DeRef max steps = %d, want within [1, %d] (Lemma 2)", st.DeRefMaxSteps, bound)
+	}
+	if v := s.AnnScanViolations(); v != 0 {
+		t.Errorf("%d announcement-scan violations", v)
+	}
+
+	p := reader.DeRef(root)
+	if !p.IsNil() {
+		if !reader.CASLink(root, p, arena.NilPtr) {
+			t.Fatal("teardown CAS failed")
+		}
+		reader.Release(p.Handle())
+	}
+	reader.Unregister()
+	audit(t, s, nil)
+}
+
 // TestConcurrentMultiLinkChurn churns several links concurrently so
 // HelpDeRef scans regularly encounter announcements for other links,
 // and nodes form short chains through their link slots (exercising the

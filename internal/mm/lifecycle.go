@@ -50,8 +50,8 @@ type LifecycleSink interface {
 // LifecycleSource is the optional telemetry surface of a Scheme that
 // can publish lifecycle transitions, discovered by type assertion like
 // [Grower] and [Robust].  Setting a nil sink detaches the current one.
-// The harness attaches a fresh LifecycleTracker per run; wfrc-kv
-// attaches one per shard for the life of the server.
+// wfrc-kv attaches one LifecycleTracker per shard for the life of the
+// server; benchmark/ attaches a fresh one per traced run.
 type LifecycleSource interface {
 	SetLifecycleSink(LifecycleSink)
 }

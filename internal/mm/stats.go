@@ -170,7 +170,7 @@ type OpStats struct {
 
 	// DeRefHist, AllocHist and FreeHist are the per-operation step-count
 	// distributions behind the *Steps/*MaxSteps summaries, feeding the
-	// p50/p99 step quantiles in internal/obs and BENCH_results.json.
+	// p50/p99 step quantiles in internal/obs.
 	DeRefHist, AllocHist, FreeHist StepHist
 
 	_ [8]uint64 // pad to avoid false sharing between adjacent stats

@@ -3,112 +3,21 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
-
-	"wfrc/internal/mm"
 )
 
-// BenchSchemaVersion identifies the BENCH_results.json layout.  Bump it
-// on any incompatible change and teach ValidateBenchJSON both versions
-// for one release so the CI trajectory stays readable.
-//
-// Version 2 adds the optional "server" section (BenchServer) emitted by
-// wfrc-load, and permits "results" to be empty when "server" is present
-// (a pure load-generator report has no per-scheme experiment results).
-// Version 3 adds the latency trajectory to the server section:
-// "latency_p999_ns" plus "op_latency", per-op client-side latency
-// quantiles (BenchOpLatency), so BENCH_*.json files carry a per-op
-// latency distribution — the place Brown's critique says reclamation
-// overheads hide — not just throughput averages.  Version 1 and 2
-// documents remain valid.
-// Version 4 adds the shoot-out matrix emitted by wfrc-matrix: an
-// optional top-level "matrix" section (BenchMatrix, the swept axes) and,
-// on each result row, the optional cell coordinates "structure",
-// "contention", "oversubscribed" and the robustness metric
-// "unreclaimed_end".  When "matrix" is present every result must carry
-// its cell coordinates; all four keys are forbidden below version 4.
-// Version 4 also extends the server section: "lease_wait_mean_ns" is
-// required (closed-loop runs previously dropped the mean), "protocol"
-// names the wire protocol the load ran over ("native" or "resp"), and
-// the optional "open_loop" object (BenchOpenLoop) carries the
-// coordinated-omission-free fields — target arrival rate, the SLO
-// threshold and the fraction of requests served under it, with latency
-// measured from the *scheduled* send instant so a stalled server cannot
-// hide queueing delay.  All three are forbidden below version 4.
-// Version 5 adds the memory-lifecycle trajectory: every result row
-// carries the retire→free reclamation-lag quantiles
-// ("reclaim_lag_p50_ns", "reclaim_lag_p99_ns", "reclaim_lag_max_ns",
-// "reclaim_lag_count") and the floating-garbage high-water mark
-// ("floating_hwm") read from the run's mm.LifecycleTracker, and
-// "unreclaimed_end" — previously only set by the matrix path — is
-// required on every row (≥ 0; the tracker covers every scheme, so the
-// old -1 "not exposed" sentinel is retired).  The server section gains
-// the optional "memory" object (a LifecycleCollector MemSnapshot).  All
-// six keys are forbidden below version 5, except "unreclaimed_end"
-// which stays optional at version 4 with -1 permitted.
+// BenchSchemaVersion identifies the layout of the one document this
+// package still describes: the server report wfrc-load writes with
+// -out.  Versions 1–4 and the experiment/matrix result rows went with
+// their producers; ValidateBenchJSON accepts exactly this version.
 const BenchSchemaVersion = 5
 
-// BenchStepStats summarizes one per-operation step distribution (the
-// quantity Lemmas 2 and 9 bound) for one data point: quantiles read off
-// the mm.StepHist factor-of-two buckets, the exact observed maximum,
-// and the thread that observed it (-1 unknown).
-type BenchStepStats struct {
-	P50       uint64 `json:"p50"`
-	P99       uint64 `json:"p99"`
-	Max       uint64 `json:"max"`
-	MaxThread int    `json:"max_thread"`
-}
-
-// BenchResult is one (experiment, scheme, threads) data point.
-type BenchResult struct {
-	Experiment string  `json:"experiment"`
-	Scheme     string  `json:"scheme"`
-	Threads    int     `json:"threads"`
-	Ops        uint64  `json:"ops"`
-	ElapsedNS  int64   `json:"elapsed_ns"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-
-	DeRefSteps BenchStepStats `json:"deref_steps"`
-	AllocSteps BenchStepStats `json:"alloc_steps"`
-	FreeSteps  BenchStepStats `json:"free_steps"`
-
-	HelpsGiven        uint64 `json:"helps_given"`
-	HelpsReceived     uint64 `json:"helps_received"`
-	AllocHelped       uint64 `json:"alloc_helped"`
-	AnnScanViolations uint64 `json:"ann_scan_violations"`
-	CASFailures       uint64 `json:"cas_failures"`
-
-	// Schema-v4 matrix cell coordinates, set only on rows emitted by the
-	// shoot-out runner: the data structure exercised ("queue", "stack",
-	// "hashmap"), the contention level ("low", "high"), and whether the
-	// cell ran more threads than GOMAXPROCS.
-	Structure      string `json:"structure,omitempty"`
-	Contention     string `json:"contention,omitempty"`
-	Oversubscribed bool   `json:"oversubscribed,omitempty"`
-	// UnreclaimedEnd is the scheme's retired-but-unreclaimed node count
-	// after the run (post-flush for matrix cells) — the Stamp-it
-	// robustness metric.  Required ≥ 0 at schema v5 (the lifecycle
-	// tracker covers every scheme); pre-v5 matrix documents used -1 for
-	// schemes without mm.Robust support.
-	UnreclaimedEnd int64 `json:"unreclaimed_end"`
-
-	// Schema-v5 memory-lifecycle trajectory: the retire→free lag
-	// distribution over the run's reclaims and the floating-garbage
-	// high-water mark, read from the run's mm.LifecycleTracker.
-	ReclaimLagP50NS uint64 `json:"reclaim_lag_p50_ns"`
-	ReclaimLagP99NS uint64 `json:"reclaim_lag_p99_ns"`
-	ReclaimLagMaxNS uint64 `json:"reclaim_lag_max_ns"`
-	ReclaimLagCount uint64 `json:"reclaim_lag_count"`
-	FloatingHWM     int64  `json:"floating_hwm"`
-}
-
-// BenchServer is the schema-v2 "server" section: one wfrc-load run
-// against a wfrc-kv server.  Client-side latency quantiles come from
-// the load generator's own histogram; lease-wait quantiles, per-shard
-// op counts and audit counters come from the server's STATS response,
-// so the report captures both ends of the backpressure story.
+// BenchServer is the "server" section: one wfrc-load run against a
+// wfrc-kv server.  Latency quantiles are the load generator's own;
+// lease-wait quantiles, per-shard op counts, the memory sample and the
+// audit counters come from the server's STATS response, so the report
+// captures both ends of the backpressure story.
 type BenchServer struct {
 	Connections int `json:"connections"`
 	Slots       int `json:"slots"`
@@ -124,25 +33,20 @@ type BenchServer struct {
 	LatencyMaxNS  uint64 `json:"latency_max_ns"`
 
 	// OpLatency maps each protocol op ("get", "set", "del", "cas") to
-	// its client-side latency quantiles — the schema-v3 per-op latency
-	// trajectory.
+	// its client-side latency quantiles.
 	OpLatency map[string]BenchOpLatency `json:"op_latency,omitempty"`
 
 	LeaseWaitP50NS  float64 `json:"lease_wait_p50_ns"`
 	LeaseWaitP99NS  float64 `json:"lease_wait_p99_ns"`
 	LeaseWaitMeanNS float64 `json:"lease_wait_mean_ns"`
 
-	// Protocol names the wire protocol the load ran over ("native" or
-	// "resp"); empty in pre-v4 documents.
+	// Protocol is the wire protocol the load ran over: "native" or "resp".
 	Protocol string `json:"protocol,omitempty"`
-
 	// OpenLoop carries the coordinated-omission-free fields when the
 	// run used a fixed arrival schedule; nil for closed-loop runs.
 	OpenLoop *BenchOpenLoop `json:"open_loop,omitempty"`
-
-	// Memory is the schema-v5 memory section: the server's last
-	// lifecycle sample (per-scheme floating garbage, lag quantiles and
-	// occupancy gauges), as returned in the STATS reply.
+	// Memory is the server's last lifecycle sample: per-scheme floating
+	// garbage, lag quantiles and occupancy gauges.
 	Memory *MemSnapshot `json:"memory,omitempty"`
 
 	BusyRejects uint64 `json:"busy_rejects"`
@@ -175,34 +79,30 @@ func (b *BenchServer) SetShardOps(ops []uint64) {
 	}
 }
 
-// BenchOpenLoop is the open-loop section (schema v4+) of a server report.
-// The load generator sends on a fixed arrival schedule (request i is
-// due at start + i/rate) and measures each latency from the request's
+// BenchOpenLoop is the open-loop section of a server report.  The load
+// generator sends on a fixed arrival schedule (request i is due at
+// start + i/rate) and measures each latency from the request's
 // *scheduled* instant, not its actual send — the Hdr-histogram
 // coordinated-omission correction — so server stalls surface as tail
 // latency instead of silently thinning the arrival stream.
 type BenchOpenLoop struct {
-	// TargetRate is the offered load in requests per second (all
-	// connections combined).
-	TargetRate float64 `json:"target_rate"`
-	// AchievedRate is completions per second actually measured.
+	// TargetRate is the offered load in requests per second over all
+	// connections; AchievedRate is completions per second measured.
+	TargetRate   float64 `json:"target_rate"`
 	AchievedRate float64 `json:"achieved_rate"`
-	// SLONS is the latency SLO threshold in nanoseconds.
-	SLONS uint64 `json:"slo_ns"`
-	// UnderSLOFraction is the fraction of requests whose
-	// schedule-corrected latency met the SLO (1.0 = all).
+	// SLONS is the latency SLO threshold; UnderSLOFraction the fraction
+	// of requests whose schedule-corrected latency met it (1.0 = all).
+	SLONS            uint64  `json:"slo_ns"`
 	UnderSLOFraction float64 `json:"under_slo_fraction"`
 	// LateSends counts requests that could not start at their scheduled
-	// instant because the previous response was still outstanding; their
-	// wait is part of their reported latency.
-	LateSends uint64 `json:"late_sends"`
-	// MaxSchedLagNS is the largest gap between a request's scheduled
-	// and actual send instant.
+	// instant because the previous response was still outstanding (the
+	// wait is part of their latency); MaxSchedLagNS is the largest such
+	// gap.
+	LateSends     uint64 `json:"late_sends"`
 	MaxSchedLagNS uint64 `json:"max_sched_lag_ns"`
 }
 
-// BenchOpLatency is one op's latency distribution in the schema-v3
-// "op_latency" map.
+// BenchOpLatency is one op's entry in the "op_latency" map.
 type BenchOpLatency struct {
 	Count  uint64 `json:"count"`
 	P50NS  uint64 `json:"p50_ns"`
@@ -211,8 +111,8 @@ type BenchOpLatency struct {
 	MaxNS  uint64 `json:"max_ns"`
 }
 
-// BenchHost records the machine a report was generated on, so
-// trajectory points are only compared like for like.
+// BenchHost records the machine a report was generated on, so reports
+// are only compared like for like.
 type BenchHost struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -221,40 +121,18 @@ type BenchHost struct {
 	NumCPU     int    `json:"num_cpu"`
 }
 
-// BenchReport is the top-level BENCH_results.json document: one
-// wfrc-bench invocation's data points plus provenance.  CI regenerates
-// it every run, validates it (ValidateBenchJSON) and uploads it as an
-// artifact, so the performance trajectory is tracked across PRs.
+// BenchReport is the document wfrc-load -out writes: one load run's
+// server section plus provenance.  CI uploads it as an artifact.
 type BenchReport struct {
-	SchemaVersion int           `json:"schema_version"`
-	GeneratedAt   string        `json:"generated_at"` // RFC 3339
-	Host          BenchHost     `json:"host"`
-	Quick         bool          `json:"quick"`
-	Results       []BenchResult `json:"results"`
-	// Server is the schema-v2 load-test section; nil for pure
-	// wfrc-bench reports.
-	Server *BenchServer `json:"server,omitempty"`
-	// Matrix is the shoot-out section (schema v4+); nil for reports that
-	// did not come from wfrc-matrix.
-	Matrix *BenchMatrix `json:"matrix,omitempty"`
+	SchemaVersion int          `json:"schema_version"`
+	GeneratedAt   string       `json:"generated_at"` // RFC 3339
+	Host          BenchHost    `json:"host"`
+	Server        *BenchServer `json:"server"`
 }
 
-// BenchMatrix is the "matrix" section (schema v4+): the axes one
-// wfrc-matrix invocation swept.  Every combination of the listed axes
-// appears as one result row tagged with its cell coordinates, so a
-// reader can check the sweep for holes without re-deriving the cross
-// product.
-type BenchMatrix struct {
-	Structures   []string `json:"structures"`
-	Schemes      []string `json:"schemes"`
-	ThreadCounts []int    `json:"thread_counts"`
-	Contentions  []string `json:"contentions"`
-	OpsPerThread int      `json:"ops_per_thread"`
-}
-
-// NewBenchReport returns an empty report stamped with the current time
-// and host.
-func NewBenchReport(quick bool) *BenchReport {
+// NewBenchReport returns a report for server, stamped with the current
+// time and host.
+func NewBenchReport(server *BenchServer) *BenchReport {
 	return &BenchReport{
 		SchemaVersion: BenchSchemaVersion,
 		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
@@ -265,422 +143,108 @@ func NewBenchReport(quick bool) *BenchReport {
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			NumCPU:     runtime.NumCPU(),
 		},
-		Quick: quick,
+		Server: server,
 	}
 }
 
-// BenchResultFrom builds one data point from a run's merged stats and
-// its lifecycle summary.  life may be nil (no tracker attached): the
-// lag fields stay zero and UnreclaimedEnd falls back to the pre-v5 -1
-// sentinel.
-func BenchResultFrom(experiment, scheme string, threads int, ops uint64, elapsed time.Duration, st *mm.OpStats, life *mm.LifecycleSnap) BenchResult {
-	opsPerSec := 0.0
-	if elapsed > 0 {
-		opsPerSec = float64(ops) / elapsed.Seconds()
+// The keys the schema promises in the server section, in each op_latency
+// entry, in server.open_loop and in each server.memory.schemes entry.
+var (
+	requiredServerKeys = []string{
+		"connections", "slots", "shards", "ops", "elapsed_ns", "ops_per_sec",
+		"latency_p50_ns", "latency_p99_ns", "latency_p999_ns", "latency_max_ns", "op_latency",
+		"lease_wait_p50_ns", "lease_wait_p99_ns", "lease_wait_mean_ns",
+		"busy_rejects", "lease_expiries", "shard_ops", "shard_balance", "audit_violations",
 	}
-	res := BenchResult{
-		Experiment: experiment,
-		Scheme:     scheme,
-		Threads:    threads,
-		Ops:        ops,
-		ElapsedNS:  elapsed.Nanoseconds(),
-		OpsPerSec:  opsPerSec,
-		DeRefSteps: BenchStepStats{
-			P50: st.DeRefHist.Quantile(0.50), P99: st.DeRefHist.Quantile(0.99),
-			Max: st.DeRefMaxSteps, MaxThread: st.DeRefMaxThread(),
-		},
-		AllocSteps: BenchStepStats{
-			P50: st.AllocHist.Quantile(0.50), P99: st.AllocHist.Quantile(0.99),
-			Max: st.AllocMaxSteps, MaxThread: st.AllocMaxThread(),
-		},
-		FreeSteps: BenchStepStats{
-			P50: st.FreeHist.Quantile(0.50), P99: st.FreeHist.Quantile(0.99),
-			Max: st.FreeMaxSteps, MaxThread: st.FreeMaxThread(),
-		},
-		HelpsGiven:        st.HelpsGiven,
-		HelpsReceived:     st.HelpsReceived,
-		AllocHelped:       st.AllocHelped,
-		AnnScanViolations: st.AnnScanViolations,
-		CASFailures:       st.CASFailures,
-		UnreclaimedEnd:    -1,
+	requiredOpLatencyKeys = []string{"count", "p50_ns", "p99_ns", "p999_ns", "max_ns"}
+	requiredOpenLoopKeys  = []string{
+		"target_rate", "achieved_rate", "slo_ns", "under_slo_fraction",
+		"late_sends", "max_sched_lag_ns",
 	}
-	if life != nil {
-		res.ReclaimLagP50NS = life.Lag.P50NS
-		res.ReclaimLagP99NS = life.Lag.P99NS
-		res.ReclaimLagMaxNS = life.Lag.MaxNS
-		res.ReclaimLagCount = life.Lag.Count
-		res.FloatingHWM = life.FloatingHWM
-		floating := life.Floating
-		if floating < 0 {
-			floating = 0
+	requiredMemSchemeKeys = []string{"retired", "reclaimed", "floating", "floating_hwm", "lag"}
+)
+
+// requireKeys reports the first of keys that obj (named where in the
+// error) lacks.
+func requireKeys(obj map[string]json.RawMessage, where string, keys ...string) error {
+	for _, key := range keys {
+		if _, ok := obj[key]; !ok {
+			return fmt.Errorf("bench json: %s: missing key %q", where, key)
 		}
-		res.UnreclaimedEnd = floating
 	}
-	return res
+	return nil
 }
 
-// TotalAnnScanViolations sums the violation counter over every data
-// point — the number CI gates on (nonzero means a Lemma 2 bound broke
-// during the bench run).
-func (r *BenchReport) TotalAnnScanViolations() uint64 {
-	var n uint64
-	for _, res := range r.Results {
-		n += res.AnnScanViolations
-	}
-	return n
-}
-
-// WriteFile writes the report as indented JSON to path.
-func (r *BenchReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// requiredResultKeys are the per-result JSON keys the schema promises.
-var requiredResultKeys = []string{
-	"experiment", "scheme", "threads", "ops", "elapsed_ns", "ops_per_sec",
-	"deref_steps", "alloc_steps", "free_steps",
-	"helps_given", "helps_received", "alloc_helped", "ann_scan_violations", "cas_failures",
-}
-
-// requiredStepKeys are the keys of each step-stats object.
-var requiredStepKeys = []string{"p50", "p99", "max", "max_thread"}
-
-// requiredServerKeys are the numeric keys of the v2 server section
-// ("shard_ops", an array, is checked separately).
-var requiredServerKeys = []string{
-	"connections", "slots", "shards", "ops", "elapsed_ns", "ops_per_sec",
-	"latency_p50_ns", "latency_p99_ns", "latency_max_ns",
-	"lease_wait_p50_ns", "lease_wait_p99_ns",
-	"busy_rejects", "lease_expiries", "shard_balance", "audit_violations",
-}
-
-// requiredOpLatencyKeys are the keys of each v3 op_latency entry.
-var requiredOpLatencyKeys = []string{"count", "p50_ns", "p99_ns", "p999_ns", "max_ns"}
-
-// requiredOpenLoopKeys are the keys of the v4 server.open_loop object.
-var requiredOpenLoopKeys = []string{
-	"target_rate", "achieved_rate", "slo_ns", "under_slo_fraction",
-	"late_sends", "max_sched_lag_ns",
-}
-
-// requiredLagKeys are the per-result v5 memory-lifecycle keys, required
-// at schema version 5 and forbidden below.
-var requiredLagKeys = []string{
-	"reclaim_lag_p50_ns", "reclaim_lag_p99_ns", "reclaim_lag_max_ns",
-	"reclaim_lag_count", "floating_hwm",
-}
-
-// ValidateBenchJSON checks that data is a schema-valid BENCH_results
-// document — correct schema version, host provenance present, at least
-// one result, and every required key present with the right JSON type —
-// and returns the decoded report.  It validates the raw JSON rather
-// than trusting Go defaults, so a field silently dropped by a future
-// edit fails CI instead of reading as zero.
-func ValidateBenchJSON(data []byte) (*BenchReport, error) {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("bench json: not an object: %w", err)
-	}
-	for _, key := range []string{"schema_version", "generated_at", "host", "quick", "results"} {
-		if _, ok := raw[key]; !ok {
-			return nil, fmt.Errorf("bench json: missing top-level key %q", key)
-		}
-	}
-	var version int
-	if err := json.Unmarshal(raw["schema_version"], &version); err != nil {
-		return nil, fmt.Errorf("bench json: schema_version: %w", err)
-	}
-	if version < 1 || version > BenchSchemaVersion {
-		return nil, fmt.Errorf("bench json: schema_version %d, want 1..%d", version, BenchSchemaVersion)
-	}
-	serverRaw, hasServer := raw["server"]
-	if hasServer && version < 2 {
-		return nil, fmt.Errorf("bench json: \"server\" section requires schema_version 2, document has %d", version)
-	}
-	matrixRaw, hasMatrix := raw["matrix"]
-	if hasMatrix && version < 4 {
-		return nil, fmt.Errorf("bench json: \"matrix\" section requires schema_version 4, document has %d", version)
-	}
-	var generated string
-	if err := json.Unmarshal(raw["generated_at"], &generated); err != nil {
-		return nil, fmt.Errorf("bench json: generated_at: %w", err)
-	}
-	if _, err := time.Parse(time.RFC3339, generated); err != nil {
-		return nil, fmt.Errorf("bench json: generated_at %q is not RFC 3339: %w", generated, err)
-	}
-
-	var results []map[string]json.RawMessage
-	if err := json.Unmarshal(raw["results"], &results); err != nil {
-		return nil, fmt.Errorf("bench json: results: %w", err)
-	}
-	if len(results) == 0 && !hasServer {
-		return nil, fmt.Errorf("bench json: results is empty")
-	}
-	for i, res := range results {
-		// Schema-v4 cell coordinates: forbidden below v4 (a v3 document
-		// carrying matrix keys is mislabelled), required on every row of
-		// a matrix report.
-		if version < 4 {
-			for _, key := range []string{"structure", "contention", "oversubscribed", "unreclaimed_end"} {
-				if _, ok := res[key]; ok {
-					return nil, fmt.Errorf("bench json: results[%d].%s requires schema_version 4, document has %d", i, key, version)
-				}
-			}
-		}
-		// Schema-v5 memory-lifecycle keys: forbidden below v5, required
-		// (numbers, non-negative) at v5, where unreclaimed_end also
-		// becomes mandatory.  A present unreclaimed_end below -1 is
-		// rejected at every version (-1 is the pre-v5 "not exposed"
-		// sentinel; anything lower is corrupt accounting).
-		if version < 5 {
-			for _, key := range requiredLagKeys {
-				if _, ok := res[key]; ok {
-					return nil, fmt.Errorf("bench json: results[%d].%s requires schema_version 5, document has %d", i, key, version)
-				}
-			}
-		} else {
-			for _, key := range requiredLagKeys {
-				v, ok := res[key]
-				if !ok {
-					return nil, fmt.Errorf("bench json: results[%d]: missing key %q (required at schema_version 5)", i, key)
-				}
-				var n float64
-				if err := json.Unmarshal(v, &n); err != nil {
-					return nil, fmt.Errorf("bench json: results[%d].%s: want number", i, key)
-				}
-				if n < 0 {
-					return nil, fmt.Errorf("bench json: results[%d].%s: negative value %v", i, key, n)
-				}
-			}
-			if _, ok := res["unreclaimed_end"]; !ok {
-				return nil, fmt.Errorf("bench json: results[%d]: missing key \"unreclaimed_end\" (required at schema_version 5)", i)
-			}
-		}
-		if v, ok := res["unreclaimed_end"]; ok {
-			var n float64
-			if err := json.Unmarshal(v, &n); err != nil {
-				return nil, fmt.Errorf("bench json: results[%d].unreclaimed_end: want number", i)
-			}
-			floor := -1.0
-			if version >= 5 {
-				floor = 0
-			}
-			if n < floor {
-				return nil, fmt.Errorf("bench json: results[%d].unreclaimed_end: negative value %v", i, n)
-			}
-		}
-		if hasMatrix {
-			for _, key := range []string{"structure", "contention"} {
-				var s string
-				if err := json.Unmarshal(res[key], &s); err != nil || s == "" {
-					return nil, fmt.Errorf("bench json: results[%d].%s: matrix reports need a non-empty string", i, key)
-				}
-			}
-		}
-		for _, key := range requiredResultKeys {
-			v, ok := res[key]
-			if !ok {
-				return nil, fmt.Errorf("bench json: results[%d]: missing key %q", i, key)
-			}
-			switch key {
-			case "experiment", "scheme":
-				var s string
-				if err := json.Unmarshal(v, &s); err != nil || s == "" {
-					return nil, fmt.Errorf("bench json: results[%d].%s: want non-empty string", i, key)
-				}
-			case "deref_steps", "alloc_steps", "free_steps":
-				var step map[string]json.RawMessage
-				if err := json.Unmarshal(v, &step); err != nil {
-					return nil, fmt.Errorf("bench json: results[%d].%s: %w", i, key, err)
-				}
-				for _, sk := range requiredStepKeys {
-					sv, ok := step[sk]
-					if !ok {
-						return nil, fmt.Errorf("bench json: results[%d].%s: missing key %q", i, key, sk)
-					}
-					var n float64
-					if err := json.Unmarshal(sv, &n); err != nil {
-						return nil, fmt.Errorf("bench json: results[%d].%s.%s: want number", i, key, sk)
-					}
-				}
-			default:
-				var n float64
-				if err := json.Unmarshal(v, &n); err != nil {
-					return nil, fmt.Errorf("bench json: results[%d].%s: want number", i, key)
-				}
-			}
-		}
-	}
-
-	if hasServer {
-		var server map[string]json.RawMessage
-		if err := json.Unmarshal(serverRaw, &server); err != nil {
-			return nil, fmt.Errorf("bench json: server: %w", err)
-		}
-		for _, key := range requiredServerKeys {
-			v, ok := server[key]
-			if !ok {
-				return nil, fmt.Errorf("bench json: server: missing key %q", key)
-			}
-			var n float64
-			if err := json.Unmarshal(v, &n); err != nil {
-				return nil, fmt.Errorf("bench json: server.%s: want number", key)
-			}
-		}
-		ops, ok := server["shard_ops"]
-		if !ok {
-			return nil, fmt.Errorf("bench json: server: missing key \"shard_ops\"")
-		}
-		var shardOps []uint64
-		if err := json.Unmarshal(ops, &shardOps); err != nil {
-			return nil, fmt.Errorf("bench json: server.shard_ops: want array of numbers")
-		}
-
-		// Schema-v4 server extensions: lease_wait_mean_ns is required at
-		// v4 and forbidden below; open_loop and protocol are optional at
-		// v4 and forbidden below.
-		openLoopRaw, hasOpenLoop := server["open_loop"]
-		_, hasMean := server["lease_wait_mean_ns"]
-		_, hasProto := server["protocol"]
-		if version < 4 {
-			for key, has := range map[string]bool{
-				"open_loop": hasOpenLoop, "lease_wait_mean_ns": hasMean, "protocol": hasProto,
-			} {
-				if has {
-					return nil, fmt.Errorf("bench json: server.%s requires schema_version 4, document has %d", key, version)
-				}
-			}
-		} else {
-			if !hasMean {
-				return nil, fmt.Errorf("bench json: server: missing key \"lease_wait_mean_ns\" (required at schema_version 4)")
-			}
-			var n float64
-			if err := json.Unmarshal(server["lease_wait_mean_ns"], &n); err != nil {
-				return nil, fmt.Errorf("bench json: server.lease_wait_mean_ns: want number")
-			}
-			if hasOpenLoop {
-				var ol map[string]json.RawMessage
-				if err := json.Unmarshal(openLoopRaw, &ol); err != nil {
-					return nil, fmt.Errorf("bench json: server.open_loop: want object: %w", err)
-				}
-				for _, key := range requiredOpenLoopKeys {
-					v, ok := ol[key]
-					if !ok {
-						return nil, fmt.Errorf("bench json: server.open_loop: missing key %q", key)
-					}
-					var n float64
-					if err := json.Unmarshal(v, &n); err != nil {
-						return nil, fmt.Errorf("bench json: server.open_loop.%s: want number", key)
-					}
-				}
-			}
-		}
-
-		// Schema-v5 memory section: optional at v5, forbidden below.
-		memRaw, hasMem := server["memory"]
-		if version < 5 {
-			if hasMem {
-				return nil, fmt.Errorf("bench json: server.memory requires schema_version 5, document has %d", version)
-			}
-		} else if hasMem {
-			var mem map[string]json.RawMessage
-			if err := json.Unmarshal(memRaw, &mem); err != nil {
-				return nil, fmt.Errorf("bench json: server.memory: want object: %w", err)
-			}
-			schemesRaw, ok := mem["schemes"]
-			if !ok {
-				return nil, fmt.Errorf("bench json: server.memory: missing key \"schemes\"")
-			}
-			var schemes map[string]map[string]json.RawMessage
-			if err := json.Unmarshal(schemesRaw, &schemes); err != nil {
-				return nil, fmt.Errorf("bench json: server.memory.schemes: want object of objects: %w", err)
-			}
-			for name, fields := range schemes {
-				for _, key := range []string{"retired", "reclaimed", "floating", "floating_hwm", "lag"} {
-					if _, ok := fields[key]; !ok {
-						return nil, fmt.Errorf("bench json: server.memory.schemes[%q]: missing key %q", name, key)
-					}
-				}
-				var floating float64
-				if err := json.Unmarshal(fields["floating"], &floating); err != nil || floating < 0 {
-					return nil, fmt.Errorf("bench json: server.memory.schemes[%q].floating: want non-negative number", name)
-				}
-			}
-		}
-
-		// Schema-v3 latency trajectory: required at v3, forbidden below
-		// (a v2 document carrying v3 keys is mislabelled, and a silent
-		// pass would let the version constant rot).
-		opLatRaw, hasOpLat := server["op_latency"]
-		_, hasP999 := server["latency_p999_ns"]
-		if version < 3 {
-			if hasOpLat {
-				return nil, fmt.Errorf("bench json: server.op_latency requires schema_version 3, document has %d", version)
-			}
-		} else {
-			if !hasP999 {
-				return nil, fmt.Errorf("bench json: server: missing key \"latency_p999_ns\" (required at schema_version 3)")
-			}
-			if !hasOpLat {
-				return nil, fmt.Errorf("bench json: server: missing key \"op_latency\" (required at schema_version 3)")
-			}
-			var opLat map[string]map[string]json.RawMessage
-			if err := json.Unmarshal(opLatRaw, &opLat); err != nil {
-				return nil, fmt.Errorf("bench json: server.op_latency: want object of objects: %w", err)
-			}
-			if len(opLat) == 0 {
-				return nil, fmt.Errorf("bench json: server.op_latency is empty")
-			}
-			for op, fields := range opLat {
-				for _, key := range requiredOpLatencyKeys {
-					v, ok := fields[key]
-					if !ok {
-						return nil, fmt.Errorf("bench json: server.op_latency[%q]: missing key %q", op, key)
-					}
-					var n float64
-					if err := json.Unmarshal(v, &n); err != nil {
-						return nil, fmt.Errorf("bench json: server.op_latency[%q].%s: want number", op, key)
-					}
-				}
-			}
-		}
-	}
-
-	if hasMatrix {
-		var matrix map[string]json.RawMessage
-		if err := json.Unmarshal(matrixRaw, &matrix); err != nil {
-			return nil, fmt.Errorf("bench json: matrix: %w", err)
-		}
-		for _, key := range []string{"structures", "schemes", "contentions"} {
-			v, ok := matrix[key]
-			if !ok {
-				return nil, fmt.Errorf("bench json: matrix: missing key %q", key)
-			}
-			var ss []string
-			if err := json.Unmarshal(v, &ss); err != nil || len(ss) == 0 {
-				return nil, fmt.Errorf("bench json: matrix.%s: want non-empty array of strings", key)
-			}
-		}
-		tc, ok := matrix["thread_counts"]
-		if !ok {
-			return nil, fmt.Errorf("bench json: matrix: missing key \"thread_counts\"")
-		}
-		var counts []int
-		if err := json.Unmarshal(tc, &counts); err != nil || len(counts) == 0 {
-			return nil, fmt.Errorf("bench json: matrix.thread_counts: want non-empty array of numbers")
-		}
-		if _, ok := matrix["ops_per_thread"]; !ok {
-			return nil, fmt.Errorf("bench json: matrix: missing key \"ops_per_thread\"")
-		}
-	}
-
-	var report BenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
+// ValidateBenchJSON checks that data is a schema-valid server report and
+// returns it decoded.  The typed decode vouches for the JSON types;
+// presence is then checked on the raw keys rather than trusting Go
+// defaults, so a field silently dropped by a future edit fails the
+// producer instead of reading as zero.  openLoop says the run that
+// produced the document had a fixed arrival schedule, which makes the
+// otherwise optional server.open_loop object mandatory.
+func ValidateBenchJSON(data []byte, openLoop bool) (*BenchReport, error) {
+	var rep BenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("bench json: %w", err)
 	}
-	return &report, nil
+	if rep.SchemaVersion != BenchSchemaVersion {
+		return nil, fmt.Errorf("bench json: schema_version %d, want %d", rep.SchemaVersion, BenchSchemaVersion)
+	}
+	if _, err := time.Parse(time.RFC3339, rep.GeneratedAt); err != nil {
+		return nil, fmt.Errorf("bench json: generated_at %q is not RFC 3339: %w", rep.GeneratedAt, err)
+	}
+
+	// The same document again, as raw keys at every level the schema
+	// names.  These decodes cannot fail where the typed one succeeded.
+	var top, server map[string]json.RawMessage
+	var nested struct {
+		Server struct {
+			OpLatency map[string]map[string]json.RawMessage `json:"op_latency"`
+			OpenLoop  map[string]json.RawMessage            `json:"open_loop"`
+			Memory    *struct {
+				Schemes map[string]map[string]json.RawMessage `json:"schemes"`
+			} `json:"memory"`
+		} `json:"server"`
+	}
+	json.Unmarshal(data, &top)
+	json.Unmarshal(top["server"], &server)
+	json.Unmarshal(data, &nested)
+
+	if err := requireKeys(top, "top level", "schema_version", "generated_at", "host", "server"); err != nil {
+		return nil, err
+	}
+	if err := requireKeys(server, "server", requiredServerKeys...); err != nil {
+		return nil, err
+	}
+	if len(nested.Server.OpLatency) == 0 {
+		return nil, fmt.Errorf("bench json: server.op_latency is empty")
+	}
+	for op, fields := range nested.Server.OpLatency {
+		if err := requireKeys(fields, fmt.Sprintf("server.op_latency[%q]", op), requiredOpLatencyKeys...); err != nil {
+			return nil, err
+		}
+	}
+	if _, ok := server["open_loop"]; ok || openLoop {
+		if err := requireKeys(server, "server (open-loop run)", "open_loop"); err != nil {
+			return nil, err
+		}
+		if err := requireKeys(nested.Server.OpenLoop, "server.open_loop", requiredOpenLoopKeys...); err != nil {
+			return nil, err
+		}
+	}
+	if mem := nested.Server.Memory; mem != nil {
+		if mem.Schemes == nil {
+			return nil, fmt.Errorf("bench json: server.memory: missing key \"schemes\"")
+		}
+		for name, fields := range mem.Schemes {
+			where := fmt.Sprintf("server.memory.schemes[%q]", name)
+			if err := requireKeys(fields, where, requiredMemSchemeKeys...); err != nil {
+				return nil, err
+			}
+			if rep.Server.Memory.Schemes[name].Floating < 0 {
+				return nil, fmt.Errorf("bench json: %s.floating is negative", where)
+			}
+		}
+	}
+	return &rep, nil
 }

@@ -2,121 +2,13 @@ package obs
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"wfrc/internal/mm"
 )
 
-// sampleReport builds a small valid report for round-trip tests.
-func sampleReport() *BenchReport {
-	var st mm.OpStats
-	st.NoteDeRef(2)
-	st.NoteDeRef(6)
-	st.NoteAlloc(1)
-	st.NoteFree(1)
-	st.HelpsGiven = 3
-	var merged mm.OpStats
-	merged.AddTagged(&st, 1)
-
-	// A real tracker cycle so the v5 lag fields are nonzero.
-	tr := mm.NewLifecycleTracker(8)
-	tr.NoteRetired(1)
-	tr.NoteReclaimed(1)
-	life := tr.Snapshot()
-
-	rep := NewBenchReport(true)
-	rep.Results = append(rep.Results,
-		BenchResultFrom("e1-pqueue", "waitfree-rc", 4, 1000, 250*time.Millisecond, &merged, &life))
-	return rep
-}
-
-// stripPostV3ResultKeys removes the v4/v5 per-result keys the Go struct
-// always emits, turning a marshalled sample into a genuine pre-v4
-// document the way history would have written it.
-func stripPostV3ResultKeys(d map[string]interface{}) {
-	for _, ri := range d["results"].([]interface{}) {
-		res := ri.(map[string]interface{})
-		delete(res, "unreclaimed_end")
-		delete(res, "reclaim_lag_p50_ns")
-		delete(res, "reclaim_lag_p99_ns")
-		delete(res, "reclaim_lag_max_ns")
-		delete(res, "reclaim_lag_count")
-		delete(res, "floating_hwm")
-	}
-}
-
-func TestBenchReportRoundTrip(t *testing.T) {
-	rep := sampleReport()
-	path := filepath.Join(t.TempDir(), "BENCH_results.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ValidateBenchJSON(data)
-	if err != nil {
-		t.Fatalf("ValidateBenchJSON: %v", err)
-	}
-	if got.SchemaVersion != BenchSchemaVersion || !got.Quick || len(got.Results) != 1 {
-		t.Fatalf("decoded report = %+v", got)
-	}
-	res := got.Results[0]
-	if res.Experiment != "e1-pqueue" || res.Scheme != "waitfree-rc" || res.Threads != 4 {
-		t.Errorf("result identity = %+v", res)
-	}
-	if res.Ops != 1000 || res.OpsPerSec != 4000 {
-		t.Errorf("ops=%d ops/sec=%v", res.Ops, res.OpsPerSec)
-	}
-	if res.DeRefSteps.Max != 6 || res.DeRefSteps.MaxThread != 1 {
-		t.Errorf("deref steps = %+v (arg-max thread should survive the round trip)", res.DeRefSteps)
-	}
-	if res.HelpsGiven != 3 || res.AnnScanViolations != 0 {
-		t.Errorf("helps=%d violations=%d", res.HelpsGiven, res.AnnScanViolations)
-	}
-	if got.Host.GoVersion == "" || got.Host.GOMAXPROCS == 0 {
-		t.Errorf("host provenance missing: %+v", got.Host)
-	}
-}
-
-func TestTotalAnnScanViolations(t *testing.T) {
-	rep := sampleReport()
-	if got := rep.TotalAnnScanViolations(); got != 0 {
-		t.Fatalf("violations = %d", got)
-	}
-	rep.Results[0].AnnScanViolations = 2
-	rep.Results = append(rep.Results, rep.Results[0])
-	if got := rep.TotalAnnScanViolations(); got != 4 {
-		t.Fatalf("violations = %d, want 4", got)
-	}
-}
-
-// mutateJSON round-trips the sample report through a generic map, applies
-// fn, and re-marshals — used to build near-valid documents.
-func mutateJSON(t *testing.T, fn func(doc map[string]interface{})) []byte {
-	t.Helper()
-	data, err := json.Marshal(sampleReport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]interface{}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	fn(doc)
-	out, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// sampleServerSection builds a plausible v3 server section.
+// sampleServerSection builds a plausible closed-loop server section
+// with a populated server.memory.
 func sampleServerSection() *BenchServer {
 	srv := &BenchServer{
 		Connections: 16, Slots: 4,
@@ -126,297 +18,236 @@ func sampleServerSection() *BenchServer {
 			"get": {Count: 3000, P50NS: 30_000, P99NS: 700_000, P999NS: 1_000_000, MaxNS: 1_500_000},
 			"set": {Count: 2000, P50NS: 60_000, P99NS: 900_000, P999NS: 1_500_000, MaxNS: 2_000_000},
 		},
-		LeaseWaitP50NS: 1000, LeaseWaitP99NS: 64_000,
+		LeaseWaitP50NS: 1000, LeaseWaitP99NS: 64_000, LeaseWaitMeanNS: 2000,
+		Protocol:    "native",
+		Memory:      sampleMemCollector().Sample(),
 		BusyRejects: 3,
 	}
 	srv.SetShardOps([]uint64{1300, 1200, 1250, 1250})
 	return srv
 }
 
-func TestValidateBenchJSONServerSection(t *testing.T) {
-	rep := NewBenchReport(false)
-	rep.Server = sampleServerSection()
-	data, err := json.Marshal(rep)
+// mutateJSON marshals a sample report, applies fn to the document and
+// to its server section as generic maps, and re-marshals — used to
+// build near-valid documents.
+func mutateJSON(t *testing.T, fn func(doc, srv map[string]interface{})) []byte {
+	t.Helper()
+	data, err := json.Marshal(NewBenchReport(sampleServerSection()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Empty results is legal when the server section is present.
-	got, err := ValidateBenchJSON(data)
-	if err != nil {
-		t.Fatalf("v2 server-only report rejected: %v", err)
+	var doc map[string]interface{}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
 	}
-	if got.Server == nil || got.Server.Connections != 16 {
+	fn(doc, doc["server"].(map[string]interface{}))
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// rejectCase is one near-valid document and the text its rejection
+// must mention.
+type rejectCase struct {
+	name     string
+	mutate   func(doc, srv map[string]interface{})
+	openLoop bool
+	wantErr  string
+}
+
+func runRejectCases(t *testing.T, cases []rejectCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ValidateBenchJSON(mutateJSON(t, tc.mutate), tc.openLoop)
+			if err == nil {
+				t.Fatal("validation unexpectedly passed")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+func TestBenchReportRoundTrip(t *testing.T) {
+	data, err := json.MarshalIndent(NewBenchReport(sampleServerSection()), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ValidateBenchJSON(data, false)
+	if err != nil {
+		t.Fatalf("ValidateBenchJSON: %v", err)
+	}
+	if got.SchemaVersion != BenchSchemaVersion {
+		t.Errorf("schema version = %d", got.SchemaVersion)
+	}
+	if got.Host.GoVersion == "" || got.Host.GOMAXPROCS == 0 {
+		t.Errorf("host provenance missing: %+v", got.Host)
+	}
+	if _, err := time.Parse(time.RFC3339, got.GeneratedAt); err != nil {
+		t.Errorf("generated_at: %v", err)
+	}
+	if got.Server == nil || got.Server.Ops != 5000 || got.Server.Protocol != "native" {
+		t.Errorf("server section lost in round trip: %+v", got.Server)
+	}
+}
+
+func TestValidateBenchJSONServerSection(t *testing.T) {
+	data, err := json.Marshal(NewBenchReport(sampleServerSection()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ValidateBenchJSON(data, false)
+	if err != nil {
+		t.Fatalf("server report rejected: %v", err)
+	}
+	if got.Server.Connections != 16 || got.Server.Shards != 4 {
 		t.Fatalf("server section lost in round trip: %+v", got.Server)
 	}
 	if got.Server.ShardBalance < 1.0 || got.Server.ShardBalance > 1.1 {
 		t.Errorf("shard balance = %v, want ~1.04", got.Server.ShardBalance)
 	}
-
-	// Both sections together validate too.
-	rep.Results = sampleReport().Results
-	data, _ = json.Marshal(rep)
-	if _, err := ValidateBenchJSON(data); err != nil {
-		t.Fatalf("combined report rejected: %v", err)
-	}
 	if got.Server.OpLatency["get"].Count != 3000 || got.Server.LatencyP999NS != 1_500_000 {
-		t.Fatalf("v3 latency fields lost in round trip: %+v", got.Server)
+		t.Fatalf("latency fields lost in round trip: %+v", got.Server)
 	}
-}
-
-// TestValidateBenchJSONAcceptsV2 pins backward compatibility for the
-// pre-latency server section: a schema_version 2 document without
-// op_latency must keep validating, and must not be allowed to smuggle
-// the v3 keys in.
-func TestValidateBenchJSONAcceptsV2(t *testing.T) {
-	rep := NewBenchReport(false)
-	rep.SchemaVersion = 2
-	rep.Server = sampleServerSection()
-	rep.Server.OpLatency = nil // omitted via omitempty — a genuine v2 doc
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A genuine v2 document predates the v4 server keys; the Go struct
-	// always emits lease_wait_mean_ns, so strip it like history would.
-	var doc map[string]interface{}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	delete(doc["server"].(map[string]interface{}), "lease_wait_mean_ns")
-	if data, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidateBenchJSON(data); err != nil {
-		t.Fatalf("v2 server document rejected: %v", err)
-	}
-
-	// A v2 document carrying the v4 mean is mislabelled.
-	doc["server"].(map[string]interface{})["lease_wait_mean_ns"] = 12.5
-	mislabelled, _ := json.Marshal(doc)
-	if _, err := ValidateBenchJSON(mislabelled); err == nil {
-		t.Fatal("v2 document with lease_wait_mean_ns accepted")
-	}
-	delete(doc["server"].(map[string]interface{}), "lease_wait_mean_ns")
-
-	// A v2 document carrying op_latency is mislabelled.
-	rep.Server = sampleServerSection()
-	data, _ = json.Marshal(rep)
-	if _, err := ValidateBenchJSON(data); err == nil {
-		t.Fatal("v2 document with op_latency accepted")
-	}
-}
-
-// TestValidateBenchJSONAcceptsV1 pins backward compatibility: a
-// pre-server document that declares schema_version 1 must keep
-// validating, and must not be allowed to smuggle a server section.
-func TestValidateBenchJSONAcceptsV1(t *testing.T) {
-	v1 := mutateJSON(t, func(d map[string]interface{}) {
-		d["schema_version"] = 1
-		stripPostV3ResultKeys(d)
-	})
-	if _, err := ValidateBenchJSON(v1); err != nil {
-		t.Fatalf("v1 document rejected: %v", err)
-	}
-	bad := mutateJSON(t, func(d map[string]interface{}) {
-		d["schema_version"] = 1
-		stripPostV3ResultKeys(d)
-		d["server"] = map[string]interface{}{}
-	})
-	if _, err := ValidateBenchJSON(bad); err == nil {
-		t.Fatal("v1 document with server section accepted")
+	if got.Server.LeaseWaitMeanNS != 2000 {
+		t.Errorf("lease wait mean = %v", got.Server.LeaseWaitMeanNS)
 	}
 }
 
 func TestValidateBenchJSONRejects(t *testing.T) {
-	cases := []struct {
-		name    string
-		data    []byte
-		wantErr string
-	}{
-		{"not json", []byte("nope"), "not an object"},
-		{"missing top-level key", mutateJSON(t, func(d map[string]interface{}) { delete(d, "host") }), `missing top-level key "host"`},
-		{"wrong schema version", mutateJSON(t, func(d map[string]interface{}) { d["schema_version"] = 999 }), "schema_version 999"},
-		{"bad timestamp", mutateJSON(t, func(d map[string]interface{}) { d["generated_at"] = "yesterday" }), "not RFC 3339"},
-		{"empty results", mutateJSON(t, func(d map[string]interface{}) { d["results"] = []interface{}{} }), "results is empty"},
-		{"missing result key", mutateJSON(t, func(d map[string]interface{}) {
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			delete(res, "ann_scan_violations")
-		}), `missing key "ann_scan_violations"`},
-		{"empty scheme", mutateJSON(t, func(d map[string]interface{}) {
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			res["scheme"] = ""
-		}), "non-empty string"},
-		{"step stats not object", mutateJSON(t, func(d map[string]interface{}) {
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			res["deref_steps"] = 5
-		}), "deref_steps"},
-		{"step stats missing key", mutateJSON(t, func(d map[string]interface{}) {
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			res["alloc_steps"].(map[string]interface{})["max_thread"] = nil
-			delete(res["alloc_steps"].(map[string]interface{}), "max_thread")
-		}), `missing key "max_thread"`},
-		{"counter not number", mutateJSON(t, func(d map[string]interface{}) {
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			res["helps_given"] = "three"
-		}), "want number"},
-		{"empty results without server", mutateJSON(t, func(d map[string]interface{}) {
-			d["results"] = []interface{}{}
-		}), "results is empty"},
-		{"server missing key", mutateJSON(t, func(d map[string]interface{}) {
-			data, _ := json.Marshal(sampleServerSection())
-			var srv map[string]interface{}
-			json.Unmarshal(data, &srv)
-			delete(srv, "audit_violations")
-			d["server"] = srv
-		}), `server: missing key "audit_violations"`},
-		{"server shard_ops not array", mutateJSON(t, func(d map[string]interface{}) {
-			data, _ := json.Marshal(sampleServerSection())
-			var srv map[string]interface{}
-			json.Unmarshal(data, &srv)
-			srv["shard_ops"] = "lots"
-			d["server"] = srv
-		}), "shard_ops: want array"},
-		{"v3 server missing op_latency", mutateJSON(t, func(d map[string]interface{}) {
-			data, _ := json.Marshal(sampleServerSection())
-			var srv map[string]interface{}
-			json.Unmarshal(data, &srv)
-			delete(srv, "op_latency")
-			d["server"] = srv
-		}), `missing key "op_latency"`},
-		{"v3 server missing latency_p999_ns", mutateJSON(t, func(d map[string]interface{}) {
-			data, _ := json.Marshal(sampleServerSection())
-			var srv map[string]interface{}
-			json.Unmarshal(data, &srv)
-			delete(srv, "latency_p999_ns")
-			d["server"] = srv
-		}), `missing key "latency_p999_ns"`},
-		{"v3 op_latency entry missing key", mutateJSON(t, func(d map[string]interface{}) {
-			data, _ := json.Marshal(sampleServerSection())
-			var srv map[string]interface{}
-			json.Unmarshal(data, &srv)
-			get := srv["op_latency"].(map[string]interface{})["get"].(map[string]interface{})
-			delete(get, "p999_ns")
-			d["server"] = srv
-		}), `op_latency["get"]: missing key "p999_ns"`},
-		{"v3 op_latency empty", mutateJSON(t, func(d map[string]interface{}) {
-			data, _ := json.Marshal(sampleServerSection())
-			var srv map[string]interface{}
-			json.Unmarshal(data, &srv)
+	t.Run("not json", func(t *testing.T) {
+		if _, err := ValidateBenchJSON([]byte("nope"), false); err == nil {
+			t.Error("non-JSON input validated")
+		}
+	})
+	// The "v3" cases keep the names they had when the latency
+	// trajectory was the schema's newest layer.
+	runRejectCases(t, []rejectCase{
+		{name: "missing top-level key", mutate: func(d, _ map[string]interface{}) { delete(d, "host") },
+			wantErr: `missing key "host"`},
+		{name: "wrong schema version", mutate: func(d, _ map[string]interface{}) { d["schema_version"] = 999 },
+			wantErr: "schema_version 999"},
+		{name: "retired schema version", mutate: func(d, _ map[string]interface{}) { d["schema_version"] = 4 },
+			wantErr: "schema_version 4, want 5"},
+		{name: "bad timestamp", mutate: func(d, _ map[string]interface{}) { d["generated_at"] = "yesterday" },
+			wantErr: "not RFC 3339"},
+		{name: "missing server section", mutate: func(d, _ map[string]interface{}) { delete(d, "server") },
+			wantErr: `missing key "server"`},
+		{name: "counter not number", mutate: func(_, srv map[string]interface{}) { srv["busy_rejects"] = "three" },
+			wantErr: "busy_rejects"},
+		{name: "server missing key", mutate: func(_, srv map[string]interface{}) { delete(srv, "audit_violations") },
+			wantErr: `server: missing key "audit_violations"`},
+		{name: "server missing lease_wait_mean_ns", mutate: func(_, srv map[string]interface{}) { delete(srv, "lease_wait_mean_ns") },
+			wantErr: `server: missing key "lease_wait_mean_ns"`},
+		{name: "server shard_ops not array", mutate: func(_, srv map[string]interface{}) { srv["shard_ops"] = "lots" },
+			wantErr: "shard_ops"},
+		{name: "v3 server missing op_latency", mutate: func(_, srv map[string]interface{}) { delete(srv, "op_latency") },
+			wantErr: `missing key "op_latency"`},
+		{name: "v3 server missing latency_p999_ns", mutate: func(_, srv map[string]interface{}) { delete(srv, "latency_p999_ns") },
+			wantErr: `missing key "latency_p999_ns"`},
+		{name: "v3 op_latency entry missing key", mutate: func(_, srv map[string]interface{}) {
+			delete(srv["op_latency"].(map[string]interface{})["get"].(map[string]interface{}), "p999_ns")
+		}, wantErr: `op_latency["get"]: missing key "p999_ns"`},
+		{name: "v3 op_latency empty", mutate: func(_, srv map[string]interface{}) {
 			srv["op_latency"] = map[string]interface{}{}
-			d["server"] = srv
-		}), "op_latency is empty"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ValidateBenchJSON(tc.data)
-			if err == nil {
-				t.Fatal("validation unexpectedly passed")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
-	}
+		}, wantErr: "op_latency is empty"},
+	})
 }
 
-// sampleMatrixReport builds a small valid v4 shoot-out report.
-func sampleMatrixReport() *BenchReport {
-	rep := sampleReport()
-	rep.Matrix = &BenchMatrix{
-		Structures:   []string{"queue"},
-		Schemes:      []string{"waitfree-rc"},
-		ThreadCounts: []int{4},
-		Contentions:  []string{"high"},
-		OpsPerThread: 250,
+// TestValidateBenchJSONOpenLoop pins the gate wfrc-load relies on: the
+// open_loop object is optional for a closed-loop run, mandatory for an
+// open-loop one, and complete whenever present.
+func TestValidateBenchJSONOpenLoop(t *testing.T) {
+	srv := sampleServerSection()
+	srv.Protocol = "resp"
+	srv.OpenLoop = &BenchOpenLoop{
+		TargetRate: 5000, AchievedRate: 4998, SLONS: 1_000_000,
+		UnderSLOFraction: 0.997, LateSends: 12, MaxSchedLagNS: 2_500_000,
 	}
-	rep.Results[0].Experiment = "mx-queue"
-	rep.Results[0].Structure = "queue"
-	rep.Results[0].Contention = "high"
-	rep.Results[0].Oversubscribed = true
-	return rep
-}
-
-// TestValidateBenchJSONMatrix covers the schema-v4 matrix section:
-// required at v4 when present, cell coordinates on every row, and the
-// whole family forbidden below v4.
-func TestValidateBenchJSONMatrix(t *testing.T) {
-	data, err := json.Marshal(sampleMatrixReport())
+	data, err := json.Marshal(NewBenchReport(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ValidateBenchJSON(data)
-	if err != nil {
-		t.Fatalf("v4 matrix report rejected: %v", err)
-	}
-	if got.Matrix == nil || len(got.Matrix.Structures) != 1 || got.Matrix.OpsPerThread != 250 {
-		t.Fatalf("matrix section lost in round trip: %+v", got.Matrix)
-	}
-	res := got.Results[0]
-	if res.Structure != "queue" || res.Contention != "high" || !res.Oversubscribed || res.UnreclaimedEnd != 0 {
-		t.Fatalf("cell coordinates lost in round trip: %+v", res)
+	for _, openLoop := range []bool{true, false} {
+		got, err := ValidateBenchJSON(data, openLoop)
+		if err != nil {
+			t.Fatalf("open-loop report rejected (openLoop=%v): %v", openLoop, err)
+		}
+		if got.Server.OpenLoop == nil || got.Server.OpenLoop.UnderSLOFraction != 0.997 {
+			t.Fatalf("open_loop lost in round trip: %+v", got.Server.OpenLoop)
+		}
+		if got.Server.Protocol != "resp" {
+			t.Fatalf("protocol lost: %q", got.Server.Protocol)
+		}
 	}
 
-	mutateMatrix := func(fn func(doc map[string]interface{})) []byte {
-		t.Helper()
-		data, err := json.Marshal(sampleMatrixReport())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc map[string]interface{}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		fn(doc)
-		out, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	// The same document without the object: fine for a closed-loop run,
+	// rejected when the producer says the run was open-loop.
+	closed, err := json.Marshal(NewBenchReport(sampleServerSection()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases := []struct {
-		name    string
-		data    []byte
-		wantErr string
-	}{
-		{"matrix below v4", mutateMatrix(func(d map[string]interface{}) {
-			d["schema_version"] = 3
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			delete(res, "structure")
-			delete(res, "contention")
-			delete(res, "oversubscribed")
-			delete(res, "unreclaimed_end")
-		}), `"matrix" section requires schema_version 4`},
-		{"cell coordinates below v4", mutateMatrix(func(d map[string]interface{}) {
-			d["schema_version"] = 3
-			delete(d, "matrix")
-		}), "requires schema_version 4"},
-		{"matrix row missing structure", mutateMatrix(func(d map[string]interface{}) {
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			delete(res, "structure")
-		}), "results[0].structure"},
-		{"matrix row empty contention", mutateMatrix(func(d map[string]interface{}) {
-			res := d["results"].([]interface{})[0].(map[string]interface{})
-			res["contention"] = ""
-		}), "results[0].contention"},
-		{"matrix missing schemes", mutateMatrix(func(d map[string]interface{}) {
-			delete(d["matrix"].(map[string]interface{}), "schemes")
-		}), `matrix: missing key "schemes"`},
-		{"matrix empty thread_counts", mutateMatrix(func(d map[string]interface{}) {
-			d["matrix"].(map[string]interface{})["thread_counts"] = []interface{}{}
-		}), "matrix.thread_counts"},
-		{"matrix missing ops_per_thread", mutateMatrix(func(d map[string]interface{}) {
-			delete(d["matrix"].(map[string]interface{}), "ops_per_thread")
-		}), `matrix: missing key "ops_per_thread"`},
+	if _, err := ValidateBenchJSON(closed, false); err != nil {
+		t.Fatalf("closed-loop report rejected: %v", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ValidateBenchJSON(tc.data)
-			if err == nil {
-				t.Fatal("validation unexpectedly passed")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
+	if _, err := ValidateBenchJSON(closed, true); err == nil || !strings.Contains(err.Error(), `missing key "open_loop"`) {
+		t.Fatalf("open-loop run without open_loop: err = %v", err)
 	}
+
+	// An open_loop object missing a required key is rejected either way.
+	var doc map[string]interface{}
+	json.Unmarshal(data, &doc)
+	delete(doc["server"].(map[string]interface{})["open_loop"].(map[string]interface{}), "under_slo_fraction")
+	truncated, _ := json.Marshal(doc)
+	for _, openLoop := range []bool{true, false} {
+		if _, err := ValidateBenchJSON(truncated, openLoop); err == nil ||
+			!strings.Contains(err.Error(), "under_slo_fraction") {
+			t.Fatalf("truncated open_loop (openLoop=%v): err = %v", openLoop, err)
+		}
+	}
+}
+
+func TestValidateBenchJSONServerMemory(t *testing.T) {
+	data, err := json.Marshal(NewBenchReport(sampleServerSection()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ValidateBenchJSON(data, false)
+	if err != nil {
+		t.Fatalf("ValidateBenchJSON: %v", err)
+	}
+	if got.Server.Memory == nil || got.Server.Memory.Schemes["alpha"].Retired != 3 {
+		t.Fatalf("server.memory lost in round trip: %+v", got.Server.Memory)
+	}
+	if len(got.Server.Memory.Gauges) != 2 {
+		t.Fatalf("memory gauges = %+v", got.Server.Memory.Gauges)
+	}
+
+	// The section is optional.
+	without := mutateJSON(t, func(_, srv map[string]interface{}) { delete(srv, "memory") })
+	if _, err := ValidateBenchJSON(without, false); err != nil {
+		t.Fatalf("report without server.memory rejected: %v", err)
+	}
+
+	alpha := func(srv map[string]interface{}) map[string]interface{} {
+		mem := srv["memory"].(map[string]interface{})
+		return mem["schemes"].(map[string]interface{})["alpha"].(map[string]interface{})
+	}
+	runRejectCases(t, []rejectCase{
+		{name: "memory missing schemes", mutate: func(_, srv map[string]interface{}) {
+			delete(srv["memory"].(map[string]interface{}), "schemes")
+		}, wantErr: `server.memory: missing key "schemes"`},
+		{name: "scheme summary missing floating_hwm", mutate: func(_, srv map[string]interface{}) {
+			delete(alpha(srv), "floating_hwm")
+		}, wantErr: `missing key "floating_hwm"`},
+		{name: "scheme summary missing lag", mutate: func(_, srv map[string]interface{}) {
+			delete(alpha(srv), "lag")
+		}, wantErr: `missing key "lag"`},
+		{name: "negative floating gauge", mutate: func(_, srv map[string]interface{}) {
+			alpha(srv)["floating"] = -4
+		}, wantErr: "floating is negative"},
+	})
 }

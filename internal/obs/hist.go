@@ -17,9 +17,9 @@ const LatencyHistBuckets = 40
 // fetch-and-add per bucket plus one for the sum — no CAS loop, no
 // lock, no allocation — so instrumenting the request hot path adds a
 // constant number of the caller's own steps, the same accounting
-// discipline the scheme's proofs use.  Unlike harness.Histogram it is
-// safe for concurrent use, because KV requests complete on many
-// goroutines at once.
+// discipline the scheme's proofs use.  It is safe for concurrent use,
+// because KV requests complete on many goroutines at once; a
+// single-writer user such as wfrc-load pays only uncontended atomics.
 type LatencyHist struct {
 	buckets [LatencyHistBuckets]atomic.Uint64
 	sumNS   atomic.Uint64

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -49,50 +48,5 @@ func TestWriteInfo(t *testing.T) {
 		if line != "" && !strings.HasSuffix(line, "\r") {
 			t.Errorf("line %q not CRLF-terminated", line)
 		}
-	}
-}
-
-func TestValidateBenchJSONOpenLoop(t *testing.T) {
-	rep := NewBenchReport(false)
-	rep.Server = sampleServerSection()
-	rep.Server.Protocol = "resp"
-	rep.Server.OpenLoop = &BenchOpenLoop{
-		TargetRate: 5000, AchievedRate: 4998, SLONS: 1_000_000,
-		UnderSLOFraction: 0.997, LateSends: 12, MaxSchedLagNS: 2_500_000,
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ValidateBenchJSON(data)
-	if err != nil {
-		t.Fatalf("open-loop report rejected: %v", err)
-	}
-	if got.Server.OpenLoop == nil || got.Server.OpenLoop.UnderSLOFraction != 0.997 {
-		t.Fatalf("open_loop lost in round trip: %+v", got.Server.OpenLoop)
-	}
-	if got.Server.Protocol != "resp" {
-		t.Fatalf("protocol lost: %q", got.Server.Protocol)
-	}
-
-	// A v3 document must not carry the open-loop section.
-	var doc map[string]interface{}
-	json.Unmarshal(data, &doc)
-	doc["schema_version"] = 3
-	delete(doc["server"].(map[string]interface{}), "lease_wait_mean_ns")
-	delete(doc["server"].(map[string]interface{}), "protocol")
-	mislabelled, _ := json.Marshal(doc)
-	if _, err := ValidateBenchJSON(mislabelled); err == nil ||
-		!strings.Contains(err.Error(), "open_loop") {
-		t.Fatalf("v3 document with open_loop: err = %v", err)
-	}
-
-	// An open_loop object missing a required key is rejected.
-	json.Unmarshal(data, &doc)
-	delete(doc["server"].(map[string]interface{})["open_loop"].(map[string]interface{}), "under_slo_fraction")
-	truncated, _ := json.Marshal(doc)
-	if _, err := ValidateBenchJSON(truncated); err == nil ||
-		!strings.Contains(err.Error(), "under_slo_fraction") {
-		t.Fatalf("truncated open_loop: err = %v", err)
 	}
 }

@@ -4,8 +4,8 @@
 // helping traffic) into a live metrics registry, exports them in
 // Prometheus exposition format and via expvar, keeps an optional
 // wait-free ring-buffer trace of help events for post-mortem analysis
-// of helping storms, and defines the machine-readable BENCH_results.json
-// schema that tracks the benchmark trajectory across commits.
+// of helping storms, and defines the machine-readable server report
+// wfrc-load writes (bench.go).
 //
 // # Concurrency model
 //
@@ -122,22 +122,6 @@ func (c *Collector) AttachGauge(name, scheme string, read func() uint64) (detach
 			}
 		}
 		c.gauges.Store(&out)
-	}
-}
-
-// ObserveRun attaches every thread of one harness run and returns a
-// single detach for all of them.  It implements the structural
-// harness.Observer interface, so installing a Collector via
-// harness.SetObserver makes every experiment's threads visible live.
-func (c *Collector) ObserveRun(scheme string, ths []mm.Thread) func() {
-	detaches := make([]func(), 0, len(ths))
-	for _, th := range ths {
-		detaches = append(detaches, c.Attach(scheme, th.ID(), th.Stats()))
-	}
-	return func() {
-		for _, d := range detaches {
-			d()
-		}
 	}
 }
 

@@ -126,39 +126,6 @@ func TestConcurrentSnapshotAndAttach(t *testing.T) {
 	}
 }
 
-// threadStub satisfies the subset of mm.Thread that ObserveRun uses.
-type threadStub struct {
-	mm.Thread
-	id int
-	st *mm.OpStats
-}
-
-func (s threadStub) ID() int            { return s.id }
-func (s threadStub) Stats() *mm.OpStats { return s.st }
-
-func TestObserveRunAttachesAllThreads(t *testing.T) {
-	c := NewCollector()
-	var s0, s1 mm.OpStats
-	s0.NoteAlloc(2)
-	s1.NoteAlloc(8)
-	done := c.ObserveRun("waitfree", []mm.Thread{
-		threadStub{id: 0, st: &s0},
-		threadStub{id: 1, st: &s1},
-	})
-	snap := c.Snapshot()
-	wf := snap.Schemes["waitfree"]
-	if wf.Allocs != 2 || wf.AllocMaxSteps != 8 {
-		t.Errorf("merge = %+v", wf)
-	}
-	if got := wf.AllocMaxThread(); got != 1 {
-		t.Errorf("AllocMaxThread = %d, want 1", got)
-	}
-	done()
-	if got := len(c.Snapshot().Schemes); got != 0 {
-		t.Errorf("sources remain after done: %d", got)
-	}
-}
-
 // TestPromExpositionGolden locks the Prometheus text format: a fixed
 // snapshot must render exactly the expected exposition, so accidental
 // format drift is caught before a scrape config breaks.

@@ -1,4 +1,4 @@
-package matrix
+package schemes
 
 import (
 	"runtime"
@@ -8,7 +8,6 @@ import (
 
 	"wfrc/internal/arena"
 	"wfrc/internal/mm"
-	"wfrc/internal/schemes"
 )
 
 // stalledRun drives the Stamp-it robustness workload: threads well
@@ -19,13 +18,13 @@ import (
 // is that peak (-1 if unsupported) plus the total ops completed.
 func stalledRun(t *testing.T, schemeName string, threads, opsPer, threshold int) (peak int64, ops uint64) {
 	t.Helper()
-	f, err := schemes.ByName(schemeName)
+	f, err := ByName(schemeName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := f.New(arena.Config{
 		Nodes: 96*threads + 2048, LinksPerNode: 1, ValsPerNode: 1, RootLinks: 4,
-	}, schemes.Options{Threads: threads + 1, RetireThreshold: threshold})
+	}, Options{Threads: threads + 1, RetireThreshold: threshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +93,8 @@ func stalledRun(t *testing.T, schemeName string, threads, opsPer, threshold int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemes.Flush(at)
-	errs := schemes.AuditRC(s, nil)
+	Flush(at)
+	errs := AuditRC(s, nil)
 	at.Unregister()
 	for _, e := range errs {
 		t.Errorf("%s: post-stall leak audit: %v", schemeName, e)

@@ -1,7 +1,6 @@
 // Package schemes enumerates the memory-management schemes in this
 // repository behind a uniform constructor, so tests, benchmarks and the
-// experiment harness can run the same data-structure code over every
-// scheme.
+// torture suite can run the same data-structure code over every scheme.
 package schemes
 
 import (
@@ -35,13 +34,6 @@ type Options struct {
 	RetireThreshold int
 }
 
-// OnNewWaitFree, when non-nil, is called with every wait-free core
-// scheme the factories construct.  The binaries set it once at startup
-// (before any experiment runs) to install observability hooks — e.g. a
-// help-event tracer — on schemes built deep inside the experiment and
-// torture suites.  Not synchronized: set it before concurrent use.
-var OnNewWaitFree func(*core.Scheme)
-
 // Factory names and constructs one memory-management scheme.
 type Factory struct {
 	// Name is the scheme identifier used in test names and benchmark
@@ -74,15 +66,11 @@ func over[S mm.Scheme](build func(*arena.Arena, Options) (S, error)) func(arena.
 func Factories() []Factory {
 	newCore := func(deferred bool) func(arena.Config, Options) (mm.Scheme, error) {
 		return over(func(ar *arena.Arena, o Options) (*core.Scheme, error) {
-			s, err := core.New(ar, core.Config{
+			return core.New(ar, core.Config{
 				Threads:         o.Threads,
 				AllocRetryLimit: o.AllocRetryLimit,
 				Deferred:        deferred,
 			})
-			if err == nil && OnNewWaitFree != nil {
-				OnNewWaitFree(s)
-			}
-			return s, err
 		})
 	}
 	return []Factory{

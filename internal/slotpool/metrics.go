@@ -12,9 +12,9 @@ import (
 // factor-of-two microsecond buckets from 1µs up, last bucket +Inf.
 const waitHistBuckets = 24
 
-// waitHist is a concurrent log2 histogram of lease-wait durations.
-// Unlike harness.Histogram it is built from atomics, because leases are
-// granted from many goroutines at once.
+// waitHist is a concurrent log2 histogram of lease-wait durations,
+// built from atomics because leases are granted from many goroutines at
+// once.
 type waitHist struct {
 	buckets [waitHistBuckets]atomic.Uint64
 	sumNs   atomic.Int64

@@ -41,8 +41,9 @@
 // On the wait-free scheme every operation (DeRef, Release, CASLink,
 // Alloc, the internal free) completes in a bounded number of its own
 // steps regardless of what other threads do, which is the property
-// real-time systems need.  See DESIGN.md and EXPERIMENTS.md for the
-// reproduction details and measured results.
+// real-time systems need.  See DESIGN.md §4 for the test or benchmark
+// that holds each of the paper's claims, and benchmark/README.md for
+// how the repository is measured.
 package wfrc
 
 import (
