@@ -179,7 +179,29 @@ func TestStallParksAndReleases(t *testing.T) {
 // path must honor the same step budgets (its fast path records zero
 // probes; its announced path shares the counted scan).
 func TestScenarioSuiteWaitFree(t *testing.T) {
-	sc := SuiteConfig{Threads: 4, Ops: 300, Seed: 11}
+	runSuiteWaitFree(t, SuiteConfig{Threads: 4, Ops: 300, Seed: 11}, nil)
+}
+
+// TestScenarioSuiteWithMagazine is the same suite on an arena large
+// enough for the full magazine depth (4096 nodes over 5 slots: depth 8).
+// DefaultBudgets are unchanged — a magazine hit is one step — and the
+// immediate scheme's churn must actually be served from the magazine.
+// (The deferred variant reclaims at flushes, which a run this short
+// reaches only at Unregister, so its rows fill but are never popped.)
+func TestScenarioSuiteWithMagazine(t *testing.T) {
+	runSuiteWaitFree(t, SuiteConfig{Threads: 4, Ops: 300, Seed: 11, Nodes: 4096},
+		func(t *testing.T, rep Report) {
+			if rep.Scheme != "waitfree" || rep.Scenario == "oom-under-stall" {
+				return
+			}
+			if rep.Stats.AllocLocal == 0 || rep.Stats.FreeLocal == 0 {
+				t.Errorf("AllocLocal/FreeLocal = %d/%d, want the churn served from the magazine",
+					rep.Stats.AllocLocal, rep.Stats.FreeLocal)
+			}
+		})
+}
+
+func runSuiteWaitFree(t *testing.T, sc SuiteConfig, extra func(*testing.T, Report)) {
 	for _, scheme := range []string{"waitfree", "waitfree-deferred"} {
 		for _, name := range ScenarioNames() {
 			scheme, name := scheme, name
@@ -200,8 +222,61 @@ func TestScenarioSuiteWaitFree(t *testing.T) {
 				if name != "oom-under-stall" && rep.Ops == 0 {
 					t.Error("no operations completed")
 				}
+				if extra != nil {
+					extra(t, rep)
+				}
 			})
 		}
+	}
+}
+
+// TestCrashWithFullMagazine kills a worker whose magazine is full: its
+// goroutine exits without Unregister, so the row is never spilled.  The
+// survivor must stay inside the default budgets, and the leak audit
+// must still balance — the row lives on the scheme, not on the lost
+// thread, and counts as free.
+func TestCrashWithFullMagazine(t *testing.T) {
+	const nodes = 4096 // 3 slots: depth 8
+	s := newCore(t, nodes, 3)
+	cs := New(s, Config{Seed: 5, Faults: Faults{GoschedProb: 0.1, GoschedBurst: 2}})
+	if cs.Budgets() != DefaultBudgets(3, s.AllocRetryLimit()) {
+		t.Fatalf("budgets = %+v, want the defaults", cs.Budgets())
+	}
+	victim, err := cs.RegisterChaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		var held [16]mm.Handle
+		for i := range held {
+			held[i], _ = victim.Alloc()
+		}
+		for _, h := range held {
+			victim.Release(h)
+		}
+		// The goroutine dies here, mid-lease: no Unregister, no spill.
+	}()
+	<-crashed
+	if got := victim.Stats().FreeLocal; got != 8 {
+		t.Fatalf("victim parked %d nodes in its magazine, want a full row of 8", got)
+	}
+
+	survivor, err := cs.RegisterChaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnScript(t, survivor, s.Arena().NewRoot())
+	survivor.Unregister()
+	if v := cs.Violations(); len(v) != 0 {
+		t.Errorf("budget violations beside a crashed slot: %v", v)
+	}
+	for _, err := range s.Audit(nil) {
+		t.Errorf("audit: %v", err)
+	}
+	if got := len(s.FreeNodes()); got != nodes {
+		t.Errorf("audit sees %d free nodes, want all %d (the crashed slot's row included)", got, nodes)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // FreeNodes walks the scheme's free structures (all 2·NR_THREADS
-// free-lists and every annAlloc cell) and returns each node found with
-// its multiplicity.  It must only be called at quiescence; it is the
-// scheme-side input to arena.AuditRC.
+// free-lists, every annAlloc cell and every slot's magazine) and returns
+// each node found with its multiplicity.  It must only be called at
+// quiescence; it is the scheme-side input to arena.AuditRC.
 func (s *Scheme) FreeNodes() map[arena.Handle]int {
 	heads := make([]arena.Handle, len(s.freeList))
 	for i := range s.freeList {
@@ -23,6 +23,13 @@ func (s *Scheme) FreeNodes() map[arena.Handle]int {
 			// audit purposes they are free but carry the grant's extra
 			// weight.  Normalize by accounting them as free with the
 			// extra 2 verified here.
+			free[h]++
+		}
+	}
+	// Magazine nodes are free at the free-list value mm_ref==1, whether
+	// or not the slot's thread is still registered.
+	for i := range s.mag {
+		for _, h := range s.mag[i].node[:s.mag[i].n] {
 			free[h]++
 		}
 	}

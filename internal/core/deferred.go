@@ -233,8 +233,12 @@ func (t *Thread) deferCountedDec(h arena.Handle) {
 		// An allocator ran the arena dry: answer the broadcast with a
 		// purging flush so our cached decrements, ZCT candidates, and
 		// released sticky pins become free nodes (see Scheme.memPressure).
+		// The magazine goes with them: nodes parked there, including the
+		// ones this flush just freed, are out of the starving thread's
+		// reach until they are on a shared list.
 		t.s.memPressure.Store(0)
 		t.flushDeferred(true)
+		t.spillMagazine()
 		return
 	}
 	if t.dSinceFlush >= deferredFlushInterval && !t.inFlush {

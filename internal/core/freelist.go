@@ -35,6 +35,12 @@ const oomBroadcastRounds = 64
 // memPressure broadcast — and finally ErrOutOfMemory — apply.  Each
 // escape re-arms the step budget because each is paid for by reclaimed
 // or freshly attached nodes, so the call stays bounded.
+//
+// In front of all that sits the slot's magazine (magRow): a hit returns
+// the most recently freed node and touches no list head, cursor or
+// grant cell, only the node's own mm_ref.  Only a miss runs Figure 5, so every list-head CAS failure a starving
+// allocator suffers is still caused by a peer's successful Figure-5
+// step, which still helps (A11–A16, F1–F3): Lemma 9 is untouched.
 func (t *Thread) AllocNode() (arena.Handle, error) {
 	s := t.s
 	helped := false                // A1
@@ -42,6 +48,14 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 	var steps uint64
 	broadcasts := 0
 	for { // A3
+		// Magazine first, on every iteration and not only on entry: this
+		// call's own releases (A18, the deferred flush below) can win a
+		// reclaim election and park the node there, and the footnote-4
+		// verdict must never be reached with a node in hand.
+		if node, ok := t.magPop(); ok {
+			t.stats.NoteAlloc(steps + 1)
+			return node, nil
+		}
 		t.at(PA3)
 		steps++
 		if steps > uint64(s.lim) {
@@ -148,6 +162,49 @@ func (t *Thread) freeNode(node arena.Handle) {
 	// Telemetry: node's memory is returning to the free structures —
 	// the reclaim edge of the retire→free lag (mm.LifecycleSink).
 	s.NoteReclaimed(node)
+	// Magazine: keep the node for this slot's next AllocNode.  It rests
+	// at mm_ref==1 like a free-list node, so a stale D5/D8 pair on it
+	// nets to zero and can never win the R2 election (odd count).
+	if m := &s.mag[t.id]; m.n < s.magDepth {
+		m.node[m.n] = node
+		m.n++
+		t.stats.FreeLocal++
+		t.stats.NoteFree(1)
+		return
+	}
+	t.stats.NoteFree(t.freeShared(node))
+}
+
+// magPop takes the most recently freed node off the slot's magazine and
+// returns it allocated: mm_ref 1 → 2, the value A17 and A4 leave.
+func (t *Thread) magPop() (arena.Handle, bool) {
+	m := &t.s.mag[t.id]
+	if m.n == 0 {
+		return arena.Nil, false
+	}
+	m.n--
+	t.stats.AllocLocal++
+	return t.FixRef(m.node[m.n], 1), true
+}
+
+// spillMagazine empties the slot's magazine onto the free-lists, for
+// Unregister and for a memory-pressure answer.  The nodes were counted as frees when they were parked;
+// only the insertion attempts are recorded here.
+func (t *Thread) spillMagazine() {
+	m := &t.s.mag[t.id]
+	for m.n > 0 {
+		m.n--
+		steps := t.freeShared(m.node[m.n])
+		t.stats.FreeSteps += steps
+		t.stats.FreeMaxSteps = max(t.stats.FreeMaxSteps, steps)
+	}
+}
+
+// freeShared is lines F1–F10: it offers node (mm_ref==1, exclusively
+// owned) to the thread under the help cursor, else inserts it into one
+// of this thread's two free-lists, and returns the attempts taken.
+func (t *Thread) freeShared(node arena.Handle) (steps uint64) {
+	s := t.s
 	helpID := s.helpCurrent.Load()                              // F1
 	s.helpCurrent.CompareAndSwap(helpID, (helpID+1)%int64(s.n)) // F2
 	t.at(PF3)
@@ -157,8 +214,7 @@ func (t *Thread) freeNode(node arena.Handle) {
 	if s.annAlloc[helpID].Load() == 0 {
 		s.ar.Ref(node).Add(2)                                   // erratum: hand over at mm_ref==3, as line A12 does
 		if s.annAlloc[helpID].CompareAndSwap(0, uint64(node)) { // F3
-			t.stats.NoteFree(1)
-			return
+			return 1
 		}
 		s.ar.Ref(node).Add(-2) // offer declined; back to the free-list value 1
 	}
@@ -171,7 +227,6 @@ func (t *Thread) freeNode(node arena.Handle) {
 	} else {
 		index = int64(t.id)
 	}
-	var steps uint64
 	for { // F7
 		t.at(PF7)
 		steps++
@@ -184,7 +239,7 @@ func (t *Thread) freeNode(node arena.Handle) {
 		t.stats.CASFailures++
 		index = (index + int64(s.n)) % int64(2*s.n) // F10
 	}
-	t.stats.NoteFree(steps)
+	return steps
 }
 
 // spliceFresh chains count fresh nodes (a contiguous run starting at

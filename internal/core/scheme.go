@@ -32,6 +32,16 @@
 // to the thread selected by the round-robin helpCurrent cursor through
 // the annAlloc announcement cells.
 //
+// # Magazine
+//
+// In front of the free-lists every thread slot keeps a small private
+// LIFO of free nodes (magRow).  freeNode pushes there and AllocNode pops
+// from there before either touches Figure 5, so a node freed by one
+// operation is the node the next one allocates, still in cache, and the
+// shared lists see only overflow and underflow traffic.  The depth is
+// derived from the arena (magDepthFor): small arenas get 0, which is
+// Figure 5 exactly.  See DESIGN.md §5.
+//
 // # Growth
 //
 // On a growable arena (MaxNodes > Nodes) the free-lists sit in front of
@@ -124,6 +134,34 @@ type pinRow struct {
 	_    [7]uint64
 }
 
+// magCap is the largest magazine depth; magDepthFor picks the depth a
+// scheme actually uses.
+const magCap = 8
+
+// magDepthFor derives the per-slot magazine depth from the arena: the n
+// rows together may withhold at most 1/32 of the nodes from a starving
+// allocator's footnote-4 verdict, and beyond magCap the LIFO stops
+// paying (the working set is already a cache line of handles).  Arenas
+// under 32·n nodes get 0 — no magazine, Figure 5 exactly — which covers
+// every schedule-exploration and hook-point test arena.
+func magDepthFor(nodes, n int) int {
+	return min(magCap, nodes/(32*n))
+}
+
+// magRow is one thread slot's magazine: free nodes resting at mm_ref==1,
+// exactly like free-list nodes, but reachable only by the slot's owner.
+// The row lives on the Scheme rather than the Thread so a slot that is
+// re-registered (or whose goroutine crashed) keeps its nodes, and so the
+// quiescent audit finds them while threads are still registered.  Plain
+// fields: only the slot's current owner touches the row while it runs;
+// hand-over to the next owner or to the auditor is ordered by whatever
+// ordered the slot's hand-over (the registry, a WaitGroup).
+type magRow struct {
+	n    int
+	node [magCap]arena.Handle
+	_    [11]uint64
+}
+
 // dcacheSize is the direct-mapped delta-cache capacity (entries) of the
 // deferred variant; a power of two.
 const dcacheSize = 256
@@ -166,6 +204,11 @@ type Scheme struct {
 	freeList        []mm.PadU64 // 2n heads holding raw Handles
 	helpCurrent     atomic.Int64
 	annAlloc        []mm.PadU64 // n cells holding raw Handles
+
+	// mag is the per-slot magazine in front of the free-lists and
+	// magDepth the depth in use (0 disables it); see magRow.
+	mag      []magRow
+	magDepth int
 
 	// pool is the growth backend (nil on fixed arenas): when AllocNode's
 	// footnote-4 budget would declare the free-lists exhausted, the
@@ -243,8 +286,8 @@ type Scheme struct {
 	// allocator that exhausted the free-lists and found nothing to
 	// reclaim in its own caches raises the flag; every thread checks it
 	// when buffering a counted decrement and answers with a purging
-	// flush, surrendering its cached decrements, ZCT candidates, and
-	// released sticky pins.  Without the broadcast a thread's
+	// flush, surrendering its cached decrements, ZCT candidates,
+	// released sticky pins and magazine row.  Without the broadcast a thread's
 	// reclaimable memory is reachable only through its own flush
 	// triggers, and on small arenas the other threads' bounded slack
 	// alone can exhaust the free-lists (footnote-4 amendment, see
@@ -384,6 +427,8 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 		ann:      make([]annRow, n),
 		freeList: make([]mm.PadU64, 2*n),
 		annAlloc: make([]mm.PadU64, n),
+		mag:      make([]magRow, n),
+		magDepth: magDepthFor(ar.Nodes(), n),
 		tags:     make([]atomic.Uint64, n),
 		deferred: cfg.Deferred,
 	}
@@ -568,10 +613,14 @@ func (t *Thread) Stats() *mm.OpStats {
 // visible to the count audit once the pin row goes away), the delta
 // cache is flushed, and the ZCT is drained — entries a peer still pins
 // are handed to the scheme's orphan list for the next flusher to adopt.
+// Last, the slot's magazine is spilled through F1–F10, so once every
+// thread has unregistered every free node is on a Figure-5 structure
+// again.
 func (t *Thread) Unregister() {
 	if t.s.deferred {
 		t.retireDeferred()
 	}
+	t.spillMagazine()
 	t.s.unregister(t.id)
 }
 

@@ -236,7 +236,14 @@ func TestConcurrentMultiLinkChurn(t *testing.T) {
 	const threads = 6
 	const roots = 4
 	iters := stressIters(8000)
-	ar := arena.MustNew(arena.Config{Nodes: 512, LinksPerNode: 1, ValsPerNode: 1, RootLinks: roots})
+	// The four chains are reflected random walks (push and truncate are
+	// equally likely, truncating an empty chain is a no-op): their summed
+	// length sits near 300 by the end and its tail depends on how the
+	// scheduler interleaves the six fixed op sequences.  512 nodes was
+	// inside that tail, so the test reported genuine exhaustion whenever
+	// the host was loaded; 4096 is out of its reach and also gives the
+	// per-slot magazine its full depth under cascading releases.
+	ar := arena.MustNew(arena.Config{Nodes: 4096, LinksPerNode: 1, ValsPerNode: 1, RootLinks: roots})
 	s := MustNew(ar, Config{Threads: threads})
 	links := make([]arena.LinkID, roots)
 	for i := range links {

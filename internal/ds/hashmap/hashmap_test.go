@@ -312,3 +312,62 @@ func TestSetAndCompareAndSet(t *testing.T) {
 		}
 	})
 }
+
+// highAlloc records the highest handle Alloc ever returned.
+type highAlloc struct {
+	mm.Thread
+	high arena.Handle
+}
+
+func (a *highAlloc) Alloc() (arena.Handle, error) {
+	h, err := a.Thread.Alloc()
+	a.high = max(a.high, h)
+	return h, err
+}
+
+// TestReplaceChurnStaysInWorkingSet pins the locality the per-slot
+// magazine buys (core/freelist.go): a store that replaces one node per
+// write must keep reusing the node it just freed, not walk the arena.
+// Handles are handed out in ascending order from freeList[0], so the
+// highest handle Alloc returns is how far into the arena the run
+// reached.  Without the magazine every freed node goes to the back of
+// the rotation and 100 000 replaces reach node 65 536.
+func TestReplaceChurnStaysInWorkingSet(t *testing.T) {
+	const (
+		nodes, keys, replaces = 65536, 1024, 100000
+		magDepth              = 8 // core's depth for this geometry
+	)
+	f, _ := schemes.ByName("waitfree")
+	// A store shard's geometry: eight slots, one of them driven here.
+	// (With a single slot the F3 offer lands in the caller's own annAlloc
+	// cell and hides the effect.)
+	s, err := f.New(arenaCfg(nodes, 1024), schemes.Options{Threads: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustNew(s, Config{Buckets: 1024})
+	reg, err := s.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := &highAlloc{Thread: reg}
+	for k := uint64(0); k < keys; k++ {
+		if ok, err := m.Insert(th, k, k); !ok || err != nil {
+			t.Fatalf("prefill key %d: %v, %v", k, ok, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < replaces; i++ {
+		if existed, err := m.Replace(th, uint64(rng.Intn(keys)), uint64(i)); !existed || err != nil {
+			t.Fatalf("replace %d: existed %v, err %v", i, existed, err)
+		}
+	}
+	if limit := arena.Handle(keys + magDepth + 2); th.high > limit {
+		t.Errorf("highest handle allocated = %d, want <= %d (live keys + magazine depth + 2): the churn left its working set",
+			th.high, limit)
+	}
+	reg.Unregister()
+	for _, err := range schemes.AuditRC(s, nil) {
+		t.Errorf("audit: %v", err)
+	}
+}

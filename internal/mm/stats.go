@@ -125,6 +125,9 @@ type OpStats struct {
 	AllocMaxSteps uint64
 	// AllocHelped counts Alloc calls satisfied through annAlloc helping.
 	AllocHelped uint64
+	// AllocLocal counts Alloc calls served from the thread slot's private
+	// magazine without touching the shared free-lists (wait-free scheme).
+	AllocLocal uint64
 	// Frees is the number of nodes this thread reclaimed (FreeNode or
 	// scheme equivalent).
 	Frees uint64
@@ -132,6 +135,9 @@ type OpStats struct {
 	FreeSteps uint64
 	// FreeMaxSteps is the maximum insertion attempts in a single free.
 	FreeMaxSteps uint64
+	// FreeLocal counts frees parked in the thread slot's private magazine
+	// instead of inserted into a shared free-list (wait-free scheme).
+	FreeLocal uint64
 	// CASFailures counts failed CAS operations on links and list heads.
 	CASFailures uint64
 	// PinFastPaths counts DeRef calls satisfied by the deferred variant's
@@ -219,12 +225,14 @@ func (s *OpStats) merge(o *OpStats, by uint32) {
 		s.AllocMaxBy = ownerOf(o.AllocMaxBy, by)
 	}
 	s.AllocHelped += o.AllocHelped
+	s.AllocLocal += o.AllocLocal
 	s.Frees += o.Frees
 	s.FreeSteps += o.FreeSteps
 	if o.FreeMaxSteps > s.FreeMaxSteps {
 		s.FreeMaxSteps = o.FreeMaxSteps
 		s.FreeMaxBy = ownerOf(o.FreeMaxBy, by)
 	}
+	s.FreeLocal += o.FreeLocal
 	s.CASFailures += o.CASFailures
 	s.PinFastPaths += o.PinFastPaths
 	s.DeferredDecs += o.DeferredDecs

@@ -38,12 +38,17 @@ func TestAddMergesCountersAndMaxes(t *testing.T) {
 	b.HelpsReceived = 4
 	b.Retired = 2
 	b.Scans = 1
+	a.AllocLocal, b.AllocLocal = 5, 6
+	b.FreeLocal = 7
 	a.Add(&b)
 	if a.DeRefs != 2 || a.DeRefSteps != 11 || a.DeRefMaxSteps != 9 {
 		t.Fatalf("deref merge = %+v", a)
 	}
 	if a.HelpsGiven != 3 || a.HelpsReceived != 4 || a.CASFailures != 1 || a.Retired != 2 || a.Scans != 1 {
 		t.Fatalf("counter merge = %+v", a)
+	}
+	if a.AllocLocal != 11 || a.FreeLocal != 7 {
+		t.Fatalf("magazine counter merge = %+v", a)
 	}
 }
 

@@ -55,9 +55,11 @@ func (c *Collector) WriteInfo(w io.Writer, extra ...InfoSection) error {
 				Field("alloc_steps", st.AllocSteps),
 				Field("alloc_max_steps", st.AllocMaxSteps),
 				Field("alloc_helped", st.AllocHelped),
+				Field("alloc_local", st.AllocLocal),
 				Field("frees", st.Frees),
 				Field("free_steps", st.FreeSteps),
 				Field("free_max_steps", st.FreeMaxSteps),
+				Field("free_local", st.FreeLocal),
 				Field("cas_failures", st.CASFailures),
 			},
 		}

@@ -40,7 +40,9 @@ var counterSpecs = []counterSpec{
 	{"wfrc_ann_scan_violations_total", "DeRef slot scans that exceeded the Lemma 2 bound AnnScanBound(n).", func(s *mm.OpStats) uint64 { return s.AnnScanViolations }},
 	{"wfrc_allocs_total", "Alloc (AllocNode, Figure 5 A1-A18) calls.", func(s *mm.OpStats) uint64 { return s.Allocs }},
 	{"wfrc_alloc_helped_total", "Alloc calls satisfied through the annAlloc helping channel (A4).", func(s *mm.OpStats) uint64 { return s.AllocHelped }},
+	{"wfrc_alloc_local_total", "Alloc calls served from the thread slot's magazine, no shared free-list step.", func(s *mm.OpStats) uint64 { return s.AllocLocal }},
 	{"wfrc_frees_total", "Nodes reclaimed (FreeNode, Figure 5 F1-F10, or scheme equivalent).", func(s *mm.OpStats) uint64 { return s.Frees }},
+	{"wfrc_free_local_total", "Frees parked in the thread slot's magazine, no shared free-list step.", func(s *mm.OpStats) uint64 { return s.FreeLocal }},
 	{"wfrc_cas_failures_total", "Failed CAS operations on links and list heads.", func(s *mm.OpStats) uint64 { return s.CASFailures }},
 	{"wfrc_retired_total", "Retire calls (hazard/epoch schemes).", func(s *mm.OpStats) uint64 { return s.Retired }},
 	{"wfrc_reclaim_scans_total", "Reclamation scans (hazard scan passes / epoch flushes).", func(s *mm.OpStats) uint64 { return s.Scans }},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync/atomic"
 
 	"wfrc/internal/arena"
 	"wfrc/internal/core"
@@ -99,7 +98,10 @@ type Store struct {
 type storeShard struct {
 	scheme *core.Scheme
 	m      *hashmap.Map
-	ops    *atomic.Uint64 // pointer so storeShard stays copyable pre-start
+	// ops counts the operations routed to the shard, one padded cell
+	// per slot so connections on different cores never share a line on
+	// the hot path; OpCounts sums them.
+	ops []mm.PadU64
 }
 
 // ArenaConfig returns the arena geometry this configuration gives each
@@ -138,7 +140,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: shard %d map: %w", i, err)
 		}
-		st.shards = append(st.shards, storeShard{scheme: s, m: m, ops: new(atomic.Uint64)})
+		st.shards = append(st.shards, storeShard{scheme: s, m: m, ops: make([]mm.PadU64, cfg.Slots)})
 	}
 	if cfg.MaxValue > 0 {
 		vs, err := value.New(value.Config{Threads: cfg.Slots})
@@ -218,7 +220,7 @@ func (st *Store) Shard(key uint64) int {
 // Get reads key using the lease's thread for its shard.
 func (st *Store) Get(l *slotpool.Lease, key uint64) (uint64, bool) {
 	sh := st.Shard(key)
-	st.shards[sh].ops.Add(1)
+	st.shards[sh].ops[l.Slot()].Add(1)
 	return st.shards[sh].m.Get(l.Thread(sh), key)
 }
 
@@ -237,7 +239,7 @@ var ErrReservedBit = errors.New("server: value bit 63 is reserved for the value 
 // a native client must not be able to forge a block ref.
 func (st *Store) Set(l *slotpool.Lease, key, value uint64) (bool, error) {
 	sh := st.Shard(key)
-	st.shards[sh].ops.Add(1)
+	st.shards[sh].ops[l.Slot()].Add(1)
 	if st.values != nil {
 		if value>>63 != 0 {
 			return false, ErrReservedBit
@@ -251,7 +253,7 @@ func (st *Store) Set(l *slotpool.Lease, key, value uint64) (bool, error) {
 // Delete removes key, reporting whether it was present.
 func (st *Store) Delete(l *slotpool.Lease, key uint64) bool {
 	sh := st.Shard(key)
-	st.shards[sh].ops.Add(1)
+	st.shards[sh].ops[l.Slot()].Add(1)
 	return st.shards[sh].m.Delete(l.Thread(sh), key)
 }
 
@@ -266,7 +268,7 @@ func (st *Store) SetBytes(l *slotpool.Lease, key uint64, payload []byte) error {
 		return err
 	}
 	sh := st.Shard(key)
-	st.shards[sh].ops.Add(1)
+	st.shards[sh].ops[l.Slot()].Add(1)
 	if _, err := st.shards[sh].m.Replace(l.Thread(sh), key, w); err != nil {
 		// The word never reached a node, so it is ours to free.
 		st.values.Free(l.Slot(), w)
@@ -281,7 +283,7 @@ func (st *Store) SetBytes(l *slotpool.Lease, key uint64, payload []byte) error {
 // uint64 values render as decimal, matching their RESP representation.
 func (st *Store) GetBytes(l *slotpool.Lease, key uint64, dst []byte) ([]byte, bool) {
 	sh := st.Shard(key)
-	st.shards[sh].ops.Add(1)
+	st.shards[sh].ops[l.Slot()].Add(1)
 	found := st.shards[sh].m.GetWith(l.Thread(sh), key, func(w uint64) {
 		if st.values != nil && value.IsValue(w) {
 			dst = st.values.AppendPayload(dst, w)
@@ -299,7 +301,7 @@ func (st *Store) GetBytes(l *slotpool.Lease, key uint64, dst []byte) ([]byte, bo
 // overwritten in place — the CAS just fails.
 func (st *Store) CompareAndSet(l *slotpool.Lease, key, old, new uint64) (swapped, found bool) {
 	sh := st.Shard(key)
-	st.shards[sh].ops.Add(1)
+	st.shards[sh].ops[l.Slot()].Add(1)
 	return st.shards[sh].m.CompareAndSet(l.Thread(sh), key, old, new)
 }
 
@@ -307,7 +309,9 @@ func (st *Store) CompareAndSet(l *slotpool.Lease, key, old, new uint64) (swapped
 func (st *Store) OpCounts() []uint64 {
 	out := make([]uint64, len(st.shards))
 	for i := range st.shards {
-		out[i] = st.shards[i].ops.Load()
+		for j := range st.shards[i].ops {
+			out[i] += st.shards[i].ops[j].Load()
+		}
 	}
 	return out
 }
