@@ -80,13 +80,12 @@ func run() int {
 	}
 
 	// One histogram column per connection, so every column has a single
-	// writer; the rows are the four ops plus their union.  The histogram
-	// reports bucket bounds, so each worker also keeps the exact maxima.
+	// writer; the rows are the four ops plus their union.  Quantiles are
+	// bucket bounds, the maxima exact.
 	opNames := []string{"get", "set", "del", "cas", "all"}
 	const opAll = 4
 	hists := obs.NewOpShardHist(opNames, *conns)
 	type workerResult struct {
-		maxLat    [opAll + 1]time.Duration
 		underSLO  uint64
 		lateSends uint64
 		maxLag    time.Duration
@@ -231,12 +230,8 @@ func run() int {
 						break
 					}
 					d := time.Since(sched)
-					for _, op := range [2]int{opIdx, opAll} {
-						hists.Record(op, wkr, d)
-						if d > res.maxLat[op] {
-							res.maxLat[op] = d
-						}
-					}
+					hists.Record(opIdx, wkr, d)
+					hists.Record(opAll, wkr, d)
 					if d <= *slo {
 						res.underSLO++
 					}
@@ -252,14 +247,8 @@ func run() int {
 
 	var busy, errCount, underSLO, lateSends uint64
 	var maxLag time.Duration
-	var maxLat [opAll + 1]time.Duration
 	var lastErr error
 	for i := range results {
-		for op, d := range results[i].maxLat {
-			if d > maxLat[op] {
-				maxLat[op] = d
-			}
-		}
 		busy += results[i].busy
 		errCount += results[i].errs
 		underSLO += results[i].underSLO
@@ -293,7 +282,7 @@ func run() int {
 		LatencyP50NS:    all.P50NS,
 		LatencyP99NS:    all.P99NS,
 		LatencyP999NS:   all.P999NS,
-		LatencyMaxNS:    uint64(maxLat[opAll]),
+		LatencyMaxNS:    all.MaxNS,
 		OpLatency:       map[string]obs.BenchOpLatency{},
 		LeaseWaitP50NS:  stats.Pool.WaitP50Ns,
 		LeaseWaitP99NS:  stats.Pool.WaitP99Ns,
@@ -321,7 +310,7 @@ func run() int {
 			P50NS:  snap.P50NS,
 			P99NS:  snap.P99NS,
 			P999NS: snap.P999NS,
-			MaxNS:  uint64(maxLat[op]),
+			MaxNS:  snap.MaxNS,
 		}
 	}
 	sec.SetShardOps(stats.ShardOps)

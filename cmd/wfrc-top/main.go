@@ -215,40 +215,33 @@ func (s scrape) one(name string) float64 {
 }
 
 // histQuantile computes an upper bound on the q-quantile of a
-// cumulative-bucket histogram family (per its _bucket series, all label
-// sets merged), returning seconds.
+// cumulative-bucket histogram family, returning seconds.  Every label
+// set (shard, op) is merged by summing its cumulative counts per le
+// edge, which is the histogram of all their samples together.
 func (s scrape) histQuantile(name string, q float64) float64 {
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var buckets []bucket
+	cum := make(map[float64]float64) // le → cumulative count over every series
 	for labels, v := range s[name+"_bucket"] {
-		leStr := label(labels, "le")
-		le, err := strconv.ParseFloat(leStr, 64)
-		if leStr == "+Inf" {
-			le, err = strconv.ParseFloat("inf", 64)
-		}
+		le, err := strconv.ParseFloat(label(labels, "le"), 64) // accepts "+Inf"
 		if err != nil {
 			continue
 		}
-		buckets = append(buckets, bucket{le: le, cum: v})
+		cum[le] += v
 	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	if len(buckets) == 0 {
+	les := make([]float64, 0, len(cum))
+	for le := range cum {
+		les = append(les, le)
+	}
+	sort.Float64s(les)
+	if len(les) == 0 || cum[les[len(les)-1]] == 0 {
 		return 0
 	}
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0
-	}
-	rank := q * total
-	for _, b := range buckets {
-		if b.cum >= rank {
-			return b.le
+	rank := q * cum[les[len(les)-1]]
+	for _, le := range les {
+		if cum[le] >= rank {
+			return le
 		}
 	}
-	return buckets[len(buckets)-1].le
+	return les[len(les)-1]
 }
 
 // rate returns (cur-prev)/dt for one series, or the current value when

@@ -54,3 +54,27 @@ func TestCheckFlightExitCodes(t *testing.T) {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
 }
+
+// TestHistQuantileMergesLabelSets pins the merge of a histogram family's
+// label sets: series a holds 100 samples at or under 1µs and series b
+// 100 samples at or under 1ms, so the union's p99 is in b's bucket.
+// Appending the two series' cumulative buckets side by side instead
+// reads a's +Inf count as "99 % reached" at 1µs.
+func TestHistQuantileMergesLabelSets(t *testing.T) {
+	s := parseProm([]byte(`lag_bucket{scheme="a",le="1e-06"} 100
+lag_bucket{scheme="a",le="0.001"} 100
+lag_bucket{scheme="a",le="+Inf"} 100
+lag_bucket{scheme="b",le="1e-06"} 0
+lag_bucket{scheme="b",le="0.001"} 100
+lag_bucket{scheme="b",le="+Inf"} 100
+`))
+	if got := s.histQuantile("lag", 0.99); got != 1e-3 {
+		t.Errorf("p99 = %g, want 1e-03", got)
+	}
+	if got := s.histQuantile("lag", 0.50); got != 1e-6 {
+		t.Errorf("p50 = %g, want 1e-06", got)
+	}
+	if got := s.histQuantile("absent", 0.5); got != 0 {
+		t.Errorf("absent family: %g, want 0", got)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"time"
 
 	"wfrc/internal/arena"
 )
@@ -16,6 +17,27 @@ var ErrOutOfMemory = errors.New("core: arena out of nodes")
 // ErrOutOfMemory, giving every peer a chance to answer with a purging
 // flush (see Scheme.memPressure).
 const oomBroadcastRounds = 64
+
+// oomSleepStep is the sleep increment of the second half of the
+// broadcast rounds (see oomYield): round k of that half sleeps
+// k·oomSleepStep, about 10 ms over all of them.
+const oomSleepStep = 20 * time.Microsecond
+
+// oomYield gives peers the chance to answer broadcast round `round`.
+// The first half of the rounds only yield the processor, which is
+// enough for peers that are running.  A peer whose OS thread the kernel
+// has descheduled cannot answer until it runs again, and no number of
+// Gosched calls on this thread brings that about on an oversubscribed
+// host; so the second half sleeps for a growing interval.  The wait
+// stays bounded, and only an allocator that found the arena empty and
+// its own caches dry ever pays it.
+func oomYield(round int) {
+	if round <= oomBroadcastRounds/2 {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(time.Duration(round-oomBroadcastRounds/2) * oomSleepStep)
+}
 
 // AllocNode removes a node from the free-list and returns it with one
 // guarded reference (paper Figure 5, lines A1–A18).
@@ -98,7 +120,7 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 				if broadcasts < oomBroadcastRounds {
 					broadcasts++
 					s.memPressure.Store(1)
-					runtime.Gosched()
+					oomYield(broadcasts)
 					steps = 0
 					continue
 				}

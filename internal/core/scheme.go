@@ -645,19 +645,6 @@ func (t *Thread) RetireBatch(hs []arena.Handle) {
 	}
 }
 
-// PurgePins clears every released (refs == 0) sticky publication from
-// the deferred variant's pin table, making the published nodes
-// reclaimable by other threads' ZCT drains; live guards stay.  No-op on
-// the counted variant.  Owner goroutine only — the slotpool calls it on
-// the voluntary lease-release path when Config.PurgePinsOnRelease asks
-// for cold handoffs (see the warm-vs-purge benchmarks in
-// internal/slotpool).
-func (t *Thread) PurgePins() {
-	if t.s.deferred {
-		t.purgePins()
-	}
-}
-
 // SetHook installs a test-interleaving callback invoked at the labelled
 // algorithm points.  Production code leaves it nil.
 func (t *Thread) SetHook(h func(Point)) { t.hook = h }

@@ -31,18 +31,6 @@ type BatchRetirer interface {
 	RetireBatch(hs []Handle)
 }
 
-// PinPurger is the optional pin-hygiene surface of a Thread.  The
-// deferred wait-free variant keeps released references published in a
-// sticky per-thread pin cache (fast re-pinning); PurgePins drops the
-// released entries so the published nodes become reclaimable by other
-// threads' drains.  Must be called from the goroutine that owns the
-// thread — which is why the slot pool purges only on voluntary lease
-// release (the holder's goroutine), never from the reaper.  No-op for
-// schemes without a pin cache.
-type PinPurger interface {
-	PurgePins()
-}
-
 // Robust is the optional robustness surface of a Scheme: how many
 // retired nodes reclamation is currently holding back.  Bounded-garbage
 // schemes (Hyaline's era skip) keep it bounded even with stalled

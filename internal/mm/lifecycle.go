@@ -1,7 +1,6 @@
 package mm
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +24,11 @@ import (
 // Wait-freedom discipline (same as OpStats/StepHist): each note is a
 // constant number of the caller's own atomic steps — one timestamp
 // read, one CAS or Swap on the node's stamp cell, up to three
-// fetch-and-adds, and a bounded (hwmCASBound) CAS-max attempt for the
-// high-water mark that gives up rather than loop, so a contended update
-// can at worst under-report the peak by a transient value.  No locks,
-// no allocation; the AllocsPerRun guard in lifecycle_test.go pins the
-// zero-alloc property.
+// fetch-and-adds, one LatencyHist.Record, and a bounded (hwmCASBound)
+// CAS-max attempt for the high-water mark that gives up rather than
+// loop, so a contended update can at worst under-report the peak by a
+// transient value.  No locks, no allocation; the AllocsPerRun guard in
+// lifecycle_test.go pins the zero-alloc property.
 
 // LifecycleSink receives a scheme's retire/reclaim transitions.  Both
 // methods must be safe for concurrent use from every scheme thread and
@@ -56,15 +55,6 @@ type LifecycleSource interface {
 	SetLifecycleSink(LifecycleSink)
 }
 
-// LagHistBuckets is the bucket count of the reclamation-lag histogram:
-// bucket i covers lags in [2^i, 2^(i+1)) nanoseconds, the last bucket
-// is open-ended (2^39 ns ≈ 9 minutes).
-const LagHistBuckets = 40
-
-// hwmCASBound bounds the high-water-mark CAS-max attempt; see the
-// wait-freedom note in the package comment above.
-const hwmCASBound = 8
-
 // LifecycleTracker is a wait-free LifecycleSink over one arena: a side
 // array of per-node retire stamps plus floating-garbage accounting and
 // a log2 retire→free lag histogram.  Construct with NewLifecycleTracker
@@ -87,9 +77,7 @@ type LifecycleTracker struct {
 	// truncated coverage is visible instead of silent.
 	dropped atomic.Uint64
 
-	lagBuckets [LagHistBuckets]atomic.Uint64
-	lagSumNS   atomic.Uint64
-	lagMaxNS   atomic.Uint64
+	lag LatencyHist
 }
 
 // NewLifecycleTracker returns a tracker covering handles 1..maxNodes
@@ -134,15 +122,7 @@ func (t *LifecycleTracker) NoteRetired(h Handle) {
 		return
 	}
 	t.retired.Add(1)
-	// Bounded CAS-max: a lost race leaves the recorded peak at another
-	// thread's (also current) value; after hwmCASBound failures give up
-	// rather than loop — wait-freedom over exactness.
-	for i := 0; i < hwmCASBound; i++ {
-		cur := t.hwm.Load()
-		if f <= cur || t.hwm.CompareAndSwap(cur, f) {
-			return
-		}
-	}
+	raiseTo(&t.hwm, f)
 }
 
 // NoteReclaimed implements LifecycleSink.  Wait-free, zero-alloc.
@@ -163,58 +143,24 @@ func (t *LifecycleTracker) NoteReclaimed(h Handle) {
 	}
 	t.reclaimed.Add(1)
 	t.floating.Add(-1)
-	lag := t.now() - stamp
-	if lag < 0 {
-		lag = 0
-	}
-	b := bits.Len64(uint64(lag)) - 1
-	if b < 0 {
-		b = 0
-	}
-	if b >= LagHistBuckets {
-		b = LagHistBuckets - 1
-	}
-	t.lagBuckets[b].Add(1)
-	t.lagSumNS.Add(uint64(lag))
-	for i := 0; i < hwmCASBound; i++ {
-		cur := t.lagMaxNS.Load()
-		if uint64(lag) <= cur || t.lagMaxNS.CompareAndSwap(cur, uint64(lag)) {
-			return
-		}
-	}
-}
-
-// LagSnap summarizes the retire→free lag histogram.  Quantiles are
-// bucket upper bounds (factor-of-two resolution); MaxNS is the exact
-// observed maximum (modulo the bounded CAS-max race).
-type LagSnap struct {
-	Count uint64 `json:"count"`
-	SumNS uint64 `json:"sum_ns"`
-	P50NS uint64 `json:"p50_ns"`
-	P99NS uint64 `json:"p99_ns"`
-	MaxNS uint64 `json:"max_ns"`
+	t.lag.Record(time.Duration(t.now() - stamp))
 }
 
 // LifecycleSnap is one tracker's derived summary: total transitions,
 // the live floating-garbage gauge and its high-water mark, and the lag
 // distribution.
 type LifecycleSnap struct {
-	Retired     uint64  `json:"retired"`
-	Reclaimed   uint64  `json:"reclaimed"`
-	Floating    int64   `json:"floating"`
-	FloatingHWM int64   `json:"floating_hwm"`
-	Dropped     uint64  `json:"dropped,omitempty"`
-	Lag         LagSnap `json:"lag"`
+	Retired     uint64      `json:"retired"`
+	Reclaimed   uint64      `json:"reclaimed"`
+	Floating    int64       `json:"floating"`
+	FloatingHWM int64       `json:"floating_hwm"`
+	Dropped     uint64      `json:"dropped,omitempty"`
+	Lag         LatencySnap `json:"lag"`
 }
 
-// LagBuckets copies the raw histogram counts (monotone counters; a live
-// copy is slightly stale, never torn), for Prometheus exposition.
-func (t *LifecycleTracker) LagBuckets() (buckets [LagHistBuckets]uint64, sumNS uint64) {
-	for i := range t.lagBuckets {
-		buckets[i] = t.lagBuckets[i].Load()
-	}
-	return buckets, t.lagSumNS.Load()
-}
+// Lag returns the tracker's retire→free lag histogram, for merging
+// several trackers' counts (read it; recording is the tracker's).
+func (t *LifecycleTracker) Lag() *LatencyHist { return &t.lag }
 
 // Floating returns the live retired-but-unreclaimed gauge.
 func (t *LifecycleTracker) Floating() int64 { return t.floating.Load() }
@@ -224,38 +170,12 @@ func (t *LifecycleTracker) FloatingHWM() int64 { return t.hwm.Load() }
 
 // Snapshot derives the summary.  Safe concurrently with notes.
 func (t *LifecycleTracker) Snapshot() LifecycleSnap {
-	buckets, sumNS := t.LagBuckets()
-	var total uint64
-	for _, c := range buckets {
-		total += c
-	}
-	snap := LifecycleSnap{
+	return LifecycleSnap{
 		Retired:     t.retired.Load(),
 		Reclaimed:   t.reclaimed.Load(),
 		Floating:    t.floating.Load(),
 		FloatingHWM: t.hwm.Load(),
 		Dropped:     t.dropped.Load(),
-		Lag:         LagSnap{Count: total, SumNS: sumNS, MaxNS: t.lagMaxNS.Load()},
+		Lag:         t.lag.Snapshot(),
 	}
-	if total == 0 {
-		return snap
-	}
-	snap.Lag.P50NS = lagQuantile(buckets, total, 0.50)
-	snap.Lag.P99NS = lagQuantile(buckets, total, 0.99)
-	return snap
-}
-
-func lagQuantile(buckets [LagHistBuckets]uint64, total uint64, q float64) uint64 {
-	rank := uint64(float64(total)*q + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range buckets {
-		cum += c
-		if cum >= rank {
-			return uint64(1) << (i + 1) // bucket upper bound
-		}
-	}
-	return uint64(1) << LagHistBuckets
 }

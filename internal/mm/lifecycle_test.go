@@ -113,7 +113,7 @@ func TestLifecycleConcurrentHammer(t *testing.T) {
 					panic("floating went negative")
 				}
 				_ = tr.FloatingHWM()
-				_, _ = tr.LagBuckets()
+				_ = tr.Lag().Counts()
 			}
 		}
 	}()

@@ -5,15 +5,23 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wfrc/internal/mm"
 )
 
+// serverHist is one cell of the per-op × shard request-latency matrix:
+// the shared mm.LatencyHist as the server records into it.
+func serverHist() *mm.LatencyHist {
+	return NewOpShardHist([]string{"get"}, 1).Hist(0, 0)
+}
+
 func TestLatencyHistSnapshot(t *testing.T) {
-	var h LatencyHist
+	h := serverHist()
 	if snap := h.Snapshot(); snap.Count != 0 || snap.P50NS != 0 || snap.MaxNS != 0 {
 		t.Fatalf("empty snapshot = %+v", snap)
 	}
 	// 1000ns lands in bucket [512, 1024): every quantile reports the
-	// upper bound 1024.
+	// upper bound 1024, the maximum the sample itself.
 	for i := 0; i < 100; i++ {
 		h.Record(1000 * time.Nanosecond)
 	}
@@ -21,22 +29,22 @@ func TestLatencyHistSnapshot(t *testing.T) {
 	if snap.Count != 100 || snap.SumNS != 100_000 {
 		t.Fatalf("count=%d sum=%d", snap.Count, snap.SumNS)
 	}
-	if snap.P50NS != 1024 || snap.P99NS != 1024 || snap.P999NS != 1024 || snap.MaxNS != 1024 {
-		t.Fatalf("quantiles = %+v, want all 1024", snap)
+	if snap.P50NS != 1024 || snap.P99NS != 1024 || snap.P999NS != 1024 || snap.MaxNS != 1000 {
+		t.Fatalf("quantiles = %+v, want all 1024 and max 1000", snap)
 	}
-	// One outlier at ~1ms moves the tail but not the median.
+	// One outlier at 1ms moves the tail but not the median.
 	h.Record(time.Millisecond)
 	snap = h.Snapshot()
 	if snap.P50NS != 1024 {
 		t.Errorf("p50 = %d, want 1024", snap.P50NS)
 	}
-	if snap.MaxNS != 1<<20 {
-		t.Errorf("max = %d, want %d (upper bound of 1ms's bucket)", snap.MaxNS, 1<<20)
+	if snap.MaxNS != uint64(time.Millisecond) {
+		t.Errorf("max = %d, want %d (the exact 1ms sample)", snap.MaxNS, time.Millisecond)
 	}
 }
 
 func TestLatencyHistExtremes(t *testing.T) {
-	var h LatencyHist
+	h := serverHist()
 	h.Record(0)                 // 0ns: bits.Len64(0)-1 == -1 must clamp to bucket 0
 	h.Record(time.Hour)         // beyond the last bucket: clamps there
 	h.Record(-time.Millisecond) // negative (clock step): treated as 0ns, bucket 0
@@ -51,15 +59,19 @@ func TestLatencyHistExtremes(t *testing.T) {
 		t.Errorf("sum = %d, want %d (0ns and negative samples must not contribute)",
 			snap.SumNS, time.Hour.Nanoseconds())
 	}
+	if c := h.Counts(); c.Buckets[mm.LatencyBuckets-1] != 1 {
+		t.Errorf("1h sample: top bucket = %d, want 1", c.Buckets[mm.LatencyBuckets-1])
+	}
 	// Bucket-0 regression: a single 0ns sample lands in buckets[0], not
 	// buckets[-1] (which would corrupt the adjacent field or panic).
-	var z LatencyHist
+	z := serverHist()
 	z.Record(0)
-	if got := z.buckets[0].Load(); got != 1 {
-		t.Fatalf("0ns sample: buckets[0] = %d, want 1", got)
+	c := z.Counts()
+	if c.Buckets[0] != 1 {
+		t.Fatalf("0ns sample: buckets[0] = %d, want 1", c.Buckets[0])
 	}
-	if z.sumNS.Load() != 0 {
-		t.Errorf("0ns sample inflated sum to %d", z.sumNS.Load())
+	if c.SumNS != 0 {
+		t.Errorf("0ns sample inflated sum to %d", c.SumNS)
 	}
 }
 
@@ -84,8 +96,8 @@ func TestOpShardHist(t *testing.T) {
 	if merged.P50NS != 1024 {
 		t.Errorf("merged get p50 = %d, want 1024 (1µs bucket bound)", merged.P50NS)
 	}
-	if want := uint64(1 << 17); merged.MaxNS != want {
-		t.Errorf("merged get max = %d, want %d (100µs bucket bound)", merged.MaxNS, want)
+	if want := uint64(100 * time.Microsecond); merged.MaxNS != want {
+		t.Errorf("merged get max = %d, want %d (the exact 100µs sample)", merged.MaxNS, want)
 	}
 	if got := m.MergedOp(1).Count; got != 1 {
 		t.Errorf("merged set count = %d, want 1", got)

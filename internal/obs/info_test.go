@@ -11,7 +11,7 @@ func TestWriteInfo(t *testing.T) {
 	c := NewCollector()
 	st := &mm.OpStats{DeRefs: 42, HelpsGiven: 7}
 	defer c.Attach("waitfree-shard0", 0, st)()
-	defer c.AttachGauge("wfrc_core_ann_scan_violations", "waitfree-shard0", func() uint64 { return 3 })()
+	defer c.AttachGauge("wfrc_core_ann_scan_violations", "waitfree-shard0", func() int64 { return 3 })()
 
 	var sb strings.Builder
 	err := c.WriteInfo(&sb,

@@ -26,66 +26,35 @@ import (
 //   - The JSON snapshot itself (Snapshot), embedded in STATS replies
 //     and the bench schema's server.memory object.
 //
-// Concurrency model follows Collector: attach/detach are cold paths
-// behind a mutex with copy-on-write lists; Sample and the render paths
-// only perform atomic loads on tracker state, so the periodic sampler
-// (Start) never blocks — and can never be blocked by — the schemes'
-// reclamation hot paths.
+// Concurrency model follows Collector: attach/detach are cold paths on
+// copy-on-write lists; Sample and the render paths only perform atomic
+// loads on tracker state, so the periodic sampler (Start) never blocks —
+// and can never be blocked by — the schemes' reclamation hot paths.
 type LifecycleCollector struct {
-	mu       sync.Mutex
-	trackers atomic.Pointer[[]trackerSource]
-	gauges   atomic.Pointer[[]memGaugeSource]
+	trackers attachList[trackerSource]
+	gauges   attachList[gaugeSource]
 	// snap is the last published sample; readers that want a consistent
 	// recent view (INFO, STATS) take it instead of re-sampling.
 	snap atomic.Pointer[MemSnapshot]
 }
 
 // trackerSource is one attached lifecycle tracker.  Multiple trackers
-// may share a scheme label (one per KV shard, say); their snapshots are
+// may share a scheme label (one per KV shard, say); their readings are
 // merged — counters and floating sum, high-water marks sum too, making
-// the merged HWM an upper bound on the simultaneous peak.
+// the merged HWM an upper bound on the simultaneous peak, and the lag
+// histograms sum bucket by bucket.
 type trackerSource struct {
 	scheme string
 	t      *mm.LifecycleTracker
 }
 
-// memGaugeSource is one attached scheme-level memory gauge.
-type memGaugeSource struct {
-	name   string
-	scheme string
-	read   func() int64
-}
-
 // NewLifecycleCollector returns an empty collector.
-func NewLifecycleCollector() *LifecycleCollector {
-	c := &LifecycleCollector{}
-	c.trackers.Store(&[]trackerSource{})
-	c.gauges.Store(&[]memGaugeSource{})
-	return c
-}
+func NewLifecycleCollector() *LifecycleCollector { return &LifecycleCollector{} }
 
 // AttachTracker registers t's readings under a scheme label and returns
 // a detach function.
 func (c *LifecycleCollector) AttachTracker(scheme string, t *mm.LifecycleTracker) (detach func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := *c.trackers.Load()
-	next := make([]trackerSource, len(old), len(old)+1)
-	copy(next, old)
-	next = append(next, trackerSource{scheme: scheme, t: t})
-	c.trackers.Store(&next)
-	return func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		cur := *c.trackers.Load()
-		out := make([]trackerSource, 0, len(cur))
-		for _, e := range cur {
-			if e.t != t {
-				out = append(out, e)
-			}
-		}
-		c.trackers.Store(&out)
-	}
+	return c.trackers.attach(trackerSource{scheme: scheme, t: t})
 }
 
 // AttachMemGauge registers a named memory gauge — occupancy numbers the
@@ -93,33 +62,7 @@ func (c *LifecycleCollector) AttachTracker(scheme string, t *mm.LifecycleTracker
 // block-pool segments or live value blocks.  The name must be a valid
 // Prometheus metric name; it is exported verbatim with a scheme label.
 func (c *LifecycleCollector) AttachMemGauge(name, scheme string, read func() int64) (detach func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := *c.gauges.Load()
-	next := make([]memGaugeSource, len(old), len(old)+1)
-	copy(next, old)
-	g := memGaugeSource{name: name, scheme: scheme, read: read}
-	next = append(next, g)
-	c.gauges.Store(&next)
-	return func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		cur := *c.gauges.Load()
-		out := make([]memGaugeSource, 0, len(cur))
-		for _, e := range cur {
-			if !(e.name == g.name && e.scheme == g.scheme) {
-				out = append(out, e)
-			}
-		}
-		c.gauges.Store(&out)
-	}
-}
-
-// MemGaugeValue is one gauge reading in a MemSnapshot.
-type MemGaugeValue struct {
-	Name   string `json:"name"`
-	Scheme string `json:"scheme"`
-	Value  int64  `json:"value"`
+	return c.gauges.attach(gaugeSource{name: name, scheme: scheme, read: read})
 }
 
 // MemSnapshot is one published sample: per-scheme lifecycle summaries
@@ -127,7 +70,7 @@ type MemGaugeValue struct {
 type MemSnapshot struct {
 	At      time.Time                   `json:"at"`
 	Schemes map[string]mm.LifecycleSnap `json:"schemes"`
-	Gauges  []MemGaugeValue             `json:"gauges,omitempty"`
+	Gauges  []Gauge                     `json:"gauges,omitempty"`
 }
 
 // SchemeNames returns the snapshot's scheme labels, sorted.
@@ -140,55 +83,50 @@ func (s *MemSnapshot) SchemeNames() []string {
 	return names
 }
 
+// schemeLifecycle is one scheme label's merged tracker readings.
+type schemeLifecycle struct {
+	snap mm.LifecycleSnap
+	lag  mm.LatencyCounts
+}
+
+// merged reads every tracker and folds same-label readings (shards of
+// one scheme): counters sum, the summed HWM over-approximates the
+// simultaneous peak, and the lag histograms sum bucket by bucket, so a
+// merged quantile is a quantile of every shard's reclaims together.
+func (c *LifecycleCollector) merged() map[string]*schemeLifecycle {
+	out := make(map[string]*schemeLifecycle)
+	for _, src := range c.trackers.load() {
+		m, ok := out[src.scheme]
+		if !ok {
+			m = &schemeLifecycle{}
+			out[src.scheme] = m
+		}
+		s := src.t.Snapshot()
+		m.snap.Retired += s.Retired
+		m.snap.Reclaimed += s.Reclaimed
+		m.snap.Floating += s.Floating
+		m.snap.FloatingHWM += s.FloatingHWM
+		m.snap.Dropped += s.Dropped
+		lag := src.t.Lag().Counts()
+		m.lag.Add(&lag)
+	}
+	for _, m := range out {
+		m.snap.Lag = m.lag.Snapshot()
+	}
+	return out
+}
+
 // Sample reads every tracker and gauge, publishes the result as the
 // collector's current snapshot, and returns it.  Loads only — safe at
 // any frequency against running schemes.
 func (c *LifecycleCollector) Sample() *MemSnapshot {
 	snap := &MemSnapshot{At: time.Now(), Schemes: make(map[string]mm.LifecycleSnap)}
-	for _, src := range *c.trackers.Load() {
-		s := src.t.Snapshot()
-		if cur, ok := snap.Schemes[src.scheme]; ok {
-			snap.Schemes[src.scheme] = mergeLifecycle(cur, s)
-		} else {
-			snap.Schemes[src.scheme] = s
-		}
+	for name, m := range c.merged() {
+		snap.Schemes[name] = m.snap
 	}
-	for _, g := range *c.gauges.Load() {
-		snap.Gauges = append(snap.Gauges, MemGaugeValue{Name: g.name, Scheme: g.scheme, Value: g.read()})
-	}
-	sort.Slice(snap.Gauges, func(i, j int) bool {
-		if snap.Gauges[i].Name != snap.Gauges[j].Name {
-			return snap.Gauges[i].Name < snap.Gauges[j].Name
-		}
-		return snap.Gauges[i].Scheme < snap.Gauges[j].Scheme
-	})
+	snap.Gauges = readGauges(&c.gauges)
 	c.snap.Store(snap)
 	return snap
-}
-
-// mergeLifecycle folds two same-label summaries (shards of one scheme).
-// Sums throughout; the summed HWM over-approximates the simultaneous
-// peak, which keeps it usable as a conservative bound check.  Quantiles
-// are count-weighted maxima — a merged p99 is "no shard's p99 exceeds
-// this", not a true distribution merge.
-func mergeLifecycle(a, b mm.LifecycleSnap) mm.LifecycleSnap {
-	a.Retired += b.Retired
-	a.Reclaimed += b.Reclaimed
-	a.Floating += b.Floating
-	a.FloatingHWM += b.FloatingHWM
-	a.Dropped += b.Dropped
-	a.Lag.Count += b.Lag.Count
-	a.Lag.SumNS += b.Lag.SumNS
-	if b.Lag.P50NS > a.Lag.P50NS {
-		a.Lag.P50NS = b.Lag.P50NS
-	}
-	if b.Lag.P99NS > a.Lag.P99NS {
-		a.Lag.P99NS = b.Lag.P99NS
-	}
-	if b.Lag.MaxNS > a.Lag.MaxNS {
-		a.Lag.MaxNS = b.Lag.MaxNS
-	}
-	return a
 }
 
 // Snapshot returns the last published sample, sampling once if none has
@@ -264,112 +202,54 @@ func (c *LifecycleCollector) InfoSection() InfoSection {
 //     boundaries, converted to seconds.
 //   - every attached gauge, verbatim, with a scheme label.
 func (c *LifecycleCollector) WriteProm(w io.Writer) error {
-	type merged struct {
-		snap       mm.LifecycleSnap
-		lagBuckets [mm.LagHistBuckets]uint64
-		lagSumNS   uint64
-	}
-	byScheme := make(map[string]*merged)
-	var names []string
-	for _, src := range *c.trackers.Load() {
-		m, ok := byScheme[src.scheme]
-		if !ok {
-			m = &merged{}
-			byScheme[src.scheme] = m
-			names = append(names, src.scheme)
-		}
-		m.snap = mergeLifecycle(m.snap, src.t.Snapshot())
-		buckets, sum := src.t.LagBuckets()
-		for i, cnt := range buckets {
-			m.lagBuckets[i] += cnt
-		}
-		m.lagSumNS += sum
+	byScheme := c.merged()
+	names := make([]string, 0, len(byScheme))
+	for n := range byScheme {
+		names = append(names, n)
 	}
 	sort.Strings(names)
 
-	if err := header(w, "wfrc_mem_retired_total", "Nodes that became garbage (retire instants noted by the scheme).", "counter"); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "wfrc_mem_retired_total{scheme=%q} %d\n", n, byScheme[n].snap.Retired); err != nil {
+	for _, f := range []struct {
+		name, help, typ string
+		read            func(*mm.LifecycleSnap) any
+	}{
+		{"wfrc_mem_retired_total", "Nodes that became garbage (retire instants noted by the scheme).", "counter",
+			func(s *mm.LifecycleSnap) any { return s.Retired }},
+		{"wfrc_mem_reclaimed_total", "Nodes whose memory returned to the free structures.", "counter",
+			func(s *mm.LifecycleSnap) any { return s.Reclaimed }},
+		{"wfrc_mem_floating", "Retired-but-unreclaimed nodes right now (floating garbage; Lemma 3 bounds this).", "gauge",
+			func(s *mm.LifecycleSnap) any { return s.Floating }},
+		{"wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating (summed across shards: an upper bound).", "gauge",
+			func(s *mm.LifecycleSnap) any { return s.FloatingHWM }},
+		{"wfrc_mem_lifecycle_dropped_total", "Lifecycle notes dropped for handles beyond the tracker ceiling.", "counter",
+			func(s *mm.LifecycleSnap) any { return s.Dropped }},
+	} {
+		if err := header(w, f.name, f.help, f.typ); err != nil {
 			return err
 		}
-	}
-	if err := header(w, "wfrc_mem_reclaimed_total", "Nodes whose memory returned to the free structures.", "counter"); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "wfrc_mem_reclaimed_total{scheme=%q} %d\n", n, byScheme[n].snap.Reclaimed); err != nil {
-			return err
-		}
-	}
-	if err := header(w, "wfrc_mem_floating", "Retired-but-unreclaimed nodes right now (floating garbage; Lemma 3 bounds this).", "gauge"); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "wfrc_mem_floating{scheme=%q} %d\n", n, byScheme[n].snap.Floating); err != nil {
-			return err
-		}
-	}
-	if err := header(w, "wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating (summed across shards: an upper bound).", "gauge"); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "wfrc_mem_floating_hwm{scheme=%q} %d\n", n, byScheme[n].snap.FloatingHWM); err != nil {
-			return err
-		}
-	}
-	if err := header(w, "wfrc_mem_lifecycle_dropped_total", "Lifecycle notes dropped for handles beyond the tracker ceiling.", "counter"); err != nil {
-		return err
-	}
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "wfrc_mem_lifecycle_dropped_total{scheme=%q} %d\n", n, byScheme[n].snap.Dropped); err != nil {
-			return err
+		for _, n := range names {
+			if _, err := fmt.Fprintf(w, "%s{scheme=%q} %d\n", f.name, n, f.read(&byScheme[n].snap)); err != nil {
+				return err
+			}
 		}
 	}
 	if err := header(w, "wfrc_mem_reclaim_lag_seconds", "Retire-to-free lag per reclaimed node.", "histogram"); err != nil {
 		return err
 	}
 	for _, n := range names {
-		m := byScheme[n]
-		var cum uint64
-		for i, cnt := range m.lagBuckets {
-			cum += cnt
-			le := "+Inf"
-			if i < mm.LagHistBuckets-1 {
-				le = fmt.Sprintf("%g", float64(uint64(1)<<(i+1))/1e9)
-			}
-			if _, err := fmt.Fprintf(w, "wfrc_mem_reclaim_lag_seconds_bucket{scheme=%q,le=%q} %d\n", n, le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "wfrc_mem_reclaim_lag_seconds_sum{scheme=%q} %g\n", n, float64(m.lagSumNS)/1e9); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "wfrc_mem_reclaim_lag_seconds_count{scheme=%q} %d\n", n, cum); err != nil {
+		if err := byScheme[n].lag.WriteProm(w, "wfrc_mem_reclaim_lag_seconds", fmt.Sprintf("scheme=%q", n)); err != nil {
 			return err
 		}
 	}
-	gauges := *c.gauges.Load()
-	byName := make(map[string][]memGaugeSource)
-	var gnames []string
-	for _, g := range gauges {
-		if _, ok := byName[g.name]; !ok {
-			gnames = append(gnames, g.name)
-		}
-		byName[g.name] = append(byName[g.name], g)
-	}
-	sort.Strings(gnames)
-	for _, name := range gnames {
-		if err := header(w, name, "Scheme-level memory gauge.", "gauge"); err != nil {
-			return err
-		}
-		list := byName[name]
-		sort.Slice(list, func(i, j int) bool { return list[i].scheme < list[j].scheme })
-		for _, g := range list {
-			if _, err := fmt.Fprintf(w, "%s{scheme=%q} %d\n", name, g.scheme, g.read()); err != nil {
+	gauges := readGauges(&c.gauges)
+	for i, g := range gauges {
+		if i == 0 || g.Name != gauges[i-1].Name {
+			if err := header(w, g.Name, "Scheme-level memory gauge.", "gauge"); err != nil {
 				return err
 			}
+		}
+		if _, err := fmt.Fprintf(w, "%s{scheme=%q} %d\n", g.Name, g.Scheme, g.Value); err != nil {
+			return err
 		}
 	}
 	return nil

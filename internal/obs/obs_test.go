@@ -57,8 +57,8 @@ func TestCollectorMergesPerScheme(t *testing.T) {
 
 func TestCollectorGauges(t *testing.T) {
 	c := NewCollector()
-	v := uint64(7)
-	detach := c.AttachGauge("wfrc_core_ann_scan_violations", "waitfree", func() uint64 { return v })
+	v := int64(7)
+	detach := c.AttachGauge("wfrc_core_ann_scan_violations", "waitfree", func() int64 { return v })
 	snap := c.Snapshot()
 	if len(snap.Gauges) != 1 || snap.Gauges[0].Value != 7 {
 		t.Fatalf("gauges = %+v", snap.Gauges)
@@ -142,7 +142,7 @@ func TestPromExpositionGolden(t *testing.T) {
 
 	snap := Snapshot{
 		Schemes: map[string]mm.OpStats{"waitfree-rc": merged},
-		Gauges:  []GaugeValue{{Name: "wfrc_core_ann_scan_violations", Scheme: "waitfree-rc", Value: 0}},
+		Gauges:  []Gauge{{Name: "wfrc_core_ann_scan_violations", Scheme: "waitfree-rc", Value: 0}},
 	}
 	var b strings.Builder
 	if err := WriteProm(&b, snap); err != nil {

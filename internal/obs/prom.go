@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"wfrc/internal/mm"
 )
@@ -115,7 +116,8 @@ func WriteProm(w io.Writer, snap Snapshot) error {
 		}
 		for _, scheme := range names {
 			st := snap.Schemes[scheme]
-			if err := writeHist(w, spec.name, scheme, spec.hist(&st), spec.sum(&st)); err != nil {
+			if err := mm.WritePromHist(w, spec.name, fmt.Sprintf("scheme=%q", scheme),
+				spec.hist(&st).Buckets[:], stepLE[:], strconv.FormatUint(spec.sum(&st), 10)); err != nil {
 				return err
 			}
 		}
@@ -136,23 +138,11 @@ func header(w io.Writer, name, help, typ string) error {
 	return err
 }
 
-// writeHist writes one scheme's cumulative bucket series plus the
-// Prometheus-required _sum and _count samples.
-func writeHist(w io.Writer, name, scheme string, h *mm.StepHist, sum uint64) error {
-	var cum uint64
-	for i, c := range h.Buckets {
-		cum += c
-		le := "+Inf"
-		if i < mm.StepHistBuckets-1 {
-			le = fmt.Sprintf("%d", mm.BucketBound(i))
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{scheme=%q,le=%q} %d\n", name, scheme, le, cum); err != nil {
-			return err
-		}
+// stepLE holds the le edges of the step histograms: each bucket's
+// inclusive upper bound in steps (mm.BucketBound).
+var stepLE = func() (le [mm.StepHistBuckets - 1]string) {
+	for i := range le {
+		le[i] = strconv.FormatUint(mm.BucketBound(i), 10)
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum{scheme=%q} %d\n", name, scheme, sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count{scheme=%q} %d\n", name, scheme, cum)
-	return err
-}
+	return le
+}()

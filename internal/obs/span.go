@@ -22,7 +22,7 @@ import (
 // # Concurrency model
 //
 // The hot path (Start, Finish, the slotpool annotations) is lock-free
-// and allocation-free, mirroring TraceRing:
+// and allocation-free:
 //
 //   - Each thread slot owns one lane.  Between Start and Finish the
 //     lane's staging fields belong to the slot's current lessee
@@ -31,12 +31,11 @@ import (
 //     handoff is race-free.  Cross-goroutine annotations (the lease
 //     grant happens in the lessee itself; a quarantine notice comes
 //     from the releasing goroutine) go through per-lane atomics.
-//   - Finish publishes the completed span into a fixed ring of cells
-//     whose fields are individual atomics with a per-cell sequence
-//     word, exactly the TraceRing protocol: one fetch-and-add claims a
-//     cell, seq is stored last, and readers discard cells they raced
-//     with.  Record cost is a constant number of the writer's own
-//     steps.
+//   - Finish publishes the completed span into a seqlock event ring,
+//     the implementation TraceRing's help events use too (ring.go):
+//     one fetch-and-add claims a cell, seq is stored last, and readers
+//     discard cells they raced with.  Record cost is a constant number
+//     of the writer's own steps.
 //
 // The ring doubles as the flight recorder: it is always on, and its
 // current window is dumped as JSON on SIGQUIT, on an audit violation,
@@ -75,18 +74,8 @@ type Span struct {
 	HelpsReceived uint32 `json:"helps_received"`
 }
 
-// spanCell is one flight-recorder ring cell; see the TraceRing slot
-// protocol.
-type spanCell struct {
-	seq    atomic.Uint64 // claimed index + 1; 0 = never written / being written
-	id     atomic.Uint64
-	key    atomic.Uint64
-	start  atomic.Int64
-	dur    atomic.Int64
-	wait   atomic.Int64
-	packed atomic.Uint64 // slot<<48 | shard<<32 | helps<<16 | op<<8 | status<<1 | quarantined
-}
-
+// packSpan packs a span's small fields into one ring word:
+// slot<<48 | shard<<32 | helps<<16 | op<<8 | status<<1 | quarantined.
 func packSpan(slot, shard int, helps uint32, op, status uint8, quar bool) uint64 {
 	var q uint64
 	if quar {
@@ -118,15 +107,14 @@ type lane struct {
 }
 
 // SpanTracer is the request-span layer: per-slot lanes plus the flight
-// recorder ring of completed spans.  Construct with NewSpanTracer; the
-// zero value is not usable.
+// recorder, the span codec over the shared event ring (Cap and Total
+// count completed spans).  Construct with NewSpanTracer; the zero value
+// is not usable.
 type SpanTracer struct {
+	ring
 	opNames     []string // indexed by op code
 	statusNames []string // indexed by status code
 	lanes       []lane
-	mask        uint64
-	cells       []spanCell
-	cursor      atomic.Uint64
 	seq         atomic.Uint64
 	// now is the time source, swappable for deterministic tests.
 	now func() int64
@@ -138,29 +126,18 @@ type SpanTracer struct {
 // the op/status codes passed to Start and Finish; out-of-range codes
 // render as "op<N>"/"status<N>".
 func NewSpanTracer(slots, size int, opNames, statusNames []string) *SpanTracer {
-	n := 16
-	for n < size {
-		n <<= 1
-	}
-	return &SpanTracer{
+	t := &SpanTracer{
 		opNames:     opNames,
 		statusNames: statusNames,
 		lanes:       make([]lane, slots),
-		mask:        uint64(n - 1),
-		cells:       make([]spanCell, n),
 		now:         func() int64 { return time.Now().UnixNano() },
 	}
+	t.init(size)
+	return t
 }
 
 // Slots returns the number of lanes (thread slots) the tracer covers.
 func (t *SpanTracer) Slots() int { return len(t.lanes) }
-
-// Cap returns the flight-recorder capacity in completed spans.
-func (t *SpanTracer) Cap() int { return len(t.cells) }
-
-// Total returns how many spans have ever finished (including those the
-// ring has overwritten).
-func (t *SpanTracer) Total() uint64 { return t.cursor.Load() }
 
 // Start opens a span for a request executing on slot and returns its
 // ID, folding in any pending lease-wait/quarantine annotations from the
@@ -197,16 +174,14 @@ func (t *SpanTracer) Finish(slot int, status uint8, helps uint32) {
 		return
 	}
 	dur := t.now() - ln.startNS
-	idx := t.cursor.Add(1) - 1
-	c := &t.cells[idx&t.mask]
-	c.seq.Store(0) // invalidate for readers while the payload changes
-	c.id.Store(ln.id)
-	c.key.Store(ln.key)
-	c.start.Store(ln.startNS)
-	c.dur.Store(dur)
-	c.wait.Store(ln.waitNS)
-	c.packed.Store(packSpan(slot, int(ln.shard), helps, ln.op, status, ln.quar))
-	c.seq.Store(idx + 1) // publish
+	t.put([ringWords]uint64{
+		ln.id,
+		ln.key,
+		uint64(ln.startNS),
+		uint64(dur),
+		uint64(ln.waitNS),
+		packSpan(slot, int(ln.shard), helps, ln.op, status, ln.quar),
+	})
 	ln.active.Store(0)
 	ln.id = 0
 }
@@ -252,35 +227,25 @@ func (t *SpanTracer) statusName(st uint8) string {
 }
 
 // Snapshot returns the flight recorder's currently readable spans,
-// oldest first.  Cells being overwritten during the scan are skipped —
-// a snapshot during a run is a consistent sample, not an exact window.
+// oldest first.
 func (t *SpanTracer) Snapshot() []Span {
-	out := make([]Span, 0, len(t.cells))
-	for i := range t.cells {
-		c := &t.cells[i]
-		seq := c.seq.Load()
-		if seq == 0 {
-			continue
-		}
-		sp := Span{
-			ID:          c.id.Load(),
-			Key:         c.key.Load(),
-			StartNS:     c.start.Load(),
-			DurNS:       c.dur.Load(),
-			LeaseWaitNS: c.wait.Load(),
-		}
-		packed := c.packed.Load()
-		sp.Slot = int(uint16(packed >> 48))
-		sp.Shard = int(uint16(packed >> 32))
-		sp.HelpsReceived = uint32(uint16(packed >> 16))
-		sp.Op = t.opName(uint8(packed >> 8))
-		sp.Status = t.statusName(uint8(packed>>1) & 0x7f)
-		sp.Quarantined = packed&1 != 0
-		if c.seq.Load() != seq { // raced with a writer; discard
-			continue
-		}
-		out = append(out, sp)
-	}
+	out := make([]Span, 0, t.Cap())
+	t.read(func(_ uint64, w *[ringWords]uint64) {
+		packed := w[5]
+		out = append(out, Span{
+			ID:            w[0],
+			Key:           w[1],
+			StartNS:       int64(w[2]),
+			DurNS:         int64(w[3]),
+			LeaseWaitNS:   int64(w[4]),
+			Slot:          int(uint16(packed >> 48)),
+			Shard:         int(uint16(packed >> 32)),
+			HelpsReceived: uint32(uint16(packed >> 16)),
+			Op:            t.opName(uint8(packed >> 8)),
+			Status:        t.statusName(uint8(packed>>1) & 0x7f),
+			Quarantined:   packed&1 != 0,
+		})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

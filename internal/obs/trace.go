@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"wfrc/internal/core"
@@ -28,91 +27,47 @@ type HelpEvent struct {
 	HelpeeSpan uint64 `json:"helpee_span"`
 }
 
-// traceSlot is one ring cell.  Fields are individual atomics (not a
-// struct behind a lock): the writer publishes seq last, and the reader
-// re-checks seq after reading the payload, discarding any slot it raced
-// with.  This keeps Record wait-free and the whole structure clean
-// under the race detector.
-type traceSlot struct {
-	seq        atomic.Uint64 // claimed index + 1; 0 = never written
-	timeNS     atomic.Int64
-	packed     atomic.Uint64 // helper<<32 | helpee<<16 | slot
-	link       atomic.Uint64
-	helperSpan atomic.Uint64
-	helpeeSpan atomic.Uint64
-}
-
-// TraceRing is a fixed-size, wait-free ring buffer of help events for
+// TraceRing is the help-event codec over the shared event ring: a
+// fixed-size, wait-free record of the most recent help events for
 // post-mortem analysis of helping storms (who helped whom, how often,
-// at which announcement slots).  Writers claim a cell with one
-// fetch-and-add and overwrite the oldest event when full; Record is
-// therefore a constant number of the writer's own steps, preserving the
-// helper's Lemma 3 step accounting.  Use it with
+// at which announcement slots).  Use it with
 // core.(*Scheme).SetHelpTracer via CoreTracer.
-type TraceRing struct {
-	mask   uint64
-	slots  []traceSlot
-	cursor atomic.Uint64
-}
+type TraceRing struct{ ring }
 
 // NewTraceRing returns a ring holding the most recent size events,
 // rounded up to a power of two (minimum 16).
 func NewTraceRing(size int) *TraceRing {
-	n := 16
-	for n < size {
-		n <<= 1
-	}
-	return &TraceRing{mask: uint64(n - 1), slots: make([]traceSlot, n)}
+	r := &TraceRing{}
+	r.init(size)
+	return r
 }
 
-// Cap returns the ring capacity in events.
-func (r *TraceRing) Cap() int { return len(r.slots) }
-
-// Total returns how many events have ever been recorded (including
-// those already overwritten).
-func (r *TraceRing) Total() uint64 { return r.cursor.Load() }
-
-// Record stores ev (its Seq is assigned here).  Wait-free: one FAA plus
-// a constant number of atomic stores.
+// Record stores ev (its Seq is assigned here).  Wait-free, zero-alloc.
 func (r *TraceRing) Record(ev HelpEvent) {
-	idx := r.cursor.Add(1) - 1
-	s := &r.slots[idx&r.mask]
-	s.seq.Store(0) // invalidate for readers while the payload changes
-	s.timeNS.Store(ev.TimeNS)
-	s.packed.Store(uint64(uint32(ev.Helper))<<32 | uint64(uint16(ev.Helpee))<<16 | uint64(uint16(ev.Slot)))
-	s.link.Store(ev.Link)
-	s.helperSpan.Store(ev.HelperSpan)
-	s.helpeeSpan.Store(ev.HelpeeSpan)
-	s.seq.Store(idx + 1) // publish
+	r.put([ringWords]uint64{
+		uint64(ev.TimeNS),
+		uint64(uint32(ev.Helper))<<32 | uint64(uint16(ev.Helpee))<<16 | uint64(uint16(ev.Slot)),
+		ev.Link,
+		ev.HelperSpan,
+		ev.HelpeeSpan,
+	})
 }
 
-// Snapshot returns the currently readable events, oldest first.  Slots
-// being overwritten during the scan are skipped, so a snapshot taken
-// during a run is a consistent sample rather than an exact window.
+// Snapshot returns the currently readable events, oldest first.
 func (r *TraceRing) Snapshot() []HelpEvent {
-	out := make([]HelpEvent, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		seq := s.seq.Load()
-		if seq == 0 {
-			continue
-		}
-		ev := HelpEvent{
-			Seq:        seq - 1,
-			TimeNS:     s.timeNS.Load(),
-			Link:       s.link.Load(),
-			HelperSpan: s.helperSpan.Load(),
-			HelpeeSpan: s.helpeeSpan.Load(),
-		}
-		packed := s.packed.Load()
-		ev.Helper = int(uint32(packed >> 32))
-		ev.Helpee = int(uint16(packed >> 16))
-		ev.Slot = int(uint16(packed))
-		if s.seq.Load() != seq { // raced with a writer; discard
-			continue
-		}
-		out = append(out, ev)
-	}
+	out := make([]HelpEvent, 0, r.Cap())
+	r.read(func(seq uint64, w *[ringWords]uint64) {
+		out = append(out, HelpEvent{
+			Seq:        seq,
+			TimeNS:     int64(w[0]),
+			Helper:     int(uint32(w[1] >> 32)),
+			Helpee:     int(uint16(w[1] >> 16)),
+			Slot:       int(uint16(w[1])),
+			Link:       w[2],
+			HelperSpan: w[3],
+			HelpeeSpan: w[4],
+		})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

@@ -164,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 			s.collector.Attach(scheme, th.ID(), th.Stats())
 		}
 		cs := cs
-		s.collector.AttachGauge("wfrc_ann_scan_violations", scheme, func() uint64 { return cs.AnnScanViolations() })
+		s.collector.AttachGauge("wfrc_ann_scan_violations", scheme, func() int64 { return int64(cs.AnnScanViolations()) })
 
 		// Memory-lifecycle telemetry: the tracker stamps every retire and
 		// times the retire→free lag; the gauges read occupancy the tracker

@@ -3,70 +3,10 @@ package slotpool
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
-	"time"
+
+	"wfrc/internal/mm"
 )
-
-// waitHistBuckets is the bucket count of the lease-wait histogram:
-// factor-of-two microsecond buckets from 1µs up, last bucket +Inf.
-const waitHistBuckets = 24
-
-// waitHist is a concurrent log2 histogram of lease-wait durations,
-// built from atomics because leases are granted from many goroutines at
-// once.
-type waitHist struct {
-	buckets [waitHistBuckets]atomic.Uint64
-	sumNs   atomic.Int64
-}
-
-func (h *waitHist) record(d time.Duration) {
-	us := d.Microseconds()
-	b := 0
-	for b < waitHistBuckets-1 && us >= int64(1)<<b {
-		b++
-	}
-	h.buckets[b].Add(1)
-	h.sumNs.Add(int64(d))
-}
-
-// Record adds one observation.
-func (h *waitHist) Record(d time.Duration) { h.record(d) }
-
-// snapshot copies the bucket counts.
-func (h *waitHist) snapshot() (buckets [waitHistBuckets]uint64, sumNs int64) {
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	return buckets, h.sumNs.Load()
-}
-
-// quantile returns an upper bound on the q-quantile wait (the upper
-// edge of the bucket containing it), in nanoseconds.
-func quantile(buckets [waitHistBuckets]uint64, q float64) float64 {
-	var total uint64
-	for _, c := range buckets {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range buckets {
-		cum += c
-		if cum >= rank {
-			if i == waitHistBuckets-1 {
-				return math.Inf(1)
-			}
-			return float64(int64(1)<<i) * 1e3 // bucket upper edge, µs→ns
-		}
-	}
-	return math.Inf(1)
-}
 
 // poolMetrics is the pool's internal counter block.
 type poolMetrics struct {
@@ -82,11 +22,13 @@ type poolMetrics struct {
 	dirty       atomic.Uint64 // audits that saw a transiently dirty row
 	violations  atomic.Uint64 // audits that saw a live announcement (hygiene violation)
 	quarantined atomic.Int64  // slots currently quarantined (gauge)
-	waits       waitHist
+	waits       mm.LatencyHist
 }
 
 // Stats is a point-in-time snapshot of the pool's counters, shaped for
-// JSON (the server's STATS protocol op returns it verbatim).
+// JSON (the server's STATS protocol op returns it verbatim).  WaitP50Ns
+// and WaitP99Ns are power-of-two nanosecond bucket bounds of the
+// lease-wait histogram; WaitMeanNs is exact.
 type Stats struct {
 	Slots  int64  `json:"slots"`
 	Leased int64  `json:"leased"`
@@ -111,11 +53,7 @@ type Stats struct {
 
 // Stats snapshots the pool's counters.
 func (p *Pool) Stats() Stats {
-	buckets, sumNs := p.m.waits.snapshot()
-	var count uint64
-	for _, c := range buckets {
-		count += c
-	}
+	wait := p.m.waits.Snapshot()
 	st := Stats{
 		Slots:         p.m.slots.Load(),
 		Leased:        p.m.leased.Load(),
@@ -129,11 +67,11 @@ func (p *Pool) Stats() Stats {
 		AuditDirty:    p.m.dirty.Load(),
 		Violations:    p.m.violations.Load(),
 		Quarantined:   p.m.quarantined.Load(),
-		WaitP50Ns:     quantile(buckets, 0.50),
-		WaitP99Ns:     quantile(buckets, 0.99),
+		WaitP50Ns:     float64(wait.P50NS),
+		WaitP99Ns:     float64(wait.P99NS),
 	}
-	if count > 0 {
-		st.WaitMeanNs = float64(sumNs) / float64(count)
+	if wait.Count > 0 {
+		st.WaitMeanNs = float64(wait.SumNS) / float64(wait.Count)
 	}
 	return st
 }
@@ -184,21 +122,6 @@ func (p *Pool) WriteProm(w io.Writer) error {
 		hname, hname); err != nil {
 		return err
 	}
-	buckets, sumNs := p.m.waits.snapshot()
-	var cum uint64
-	for i, c := range buckets {
-		cum += c
-		le := "+Inf"
-		if i < waitHistBuckets-1 {
-			le = fmt.Sprintf("%g", float64(int64(1)<<i)/1e6) // µs upper edge in seconds
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", hname, le, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n",
-		hname, float64(sumNs)/1e9, hname, cum); err != nil {
-		return err
-	}
-	return nil
+	waits := p.m.waits.Counts()
+	return waits.WriteProm(w, hname, "")
 }

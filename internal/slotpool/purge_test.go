@@ -1,13 +1,11 @@
 package slotpool
 
-// ROADMAP item-1 follow-up: does purging the deferred scheme's sticky
-// pin cache on lease handoff matter?  TestPurgePinsOnRelease pins the
-// semantics of both settings; BenchmarkLeaseHandoff measures them.  The
-// measured answer on this host: warm inheritance wins (the purge walks
-// the whole pin row per release and buys nothing the ZCT drains don't
-// already provide), so PurgePinsOnRelease defaults to off and the knob
-// stays for re-measurement — see the Config field's comment and
-// DESIGN.md §9.
+// Lease handoff of the deferred scheme's sticky pin cache: Release does
+// not purge it, so the next lessee inherits the previous lessee's pin set
+// warm.  A purge per release was measured slower (321 vs 273 ns/op in
+// BenchmarkLeaseHandoff's two-arm form, DESIGN.md §9) and bought nothing
+// the ZCT drains do not already provide, so warm inheritance is the
+// policy, not a knob.
 
 import (
 	"context"
@@ -54,100 +52,81 @@ func leaveStalePinOn(t *testing.T, th mm.Thread, root mm.LinkID) arena.Handle {
 	return h
 }
 
-// TestPurgePinsOnRelease pins the observable difference between the two
-// handoff policies: after lessee A leaves a released sticky pin behind,
-// lessee B unlinks and flushes the node.  With the purge, A's row is
-// clean and B's drain frees the node immediately; warm-inherit keeps
-// A's publication alive, so B's first drain must keep the candidate.
+// TestPurgePinsOnRelease pins the handoff policy: Release purges no
+// pins.  After lessee A leaves a released sticky pin behind, lessee B
+// unlinks and flushes the node, and A's publication, inherited with the
+// slot, keeps B's first drain from freeing it.
 func TestPurgePinsOnRelease(t *testing.T) {
-	for _, purge := range []bool{true, false} {
-		name := "warm"
-		if purge {
-			name = "purge"
+	t.Run("warm", func(t *testing.T) {
+		s := newDeferred(t, 64, 2)
+		root := s.Arena().NewRoot()
+		p := MustNew(Config{Slots: 2}, s)
+		defer p.Close()
+
+		la, err := p.Lease(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			s := newDeferred(t, 64, 2)
-			root := s.Arena().NewRoot()
-			p := MustNew(Config{Slots: 2, PurgePinsOnRelease: purge}, s)
-			defer p.Close()
+		lb, err := p.Lease(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ta, tb := la.Thread(0), lb.Thread(0)
 
-			la, err := p.Lease(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			lb, err := p.Lease(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ta, tb := la.Thread(0), lb.Thread(0)
+		h := leaveStalePinOn(t, ta, root)
+		la.Release() // voluntary release: ta's row keeps its pin
 
-			h := leaveStalePinOn(t, ta, root)
-			la.Release() // voluntary release: purges ta's row iff enabled
-
-			// B unlinks the node (the link reference drops, the count hits
-			// zero in B's deferred state) and flushes once from its own
-			// goroutine.
-			if !tb.CASLink(root, arena.MakePtr(h, false), arena.NilPtr) {
-				t.Fatal("unlink CAS failed on a quiescent link")
-			}
-			if f, ok := tb.(mm.Flusher); ok {
-				f.Flush()
-			} else {
-				t.Fatal("deferred thread does not implement mm.Flusher")
-			}
-			frees := tb.Stats().Frees
-			if purge && frees != 1 {
-				t.Errorf("purge: B's flush freed %d nodes, want 1 (A's row should be clean)", frees)
-			}
-			if !purge && frees != 0 {
-				t.Errorf("warm: B's flush freed %d nodes, want 0 (A's sticky pin still publishes the node)", frees)
-			}
-			lb.Release()
-		})
-	}
+		// B unlinks the node (the link reference drops, the count hits
+		// zero in B's deferred state) and flushes once from its own
+		// goroutine.
+		if !tb.CASLink(root, arena.MakePtr(h, false), arena.NilPtr) {
+			t.Fatal("unlink CAS failed on a quiescent link")
+		}
+		if f, ok := tb.(mm.Flusher); ok {
+			f.Flush()
+		} else {
+			t.Fatal("deferred thread does not implement mm.Flusher")
+		}
+		if frees := tb.Stats().Frees; frees != 0 {
+			t.Errorf("B's flush freed %d nodes, want 0 (A's sticky pin still publishes the node)", frees)
+		}
+		lb.Release()
+	})
 }
 
-// BenchmarkLeaseHandoff measures the lease→work→release cycle under
-// both policies.  The workload per lease is deliberately small (one
-// pinned dereference) so the handoff cost dominates — the regime where
-// the purge walk would hurt most if the pool churns leases per request.
+// BenchmarkLeaseHandoff measures the lease→work→release cycle.  The
+// workload per lease is deliberately small (one pinned dereference) so
+// the handoff cost dominates, the regime a pool churning leases per
+// request lives in.
 func BenchmarkLeaseHandoff(b *testing.B) {
-	for _, purge := range []bool{false, true} {
-		name := "warm"
-		if purge {
-			name = "purge"
+	s := newDeferred(b, 64, 2)
+	root := s.Arena().NewRoot()
+	p := MustNew(Config{Slots: 1}, s)
+	defer p.Close()
+
+	// One long-lived node every lessee pins and releases.
+	setup, err := p.Lease(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := setup.Thread(0)
+	h, err := st.Alloc()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.StoreLink(root, arena.MakePtr(h, false))
+	st.Release(h)
+	setup.Release()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := p.Lease(context.Background())
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			s := newDeferred(b, 64, 2)
-			root := s.Arena().NewRoot()
-			p := MustNew(Config{Slots: 1, PurgePinsOnRelease: purge}, s)
-			defer p.Close()
-
-			// One long-lived node every lessee pins and releases.
-			setup, err := p.Lease(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := setup.Thread(0)
-			h, err := st.Alloc()
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.StoreLink(root, arena.MakePtr(h, false))
-			st.Release(h)
-			setup.Release()
-
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l, err := p.Lease(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				th := l.Thread(0)
-				pp := th.DeRef(root)
-				th.Release(pp.Handle())
-				l.Release()
-			}
-		})
+		th := l.Thread(0)
+		pp := th.DeRef(root)
+		th.Release(pp.Handle())
+		l.Release()
 	}
 }

@@ -111,25 +111,11 @@ type Config struct {
 	// MaxWait bounds how long Lease blocks for a free slot before
 	// returning ErrLeaseTimeout.  Zero waits until ctx cancellation.
 	MaxWait time.Duration
-	// DisableAudit turns off the per-slot reuse audit (benchmarks that
-	// want the raw lease path).  The audit is on by default.
-	DisableAudit bool
 	// AuditRetries bounds the re-checks of a transiently dirty row
 	// before the slot is quarantined (default 8; helpers release their
 	// pins within a bounded number of their own steps, so a handful of
 	// yields normally suffices).
 	AuditRetries int
-	// PurgePinsOnRelease, when set, clears released sticky publications
-	// from each slot thread's pin cache (mm.PinPurger) on every
-	// voluntary Release, so a recycled slot hands the next lessee a cold
-	// cache instead of the previous lessee's pin set.  Measured slower
-	// than inheriting the warm cache (see BenchmarkLeaseHandoff* and
-	// DESIGN.md §9): the deferred scheme's ZCT drains already bound how
-	// long a stale pin can delay reclamation, so the purge buys nothing
-	// and costs a cache walk per release.  Off by default; the knob
-	// exists to re-measure on future hosts.  Reaper revocations never
-	// purge — the purge must run on the holder's goroutine.
-	PurgePinsOnRelease bool
 	// Hook, when set, observes every lifecycle point.  It must be safe
 	// for concurrent calls; chaos torture installs an Injector here.
 	Hook func(Point)
@@ -456,16 +442,6 @@ func (l *Lease) Release() {
 	if !l.state.CompareAndSwap(leaseActive, leaseReleased) {
 		return
 	}
-	if l.p.cfg.PurgePinsOnRelease {
-		// Voluntary release runs on the holder's goroutine, the one
-		// place a pin purge is legal (owner-thread-only); the reaper's
-		// revoke path deliberately has no equivalent.
-		for _, th := range l.s.threads {
-			if pp, ok := th.(mm.PinPurger); ok {
-				pp.PurgePins()
-			}
-		}
-	}
 	l.p.m.releases.Add(1)
 	l.p.m.leased.Add(-1)
 	l.s.lease.Store(nil)
@@ -514,7 +490,7 @@ func (l *Lease) forceRevoke() bool {
 // the free queue or quarantines it until the audit passes.
 func (p *Pool) recycle(s *slot) {
 	p.hook(PReleaseAudit)
-	if p.cfg.DisableAudit || p.auditSlot(s, p.cfg.AuditRetries) {
+	if p.auditSlot(s, p.cfg.AuditRetries) {
 		p.hook(PRecycled)
 		p.free <- s
 		return
@@ -580,7 +556,7 @@ func (p *Pool) retryQuarantine() {
 	p.quarMu.Unlock()
 	var still []*slot
 	for _, s := range pending {
-		if p.cfg.DisableAudit || p.auditSlot(s, 0) {
+		if p.auditSlot(s, 0) {
 			p.m.quarantined.Add(-1)
 			p.hook(PRecycled)
 			p.free <- s

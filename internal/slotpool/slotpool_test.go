@@ -376,6 +376,9 @@ func TestWritePromShape(t *testing.T) {
 		"wfrc_slotpool_leases_total 1",
 		"wfrc_slotpool_lease_wait_seconds_count 1",
 		"# TYPE wfrc_slotpool_lease_wait_seconds histogram",
+		// The shared nanosecond buckets: 2^(i+1) ns as seconds.
+		`wfrc_slotpool_lease_wait_seconds_bucket{le="1.024e-06"} `,
+		`wfrc_slotpool_lease_wait_seconds_bucket{le="+Inf"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)
@@ -383,18 +386,22 @@ func TestWritePromShape(t *testing.T) {
 	}
 }
 
+// TestWaitHistQuantile pins how Stats reads the pool's lease-wait
+// histogram (the shared mm.LatencyHist): p50 and p99 are power-of-two
+// nanosecond bucket bounds, the mean is exact.
 func TestWaitHistQuantile(t *testing.T) {
-	var h waitHist
+	p := MustNew(Config{Slots: 1}, newCore(t, 64, 1))
+	defer p.Close()
 	for i := 0; i < 99; i++ {
-		h.Record(2 * time.Microsecond)
+		p.m.waits.Record(2 * time.Microsecond)
 	}
-	h.Record(3 * time.Millisecond)
-	buckets, _ := h.snapshot()
-	if p50 := quantile(buckets, 0.50); p50 > 8e3 {
-		t.Errorf("p50 = %g ns, want <= 8µs bucket edge", p50)
+	p.m.waits.Record(3 * time.Millisecond)
+	st := p.Stats()
+	if st.WaitP50Ns != 2048 || st.WaitP99Ns != 2048 {
+		t.Errorf("p50/p99 = %g/%g ns, want the 2µs sample's bucket bound 2048", st.WaitP50Ns, st.WaitP99Ns)
 	}
-	if p99 := quantile(buckets, 0.995); p99 < 1e6 {
-		t.Errorf("p99.5 = %g ns, want to land in the ms bucket", p99)
+	if want := (99*2e3 + 3e6) / 100; st.WaitMeanNs != want {
+		t.Errorf("mean = %g ns, want %g", st.WaitMeanNs, want)
 	}
 }
 
