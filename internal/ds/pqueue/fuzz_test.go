@@ -23,7 +23,8 @@ func (h *u64Heap) Pop() interface{} {
 
 // FuzzPQueueVsHeap drives the skiplist priority queue with byte-encoded
 // operation sequences and checks DeleteMin/PeekMin equivalence against
-// container/heap, over the wait-free scheme with a per-input audit.
+// container/heap, over the wait-free scheme with a per-input level and
+// reference-count audit.
 //
 // Run with `go test -fuzz FuzzPQueueVsHeap ./internal/ds/pqueue`.
 func FuzzPQueueVsHeap(f *testing.F) {
@@ -82,6 +83,7 @@ func FuzzPQueueVsHeap(f *testing.F) {
 		if pq.Len() != model.Len() {
 			t.Fatalf("Len = %d, model %d", pq.Len(), model.Len())
 		}
+		checkLevels(t, pq)
 		schemes.Flush(th)
 		for _, err := range schemes.AuditRC(s, nil) {
 			t.Error(err)

@@ -24,13 +24,15 @@
 // already published "linking done" (so every install predates the
 // confirmation sweep), and otherwise abandons the node to its inserter,
 // the one thread that knows when installs have stopped.  Whoever ends
-// up responsible runs one full find pass over the node's key — which
-// unlinks it from every level where it is still reachable — before
-// calling Retire.
+// up responsible runs one find pass over the node's key, from the
+// node's height down — which unlinks it from every level where it is
+// still reachable — before calling Retire.
 //
 // Node layout: link slot i is the level-i next pointer (i < MaxLevel);
 // value word 0 is the key (priority), word 1 the value, word 2 the
-// node's tower height, word 3 the retire-handshake state (lstate).
+// node's tower height in its low byte and, above it, one bit per level
+// the node has been unlinked from, word 3 the retire-handshake state
+// (lstate).
 package pqueue
 
 import (
@@ -43,8 +45,13 @@ import (
 // DefaultMaxLevel is the tower height cap used by NewDefault.
 const DefaultMaxLevel = 8
 
-// lsWord is the value-word index of the retire-handshake state.
-const lsWord = 3
+// Value-word indices of the height word and of the retire-handshake
+// state; goneShift places a level's "unlinked here" bit above the height.
+const (
+	heightWord = 2
+	lsWord     = 3
+	goneShift  = 8
+)
 
 // Retire-handshake states (see the package comment).  A node moves
 // lsLinking→lsLinked when its inserter finishes phase 2, or
@@ -128,7 +135,28 @@ func (pq *PQueue) link(h arena.Handle, lvl int) mm.LinkID { return pq.ar.LinkOf(
 
 func (pq *PQueue) key(h arena.Handle) uint64   { return pq.ar.Val(h, 0) }
 func (pq *PQueue) value(h arena.Handle) uint64 { return pq.ar.Val(h, 1) }
-func (pq *PQueue) level(h arena.Handle) int    { return int(pq.ar.Val(h, 2)) }
+func (pq *PQueue) level(h arena.Handle) int    { return int(pq.ar.Val(h, heightWord) & 0xff) }
+
+// unlinkedAt reports whether h has been unlinked from level lvl.
+func (pq *PQueue) unlinkedAt(h arena.Handle, lvl int) bool {
+	return pq.ar.Val(h, heightWord)>>(goneShift+lvl)&1 != 0
+}
+
+// unlinked finishes the unlink of h from level lvl, whose marked link
+// held next.  It breaks h's chain there (see arena.PoisonPtr), records
+// the level in h's height word, and at level 0 resolves retire
+// responsibility.  The record is what lets a later pass skip the level:
+// PoisonPtr alone cannot say it, since a claimed node that is last on a
+// level has a marked nil link, which is PoisonPtr too.
+func (pq *PQueue) unlinked(t mm.Thread, tw *tower, h arena.Handle, lvl int, next mm.Ptr) {
+	t.CASLink(pq.link(h, lvl), next, arena.PoisonPtr)
+	c := pq.ar.ValCell(h, heightWord)
+	for v := c.Load(); !c.CompareAndSwap(v, v|1<<(goneShift+lvl)); v = c.Load() {
+	}
+	if lvl == 0 {
+		pq.pendUnlinked(tw, h)
+	}
+}
 
 // randomLevel draws a geometric(1/2) tower height in [1, maxLevel],
 // using a per-thread-slot xorshift so no global state is contended.
@@ -154,7 +182,6 @@ type tower struct {
 	predNodes []arena.Handle // guarded; Nil where pred is a head root
 	succs     []mm.Ptr       // guarded
 	hooked    []mm.Ptr       // Insert scratch: current targets of n's links
-	foundEq   bool           // some level-0 successor has key == search key
 	pend      []arena.Handle // bottom-unlinked nodes awaiting confirm+retire
 }
 
@@ -201,17 +228,18 @@ func (pq *PQueue) pendUnlinked(tw *tower, h arena.Handle) {
 }
 
 // drainPend confirms and retires every node on the op's pend list.  A
-// full find pass over the node's key unlinks it from any level where it
-// is still reachable — no new link can appear once its lstate has left
-// lsLinking — so afterwards the node is provably unreachable and safe
-// to retire under non-counting schemes.  The pass may bottom-unlink
-// further claimed nodes, which pendUnlinked appends; the loop drains
-// those too.  Must run inside the caller's BeginOp/EndOp section.
+// confirmGone pass over the node's key, from the node's own height down,
+// unlinks it from any level where it is still reachable — no new link
+// can appear once its lstate has left lsLinking — so afterwards the node
+// is provably unreachable and safe to retire under non-counting schemes.
+// The pass may bottom-unlink further claimed nodes, which pendUnlinked
+// appends; the loop drains those too.  Must run inside the caller's
+// BeginOp/EndOp section.
 func (pq *PQueue) drainPend(t mm.Thread, tw *tower) {
 	for len(tw.pend) > 0 {
 		h := tw.pend[len(tw.pend)-1]
 		tw.pend = tw.pend[:len(tw.pend)-1]
-		pq.find(t, pq.key(h), true, tw)
+		pq.find(t, pq.key(h), confirmGone, h, tw)
 		tw.release(t, pq)
 		t.Retire(h)
 	}
@@ -226,23 +254,78 @@ func (pq *PQueue) headLink(pred arena.Handle, lvl int) mm.LinkID {
 	return pq.link(pred, lvl)
 }
 
-// find locates the insertion point for key at every level, unlinking
-// marked nodes it passes.  If exclusive is true the per-level stop
-// condition is "first node with key > search key" (used by Insert so
-// equal priorities queue after one another); otherwise ">=".
-// On return the caller owns the tower's references.
-func (pq *PQueue) find(t mm.Thread, key uint64, exclusive bool, tw *tower) {
+// A searchMode sets find's per-level stop and where each level starts.
+type searchMode int
+
+const (
+	// insertAt stops at the first key > the search key, so equal keys
+	// queue in arrival order, and starts each level at the level above's
+	// pred.  Insert uses it.
+	insertAt searchMode = iota
+	// unlinkMin stops at the first key >= the search key.  DeleteMin
+	// uses it to unlink the node it just claimed.
+	unlinkMin
+	// confirmGone stops like insertAt but starts every level at its
+	// head, so it reaches the claimed node wherever it sits among equal
+	// keys.  Concurrent inserts can order equal keys differently on two
+	// levels; a walk that advanced past an equal key x on level L+1 and
+	// descended from x would skip a claimed equal-key node that precedes
+	// x on level L.  drainPend uses it.
+	confirmGone
+)
+
+// find locates the insertion point for key, unlinking marked nodes it
+// passes.  Insert passes claimed = Nil and searches every level.  The
+// unlinking passes pass the claimed node and search only below its
+// height: Insert links a node only below its height, so no higher level
+// can reach it.  They also skip a level the claimed node has already
+// been unlinked from (see unlinked) and end a level as soon as they
+// unlink it, so the claimed node's duplicates are not walked.  Skipped
+// levels are left Nil in the tower, as are levels at and above the
+// start.
+//
+// On return the caller owns the tower's references: one on each
+// predNodes[lvl] and one on each succs[lvl].  The walk itself guards
+// only the pair it stands on.  A level's stop successor — the link out
+// of succs[lvl] — is read with Load, never guarded: nothing is
+// dereferenced through it, and an atomic read of a guarded node's own
+// link is valid under every scheme.  Only a marked successor (cur must
+// be unlinked) or an advance takes a DeRef.
+func (pq *PQueue) find(t mm.Thread, key uint64, mode searchMode, claimed arena.Handle, tw *tower) {
+	exclusive := mode != unlinkMin
+	top := pq.maxLevel
+	if claimed != arena.Nil {
+		top = pq.level(claimed)
+	}
 retry:
 	for {
 		tw.release(t, pq)
-		tw.foundEq = false
 		var tprev arena.Handle // traversal pred node, guarded (Nil = head)
-		for lvl := pq.maxLevel - 1; lvl >= 0; lvl-- {
+		for lvl := top - 1; lvl >= 0; lvl-- {
+			if claimed != arena.Nil && pq.unlinkedAt(claimed, lvl) {
+				continue
+			}
+			if mode == confirmGone {
+				t.Release(tprev)
+				tprev = arena.Nil
+			}
 			prevLink := pq.headLink(tprev, lvl)
 			cur := t.DeRef(prevLink)
 			for {
 				if cur.IsNil() {
 					break // end of this level
+				}
+				ckey := pq.key(cur.Handle())
+				stop := ckey > key || (!exclusive && ckey == key)
+				if stop && !t.Load(pq.link(cur.Handle(), lvl)).Marked() {
+					// Level stop: revalidate cur without guarding its
+					// successor.
+					if t.Load(prevLink) != arena.MakePtr(cur.Handle(), false) {
+						t.Release(cur.Handle())
+						t.Release(tprev)
+						continue retry
+					}
+					break
 				}
 				next := t.DeRef(pq.link(cur.Handle(), lvl))
 				if t.Load(prevLink) != arena.MakePtr(cur.Handle(), false) {
@@ -260,26 +343,20 @@ retry:
 						t.Release(tprev)
 						continue retry
 					}
-					// Break the unlinked node's chain at this level (see
-					// arena.PoisonPtr); safe for the same revalidation
-					// reason as in the ordered list.
-					t.CASLink(pq.link(cur.Handle(), lvl), next, arena.PoisonPtr)
-					if lvl == 0 {
-						pq.pendUnlinked(tw, cur.Handle())
-					}
+					// Poisoning is safe for the same revalidation reason
+					// as in the ordered list.
+					pq.unlinked(t, tw, cur.Handle(), lvl, next)
+					done := cur.Handle() == claimed
 					t.Release(cur.Handle())
 					cur = target // adopt next's reference
+					if done {
+						break
+					}
 					continue
 				}
-				ckey := pq.key(cur.Handle())
-				if ckey > key || (!exclusive && ckey == key) {
-					t.Release(next.Handle()) // level stop: next is not kept
-					break
-				}
-				if ckey == key {
-					tw.foundEq = true
-				}
-				// Advance within the level.
+				// Advance within the level.  A stop never gets here: it
+				// reaches the DeRef only after the peek saw a marked link,
+				// and a marked link stays marked (PoisonPtr included).
 				t.Release(tprev)
 				tprev = cur.Handle()
 				prevLink = pq.link(tprev, lvl)
@@ -291,9 +368,6 @@ retry:
 			}
 			tw.predNodes[lvl] = tprev
 			tw.succs[lvl] = cur // transfer cur's reference to the tower
-			if !cur.IsNil() && pq.key(cur.Handle()) == key {
-				tw.foundEq = true
-			}
 		}
 		t.Release(tprev)
 		return
@@ -326,7 +400,7 @@ func (pq *PQueue) Insert(t mm.Thread, key, value uint64) error {
 	h := pq.randomLevel(t)
 	pq.ar.SetVal(n, 0, key)
 	pq.ar.SetVal(n, 1, value)
-	pq.ar.SetVal(n, 2, uint64(h))
+	pq.ar.SetVal(n, heightWord, uint64(h))
 	pq.ar.SetVal(n, lsWord, lsLinking)
 
 	tw := pq.towerFor(t)
@@ -339,7 +413,7 @@ func (pq *PQueue) Insert(t mm.Thread, key, value uint64) error {
 
 	// Phase 1: link the bottom level.
 	for {
-		pq.find(t, key, true, tw)
+		pq.find(t, key, insertAt, arena.Nil, tw)
 		// Pre-point n's links at the successors found for each level.
 		ok := true
 		for lvl := 0; lvl < h; lvl++ {
@@ -376,7 +450,7 @@ func (pq *PQueue) Insert(t mm.Thread, key, value uint64) error {
 				break
 			}
 			// Stale insertion point: refresh and re-aim n's level link.
-			pq.find(t, key, true, tw)
+			pq.find(t, key, insertAt, arena.Nil, tw)
 			want := arena.MakePtr(tw.succs[lvl].Handle(), false)
 			if hooked[lvl] != want {
 				if !t.CASLink(pq.link(n, lvl), hooked[lvl], want) {
@@ -433,10 +507,7 @@ retry:
 					t.Release(tprev)
 					continue retry
 				}
-				// Break the unlinked node's bottom-level chain (see
-				// arena.PoisonPtr).
-				t.CASLink(pq.link(cur.Handle(), 0), next, arena.PoisonPtr)
-				pq.pendUnlinked(tw, cur.Handle())
+				pq.unlinked(t, tw, cur.Handle(), 0, next)
 				t.Release(cur.Handle())
 				cur = target
 				continue
@@ -459,8 +530,9 @@ retry:
 			if t.CASLink(pq.link(cur.Handle(), 0), nextUnmarked, nextUnmarked.WithMark(true)) {
 				key = pq.key(cur.Handle())
 				value = pq.value(cur.Handle())
-				// Physically unlink at every level via the helping search.
-				pq.find(t, key, false, tw)
+				// Physically unlink at each of cur's h levels via the
+				// helping search.
+				pq.find(t, key, unlinkMin, cur.Handle(), tw)
 				tw.release(t, pq)
 				pq.drainPend(t, tw)
 				t.Release(next.Handle())

@@ -224,30 +224,37 @@ func TestConcurrentConservation(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-
-		th, _ := s.Register()
-		for {
-			_, v, ok := pq.DeleteMin(th)
-			if !ok {
-				break
-			}
-			got[v]++
-		}
-		th.Unregister()
-
-		want := threads * perThread
-		if len(got) != want {
-			t.Fatalf("distinct values = %d, want %d", len(got), want)
-		}
-		for v, c := range got {
-			if c != 1 {
-				t.Fatalf("value %#x delivered %d times", v, c)
-			}
-		}
-		if pq.Len() != 0 {
-			t.Fatalf("queue not empty after drain: %d", pq.Len())
-		}
+		checkLevels(t, pq)
+		drainExactlyOnce(t, s, pq, got, threads*perThread)
 	})
+}
+
+// drainExactlyOnce empties pq into got, then checks that want distinct
+// values were each delivered once and that every level is empty.
+func drainExactlyOnce(t *testing.T, s mm.Scheme, pq *PQueue, got map[uint64]int, want int) {
+	t.Helper()
+	th, _ := s.Register()
+	for {
+		_, v, ok := pq.DeleteMin(th)
+		if !ok {
+			break
+		}
+		got[v]++
+	}
+	th.Unregister()
+
+	if len(got) != want {
+		t.Fatalf("distinct values = %d, want %d", len(got), want)
+	}
+	for v, c := range got {
+		if c != 1 {
+			t.Fatalf("value %#x delivered %d times", v, c)
+		}
+	}
+	if pq.Len() != 0 {
+		t.Fatalf("queue not empty after drain: %d", pq.Len())
+	}
+	checkLevels(t, pq)
 }
 
 // TestConcurrentOrdering checks the priority-queue ordering property that
@@ -301,6 +308,7 @@ func TestConcurrentOrdering(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+		checkLevels(t, pq)
 		if len(seen) != n {
 			t.Fatalf("consumed %d distinct keys, want %d", len(seen), n)
 		}
