@@ -82,8 +82,7 @@ func run() int {
 		nodes      = flag.Int("nodes", 1<<16, "initial arena segment per shard, in nodes")
 		maxMemory  = flag.String("max-memory", "", "total node-storage budget with K/M/G suffix (e.g. 256M); shards grow toward it by attaching arena segments at runtime, instead of being capped at -nodes (README \"Capacity model\")")
 		buckets    = flag.Int("buckets", 0, "hashmap buckets per shard (power of two); 0 derives it from the shard's node ceiling, one bucket per 4 nodes")
-		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "slot lease expiry for dead connections")
-		leaseWait  = flag.Duration("lease-max-wait", 2*time.Second, "how long a connection waits for a slot before Busy")
+		leaseWait  = flag.Duration("lease-max-wait", 2*time.Second, "how long a request waits for a slot before Busy")
 		drainWait  = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 		chaosSeed  = flag.Int64("chaos-seed", 0, "seed for lease-lifecycle chaos injection")
 		chaosDelay = flag.Float64("chaos-delay-prob", 0, "probability of an injected spin delay at each lease hook point")
@@ -105,7 +104,6 @@ func run() int {
 			Buckets:       *buckets,
 			MaxValue:      *maxValue,
 		},
-		LeaseTTL:     *leaseTTL,
 		LeaseMaxWait: *leaseWait,
 	}
 	if *maxMemory != "" {
@@ -296,8 +294,8 @@ func run() int {
 		return 1
 	}
 	st := srv.Stats()
-	fmt.Printf("wfrc-kv: drained clean — %d conns served, %d busy rejects, %d lease expiries, 0 leaks, 0 hygiene violations\n",
-		st.ConnsTotal, st.Busy, st.Pool.Expiries)
+	fmt.Printf("wfrc-kv: drained clean — %d conns served, %d busy rejects, 0 leaks, 0 hygiene violations\n",
+		st.ConnsTotal, st.Busy)
 	if st.Growable {
 		attached := 0
 		for _, c := range st.Capacity {

@@ -1,7 +1,7 @@
 // Command wfrc-load is a load generator for wfrc-kv.  It opens more
 // concurrent connections than the server has thread slots (that is the
-// point: the slotpool must multiplex them), churns connections so slot
-// leases cycle through many lessees, applies a configurable key skew,
+// point: the slotpool must multiplex them, one lease per request),
+// churns connections, applies a configurable key skew,
 // and reports client-side latency plus the server-side lease and shard
 // counters it reads back through the STATS protocol op.
 //
@@ -56,7 +56,7 @@ func run() int {
 		skew      = flag.Float64("skew", 1.2, "zipf skew exponent (>1; <=1 selects uniform keys)")
 		reads     = flag.Float64("reads", 0.6, "fraction of GET requests; the rest split SET/DEL/CAS (native) or SET/DEL (resp)")
 		valueSize = flag.Int("value-size", 64, "SET payload bytes in -proto resp mode")
-		perConn   = flag.Int("reqs-per-conn", 200, "requests before a connection is churned (lease handed back)")
+		perConn   = flag.Int("reqs-per-conn", 200, "requests before a connection is closed and redialled")
 		rate      = flag.Float64("rate", 0, "open-loop offered load in req/s across all connections (0 = closed loop)")
 		slo       = flag.Duration("slo", time.Millisecond, "open-loop latency SLO for the under-SLO fraction")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -214,14 +214,11 @@ func run() int {
 					}
 					opIdx, busyRej, err := doOp()
 					if busyRej {
+						// Both protocols lease per request or batch: back off
+						// and retry on the same connection.
 						res.busy++
 						time.Sleep(time.Duration(1+rng.Intn(4)) * time.Millisecond)
-						if nc != nil {
-							// A native Busy closes the connection's lease path;
-							// redial.  RESP leases per batch, the conn stays good.
-							closeConn()
-						}
-						break
+						continue
 					}
 					if err != nil {
 						res.errs++
@@ -236,8 +233,7 @@ func run() int {
 						res.underSLO++
 					}
 				}
-				// Churn: hand the slot lease back so another connection
-				// (and audit pass) gets it.
+				// Churn: redial, so connection setup stays on the path.
 				closeConn()
 			}
 		}(wkr)
@@ -289,7 +285,6 @@ func run() int {
 		LeaseWaitMeanNS: stats.Pool.WaitMeanNs,
 		Protocol:        *proto,
 		BusyRejects:     busy + stats.Busy,
-		Expiries:        stats.Pool.Expiries,
 		AuditViolations: stats.Pool.Violations,
 		Memory:          stats.Memory,
 	}
@@ -337,9 +332,9 @@ func run() int {
 			time.Duration(ol.P50NS), time.Duration(ol.P99NS),
 			time.Duration(ol.P999NS), time.Duration(ol.MaxNS))
 	}
-	fmt.Printf("  lease wait p50=%v p99=%v mean=%v; busy rejects=%d, expiries=%d, client errors=%d\n",
+	fmt.Printf("  lease wait p50=%v p99=%v mean=%v; busy rejects=%d, client errors=%d\n",
 		time.Duration(sec.LeaseWaitP50NS), time.Duration(sec.LeaseWaitP99NS),
-		time.Duration(sec.LeaseWaitMeanNS), sec.BusyRejects, sec.Expiries, errCount)
+		time.Duration(sec.LeaseWaitMeanNS), sec.BusyRejects, errCount)
 	fmt.Printf("  shard ops=%v balance=%.3f; audit violations=%d\n",
 		sec.ShardOps, sec.ShardBalance, sec.AuditViolations)
 	var floating, floatingHWM int64
@@ -397,7 +392,7 @@ func run() int {
 
 // fetchStats reads the server-side counters over a fresh connection,
 // retrying through transient Busy responses (the load just stopped;
-// slots free up as lingering leases release or expire).
+// slots free up as in-flight requests release their leases).
 func fetchStats(addr string) (server.StatsReply, error) {
 	var lastErr error
 	for attempt := 0; attempt < 50; attempt++ {

@@ -50,7 +50,6 @@ type BenchServer struct {
 	Memory *MemSnapshot `json:"memory,omitempty"`
 
 	BusyRejects uint64 `json:"busy_rejects"`
-	Expiries    uint64 `json:"lease_expiries"`
 
 	ShardOps []uint64 `json:"shard_ops"`
 	// ShardBalance is max(shard_ops)/mean(shard_ops); 1.0 is perfect
@@ -154,7 +153,7 @@ var (
 		"connections", "slots", "shards", "ops", "elapsed_ns", "ops_per_sec",
 		"latency_p50_ns", "latency_p99_ns", "latency_p999_ns", "latency_max_ns", "op_latency",
 		"lease_wait_p50_ns", "lease_wait_p99_ns", "lease_wait_mean_ns",
-		"busy_rejects", "lease_expiries", "shard_ops", "shard_balance", "audit_violations",
+		"busy_rejects", "shard_ops", "shard_balance", "audit_violations",
 	}
 	requiredOpLatencyKeys = []string{"count", "p50_ns", "p99_ns", "p999_ns", "max_ns"}
 	requiredOpenLoopKeys  = []string{

@@ -60,9 +60,8 @@ type Span struct {
 	// duration.
 	StartNS int64 `json:"start_ns"`
 	DurNS   int64 `json:"dur_ns"`
-	// LeaseWaitNS is the slot-lease wait this request's connection paid
-	// before its first request (0 on subsequent requests of the same
-	// connection).
+	// LeaseWaitNS is the slot-lease wait this request paid: every native
+	// frame and every RESP batch takes its own lease.
 	LeaseWaitNS int64 `json:"lease_wait_ns"`
 	// Quarantined reports that the slot passed through audit quarantine
 	// immediately before this lease — the request ran on a slot that a

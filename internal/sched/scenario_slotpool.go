@@ -51,16 +51,13 @@ func buildSlotLeaseChurn(w *World) {
 				// every step, so a side-effectful condition must be
 				// idempotent: once TryLease succeeds, keep answering true
 				// without leasing again.
-				var l *slotpool.Lease
+				var l slotpool.Lease
+				held := false
 				t.BlockUntil(func() bool {
-					if l != nil {
-						return true
+					if !held {
+						l, held = pool.TryLease()
 					}
-					got, ok := pool.TryLease()
-					if ok {
-						l = got
-					}
-					return ok
+					return held
 				})
 				ct := l.Thread(0).(*core.Thread)
 				t.Instrument(ct)

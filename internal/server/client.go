@@ -9,7 +9,8 @@ import (
 )
 
 // ErrBusy reports the server's backpressure response: no thread slot
-// was free for this connection.  Retry later on a fresh connection.
+// was free for this request.  The connection stays open; retry on it
+// after a short backoff.
 var ErrBusy = errors.New("server: busy (no thread slot free)")
 
 // Client is a minimal blocking client for the KV protocol, used by the

@@ -187,7 +187,7 @@ func (sess *respSession) serveBatch(batch []respItem, perr error) bool {
 	}
 	// One add per batch: the counter's line is shared by every connection.
 	s.reqsRESP.Add(uint64(len(batch)))
-	var lease *slotpool.Lease
+	var lease slotpool.Lease
 	busy := false
 	if ops > 0 {
 		var err error
@@ -212,7 +212,7 @@ func (sess *respSession) serveBatch(batch []respItem, perr error) bool {
 		}
 		alive = sess.serveCommand(lease, it) && alive
 	}
-	if lease != nil {
+	if ops > 0 && !busy {
 		lease.Release()
 	}
 	if perr != nil {
@@ -243,7 +243,7 @@ func respOps(it *respItem) int {
 
 // serveCommand appends one command's reply to sess.out.  It returns
 // false to close the connection (QUIT).
-func (sess *respSession) serveCommand(l *slotpool.Lease, it *respItem) bool {
+func (sess *respSession) serveCommand(l slotpool.Lease, it *respItem) bool {
 	s := sess.s
 	args := it.cmd.Args
 	switch it.op {
@@ -355,7 +355,7 @@ func (sess *respSession) serveCommand(l *slotpool.Lease, it *respItem) bool {
 }
 
 // appendGet appends key's value as a bulk string, or a null.
-func (sess *respSession) appendGet(l *slotpool.Lease, key uint64) {
+func (sess *respSession) appendGet(l slotpool.Lease, key uint64) {
 	sess.scratch = sess.scratch[:0]
 	b, ok := sess.s.store.GetBytes(l, key, sess.scratch)
 	sess.scratch = b
@@ -368,7 +368,7 @@ func (sess *respSession) appendGet(l *slotpool.Lease, key uint64) {
 
 // set stores one payload, through the value layer when present, else as
 // a native decimal uint64.
-func (sess *respSession) set(l *slotpool.Lease, key uint64, payload []byte) error {
+func (sess *respSession) set(l slotpool.Lease, key uint64, payload []byte) error {
 	st := sess.s.store
 	if st.Values() == nil {
 		v, err := strconv.ParseUint(string(payload), 10, 64)

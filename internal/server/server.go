@@ -24,12 +24,8 @@ import (
 type Config struct {
 	// Store configures the sharded KV store.
 	Store StoreConfig
-	// LeaseTTL bounds how long a connection may hold its slot lease
-	// without completing a request (default 30s; the lease renews on
-	// every request, so only a dead or wedged connection expires).
-	LeaseTTL time.Duration
-	// LeaseMaxWait bounds how long a new connection waits for a free
-	// slot before being turned away with StatusBusy (default 2s).
+	// LeaseMaxWait bounds how long a request waits for a free slot
+	// before it is answered with StatusBusy (default 2s).
 	LeaseMaxWait time.Duration
 	// Hook is forwarded to the slotpool for chaos injection.
 	Hook func(slotpool.Point)
@@ -74,10 +70,11 @@ type StatsReply struct {
 	Memory *obs.MemSnapshot `json:"memory,omitempty"`
 }
 
-// Server serves the KV protocol over TCP.  One slot lease per
-// connection: the lease is taken after accept, renewed on every
-// request, and released when the connection ends — the TTL reaper
-// reclaims the slot of a connection that died without cleanup.
+// Server serves the KV protocol over TCP.  Both front-ends lease per
+// parsed unit: a native frame or a RESP batch takes one slot lease
+// after it is decoded and releases it before the reply is written, so
+// an idle or slow connection holds no slot and any number of
+// connections share the slots.
 type Server struct {
 	cfg   Config
 	store *Store
@@ -118,9 +115,6 @@ type Server struct {
 
 // New builds the store and its slot pool.
 func New(cfg Config) (*Server, error) {
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 30 * time.Second
-	}
 	if cfg.LeaseMaxWait == 0 {
 		cfg.LeaseMaxWait = 2 * time.Second
 	}
@@ -136,7 +130,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	pool, err := slotpool.New(slotpool.Config{
 		Slots:     store.cfg.Slots,
-		LeaseTTL:  cfg.LeaseTTL,
 		MaxWait:   cfg.LeaseMaxWait,
 		Hook:      cfg.Hook,
 		Annotator: ann,
@@ -302,25 +295,20 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.handleNative(conn, r)
 }
 
+// handleNative serves one native connection, a frame at a time: block
+// in ReadFrame holding nothing, decode, lease one slot for the frame (an
+// OpBatch frame is one batched lease), serve, release, and only then
+// write the reply.  A frame that finds no slot within LeaseMaxWait is
+// answered StatusBusy and the connection stays open for the next one.
 func (s *Server) handleNative(conn net.Conn, r *bufio.Reader) {
 	w := bufio.NewWriter(conn)
-
-	lease, err := s.pool.Lease(context.Background())
-	if err != nil {
-		// Backpressure: tell the client to retry rather than hanging it.
-		s.busy.Add(1)
-		WriteFrame(w, []byte{StatusBusy})
-		w.Flush()
-		return
-	}
-	defer lease.Release()
-
 	var buf []byte
 	resp := make([]byte, 0, 64)
 	for {
+		var err error
 		buf, err = ReadFrame(r, buf)
 		if err != nil {
-			return // EOF, death, or drain deadline: the deferred Release cleans up
+			return // EOF, death, or drain deadline
 		}
 		req, err := DecodeRequest(buf)
 		if err != nil {
@@ -331,15 +319,19 @@ func (s *Server) handleNative(conn net.Conn, r *bufio.Reader) {
 			return
 		}
 		s.reqsNative.Add(1)
-		// A long-idle connection's lease may have been reaped; do not
-		// touch the slot bundle through a dead lease.
-		if !lease.Renew() {
-			s.busy.Add(1)
-			WriteFrame(w, []byte{StatusBusy})
-			w.Flush()
-			return
+		var lease slotpool.Lease
+		if req.Op == OpBatch {
+			lease, err = s.pool.LeaseBatch(context.Background(), len(req.Sub))
+		} else {
+			lease, err = s.pool.Lease(context.Background())
 		}
-		resp = s.observeRequest(resp[:0], lease, req)
+		if err != nil {
+			s.busy.Add(1)
+			resp = append(resp[:0], StatusBusy)
+		} else {
+			resp = s.observeRequest(resp[:0], lease, req)
+			lease.Release()
+		}
 		if err := WriteFrame(w, resp); err != nil {
 			return
 		}
@@ -357,7 +349,7 @@ func (s *Server) handleNative(conn net.Conn, r *bufio.Reader) {
 // thread tag so help events join to it), per-op×shard latency
 // recording, and pprof labels.  Everything here is zero-alloc and
 // lock-free — see the AllocsPerRun guards in internal/obs.
-func (s *Server) observeRequest(dst []byte, l *slotpool.Lease, req Request) []byte {
+func (s *Server) observeRequest(dst []byte, l slotpool.Lease, req Request) []byte {
 	opIdx := int(req.Op) - 1
 	if opIdx < 0 || opIdx >= len(OpNames)-1 {
 		return s.serveRequest(dst, l, req) // unknown op: protocol error path
@@ -403,7 +395,7 @@ func (s *Server) observeRequest(dst []byte, l *slotpool.Lease, req Request) []by
 	return dst
 }
 
-func (s *Server) serveRequest(dst []byte, l *slotpool.Lease, req Request) []byte {
+func (s *Server) serveRequest(dst []byte, l slotpool.Lease, req Request) []byte {
 	switch req.Op {
 	case OpGet:
 		if v, ok := s.store.Get(l, req.Key); ok {

@@ -218,7 +218,7 @@ func (st *Store) Shard(key uint64) int {
 }
 
 // Get reads key using the lease's thread for its shard.
-func (st *Store) Get(l *slotpool.Lease, key uint64) (uint64, bool) {
+func (st *Store) Get(l slotpool.Lease, key uint64) (uint64, bool) {
 	sh := st.Shard(key)
 	st.shards[sh].ops[l.Slot()].Add(1)
 	return st.shards[sh].m.Get(l.Thread(sh), key)
@@ -237,7 +237,7 @@ var ErrReservedBit = errors.New("server: value bit 63 is reserved for the value 
 // freed eagerly).  Replacement retires the old node, so the node-free
 // hook releases any blocks exactly once.  Tagged words are rejected —
 // a native client must not be able to forge a block ref.
-func (st *Store) Set(l *slotpool.Lease, key, value uint64) (bool, error) {
+func (st *Store) Set(l slotpool.Lease, key, value uint64) (bool, error) {
 	sh := st.Shard(key)
 	st.shards[sh].ops[l.Slot()].Add(1)
 	if st.values != nil {
@@ -251,7 +251,7 @@ func (st *Store) Set(l *slotpool.Lease, key, value uint64) (bool, error) {
 }
 
 // Delete removes key, reporting whether it was present.
-func (st *Store) Delete(l *slotpool.Lease, key uint64) bool {
+func (st *Store) Delete(l slotpool.Lease, key uint64) bool {
 	sh := st.Shard(key)
 	st.shards[sh].ops[l.Slot()].Add(1)
 	return st.shards[sh].m.Delete(l.Thread(sh), key)
@@ -262,7 +262,7 @@ func (st *Store) Delete(l *slotpool.Lease, key uint64) bool {
 // and installed by node replacement — never by overwriting a value word
 // in place, which would free the old payload's blocks under a
 // concurrent reader.  The value layer must be enabled.
-func (st *Store) SetBytes(l *slotpool.Lease, key uint64, payload []byte) error {
+func (st *Store) SetBytes(l slotpool.Lease, key uint64, payload []byte) error {
 	w, err := st.values.Alloc(l.Slot(), payload)
 	if err != nil {
 		return err
@@ -281,7 +281,7 @@ func (st *Store) SetBytes(l *slotpool.Lease, key uint64, payload []byte) error {
 // guard is still held (a concurrent delete cannot free the blocks under
 // us — the guard keeps the node, the node keeps the blocks).  Native
 // uint64 values render as decimal, matching their RESP representation.
-func (st *Store) GetBytes(l *slotpool.Lease, key uint64, dst []byte) ([]byte, bool) {
+func (st *Store) GetBytes(l slotpool.Lease, key uint64, dst []byte) ([]byte, bool) {
 	sh := st.Shard(key)
 	st.shards[sh].ops[l.Slot()].Add(1)
 	found := st.shards[sh].m.GetWith(l.Thread(sh), key, func(w uint64) {
@@ -299,7 +299,7 @@ func (st *Store) GetBytes(l *slotpool.Lease, key uint64, dst []byte) ([]byte, bo
 // server rejects reserved-bit old/new words (serveRequest): a tagged
 // word can then never match old, so a block-backed value can never be
 // overwritten in place — the CAS just fails.
-func (st *Store) CompareAndSet(l *slotpool.Lease, key, old, new uint64) (swapped, found bool) {
+func (st *Store) CompareAndSet(l slotpool.Lease, key, old, new uint64) (swapped, found bool) {
 	sh := st.Shard(key)
 	st.shards[sh].ops[l.Slot()].Add(1)
 	return st.shards[sh].m.CompareAndSet(l.Thread(sh), key, old, new)

@@ -16,7 +16,6 @@ type poolMetrics struct {
 	batched     atomic.Uint64 // leases granted through LeaseBatch
 	batchedOps  atomic.Uint64 // operations those batched leases carried
 	releases    atomic.Uint64
-	expiries    atomic.Uint64
 	timeouts    atomic.Uint64
 	cancels     atomic.Uint64
 	dirty       atomic.Uint64 // audits that saw a transiently dirty row
@@ -40,7 +39,6 @@ type Stats struct {
 	LeasesBatched uint64  `json:"leases_batched"`
 	BatchedOps    uint64  `json:"batched_ops"`
 	Releases      uint64  `json:"releases"`
-	Expiries      uint64  `json:"expiries"`
 	Timeouts      uint64  `json:"timeouts"`
 	Cancels       uint64  `json:"cancels"`
 	AuditDirty    uint64  `json:"audit_dirty"`
@@ -61,7 +59,6 @@ func (p *Pool) Stats() Stats {
 		LeasesBatched: p.m.batched.Load(),
 		BatchedOps:    p.m.batchedOps.Load(),
 		Releases:      p.m.releases.Load(),
-		Expiries:      p.m.expiries.Load(),
 		Timeouts:      p.m.timeouts.Load(),
 		Cancels:       p.m.cancels.Load(),
 		AuditDirty:    p.m.dirty.Load(),
@@ -105,7 +102,6 @@ func (p *Pool) WriteProm(w io.Writer) error {
 		{"wfrc_slotpool_leases_batched_total", "Leases granted through LeaseBatch (one lease per multi-op batch).", st.LeasesBatched},
 		{"wfrc_slotpool_batched_ops_total", "Operations carried by batched leases.", st.BatchedOps},
 		{"wfrc_slotpool_releases_total", "Leases released by their holders.", st.Releases},
-		{"wfrc_slotpool_expiries_total", "Leases revoked by the TTL reaper.", st.Expiries},
 		{"wfrc_slotpool_timeouts_total", "Lease waits that hit MaxWait (backpressure).", st.Timeouts},
 		{"wfrc_slotpool_cancels_total", "Lease waits abandoned via context cancellation.", st.Cancels},
 		{"wfrc_slotpool_audit_dirty_total", "Reuse audits that found a persistently pinned row (slot quarantined).", st.AuditDirty},

@@ -21,16 +21,13 @@
 //     is verifiably clean across lessees.  A transiently dirty slot
 //     (a helper mid-H4..H8 on its row) is quarantined and recycled
 //     once the audit passes.
-//   - A lease that is neither released nor renewed within
-//     Config.LeaseTTL is revoked by the reaper, so a handler that died
-//     without running its cleanup cannot strand a slot forever.
 //
-// Revocation is a last-resort liveness device, not an isolation
-// boundary: Lease.Thread panics once the lease is revoked or released,
-// which stops a *resumed* zombie at its next handout, but a goroutine
-// already inside a scheme operation cannot be stopped — the reuse audit
-// exists to detect the traces such a zombie leaves (pinned slots, live
-// announcements) and keep the slot out of circulation until they clear.
+// A lease lasts one bounded unit of work — a request, a parsed batch —
+// and is never held across I/O, which is the paper's model exactly: a
+// fixed set of threads, each running bounded operations.  Nothing is
+// revoked; Close waits for the leases still out, and Lease.Thread
+// panics after Release so a holder that keeps running past its own
+// Release is stopped at its next handout.
 //
 // Every lifecycle transition passes a hook point (Config.Hook), which
 // internal/chaos's Injector perturbs in torture runs, and the pool
@@ -74,8 +71,6 @@ const (
 	PRecycled
 	// PQuarantined fires when a dirty slot is withheld from reuse.
 	PQuarantined
-	// PExpired fires when the reaper revokes an expired lease.
-	PExpired
 
 	// NumPoints is the number of hook points.
 	NumPoints
@@ -84,7 +79,7 @@ const (
 var pointNames = [...]string{
 	PLeaseWait: "PLeaseWait", PLeaseGranted: "PLeaseGranted",
 	PReleaseAudit: "PReleaseAudit", PRecycled: "PRecycled",
-	PQuarantined: "PQuarantined", PExpired: "PExpired",
+	PQuarantined: "PQuarantined",
 }
 
 // String names the hook point.
@@ -102,12 +97,9 @@ type Config struct {
 	// already-registered threads is NOT computed — the schemes must have
 	// Slots free registration slots each).
 	Slots int
-	// LeaseTTL, when positive, bounds how long a lease may be held
-	// before the reaper revokes it.  Zero disables expiry.
+	// Deprecated: LeaseTTL is ignored; leases are no longer revoked.  It
+	// goes with the next change to the benchmark module, which sets it.
 	LeaseTTL time.Duration
-	// ReapInterval is the reaper's polling period (default LeaseTTL/4,
-	// minimum 1ms).  Ignored when LeaseTTL is zero.
-	ReapInterval time.Duration
 	// MaxWait bounds how long Lease blocks for a free slot before
 	// returning ErrLeaseTimeout.  Zero waits until ctx cancellation.
 	MaxWait time.Duration
@@ -153,7 +145,6 @@ type Pool struct {
 
 	closed atomic.Bool
 	stop   chan struct{}
-	reapWG sync.WaitGroup
 
 	m poolMetrics
 }
@@ -161,38 +152,23 @@ type Pool struct {
 // slot is one leasable bundle: the thread registered at the same slot
 // index in every scheme.
 type slot struct {
+	p       *Pool
 	id      int
 	threads []mm.Thread
-	lease   atomic.Pointer[Lease]
+	// gen is the slot's lease generation.  A grant is live while gen
+	// still equals the generation it was handed out at; Release advances
+	// it, so every earlier handle of the slot is dead for good.
+	gen atomic.Uint64
 }
 
-// Lease states.
-const (
-	leaseActive int32 = iota
-	leaseReleased
-	leaseRevoked
-)
-
-// deadlineClaimed is the sentinel the reaper CASes into a lease's
-// deadline to claim an observed expiry before revoking.  The claim
-// arbitrates the reaper-vs-Renew race: a Renew that lands between the
-// reaper's deadline read and its claim moves the deadline, the claim
-// CAS fails and the revocation is abandoned — so a Renew that returned
-// true is never overridden by a revocation based on the stale deadline
-// it replaced.  Conversely a Renew that observes the sentinel reports
-// the lease dead instead of resurrecting a slot the reaper is already
-// recycling (which would put two users on one thread bundle and run
-// the reuse audit against a still-active holder).
-const deadlineClaimed int64 = -1
-
-// Lease is exclusive use of one slot's thread bundle.  A Lease belongs
-// to one goroutine; only Release is safe to call concurrently (it is
-// idempotent and races benignly with reaper revocation).
+// Lease is exclusive use of one slot's thread bundle for one bounded
+// unit of work.  It is a two-word value, so a grant allocates nothing;
+// copies name the same grant.  A Lease belongs to one goroutine; only
+// Release is safe to call concurrently (it is idempotent: exactly one
+// call recycles).  The zero Lease is not a grant.
 type Lease struct {
-	p        *Pool
-	s        *slot
-	state    atomic.Int32
-	deadline int64 // unix nanos; 0 = no expiry
+	s   *slot
+	gen uint64
 }
 
 // New creates a pool over the given schemes, registering cfg.Slots
@@ -231,7 +207,7 @@ func New(cfg Config, schemes ...mm.Scheme) (*Pool, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		sl := &slot{id: i, threads: make([]mm.Thread, len(schemes))}
+		sl := &slot{p: p, id: i, threads: make([]mm.Thread, len(schemes))}
 		for j, s := range schemes {
 			t, err := s.Register()
 			if err != nil {
@@ -252,17 +228,6 @@ func New(cfg Config, schemes ...mm.Scheme) (*Pool, error) {
 		p.free <- sl
 	}
 	p.m.slots.Store(int64(n))
-	if cfg.LeaseTTL > 0 {
-		interval := cfg.ReapInterval
-		if interval == 0 {
-			interval = cfg.LeaseTTL / 4
-		}
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-		p.reapWG.Add(1)
-		go p.reap(interval)
-	}
 	return p, nil
 }
 
@@ -301,7 +266,7 @@ func (p *Pool) hook(pt Point) {
 
 // Lease acquires a slot, waiting until one is free, ctx is done, or
 // Config.MaxWait elapses (ErrLeaseTimeout — the backpressure path).
-func (p *Pool) Lease(ctx context.Context) (*Lease, error) {
+func (p *Pool) Lease(ctx context.Context) (Lease, error) {
 	return p.lease(ctx, 0)
 }
 
@@ -312,18 +277,18 @@ func (p *Pool) Lease(ctx context.Context) (*Lease, error) {
 // accounting differs, so dashboards can tell how much lease overhead
 // batching saves (wfrc_slotpool_leases_batched_total vs the ops the
 // batches carried).  n must be at least 1.
-func (p *Pool) LeaseBatch(ctx context.Context, n int) (*Lease, error) {
+func (p *Pool) LeaseBatch(ctx context.Context, n int) (Lease, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("slotpool: LeaseBatch of %d operations", n)
+		return Lease{}, fmt.Errorf("slotpool: LeaseBatch of %d operations", n)
 	}
 	return p.lease(ctx, n)
 }
 
 // lease is the shared slow path; batchOps > 0 marks a batched grant
 // amortizing that many operations, 0 a single-op grant.
-func (p *Pool) lease(ctx context.Context, batchOps int) (*Lease, error) {
+func (p *Pool) lease(ctx context.Context, batchOps int) (Lease, error) {
 	if p.closed.Load() {
-		return nil, ErrClosed
+		return Lease{}, ErrClosed
 	}
 	start := time.Now()
 	p.hook(PLeaseWait)
@@ -344,21 +309,21 @@ func (p *Pool) lease(ctx context.Context, batchOps int) (*Lease, error) {
 		return p.grant(s, start, batchOps), nil
 	case <-ctx.Done():
 		p.m.cancels.Add(1)
-		return nil, ctx.Err()
+		return Lease{}, ctx.Err()
 	case <-timeout:
 		p.m.timeouts.Add(1)
-		return nil, ErrLeaseTimeout
+		return Lease{}, ErrLeaseTimeout
 	case <-p.stop:
-		return nil, ErrClosed
+		return Lease{}, ErrClosed
 	}
 }
 
 // TryLease acquires a slot without blocking.  It exists for the
 // deterministic scheduler's scenarios, where a virtual thread must not
 // perform a real channel wait; servers use Lease.
-func (p *Pool) TryLease() (*Lease, bool) {
+func (p *Pool) TryLease() (Lease, bool) {
 	if p.closed.Load() {
-		return nil, false
+		return Lease{}, false
 	}
 	start := time.Now()
 	p.hook(PLeaseWait)
@@ -367,16 +332,12 @@ func (p *Pool) TryLease() (*Lease, bool) {
 	case s := <-p.free:
 		return p.grant(s, start, 0), true
 	default:
-		return nil, false
+		return Lease{}, false
 	}
 }
 
-func (p *Pool) grant(s *slot, start time.Time, batchOps int) *Lease {
-	l := &Lease{p: p, s: s}
-	if p.cfg.LeaseTTL > 0 {
-		l.deadline = time.Now().Add(p.cfg.LeaseTTL).UnixNano()
-	}
-	s.lease.Store(l)
+func (p *Pool) grant(s *slot, start time.Time, batchOps int) Lease {
+	l := Lease{s: s, gen: s.gen.Load()}
 	p.m.leases.Add(1)
 	if batchOps > 0 {
 		p.m.batched.Add(1)
@@ -394,96 +355,36 @@ func (p *Pool) grant(s *slot, start time.Time, batchOps int) *Lease {
 
 // Slot returns the lease's slot index (the thread slot id in every
 // scheme).
-func (l *Lease) Slot() int { return l.s.id }
+func (l Lease) Slot() int { return l.s.id }
 
 // Thread returns the slot's registered thread for the given scheme
-// (shard) index.  It panics if the lease has been released or revoked:
-// a zombie holder must not touch a bundle that may already belong to
-// the next lessee.
-func (l *Lease) Thread(shard int) mm.Thread {
-	if st := l.state.Load(); st != leaseActive {
-		panic(fmt.Sprintf("slotpool: Thread on %s lease of slot %d",
-			map[int32]string{leaseReleased: "released", leaseRevoked: "revoked"}[st], l.s.id))
+// (shard) index.  It panics if the lease has been released: a holder
+// that runs on must not touch a bundle that may already belong to the
+// next lessee.
+func (l Lease) Thread(shard int) mm.Thread {
+	if l.s.gen.Load() != l.gen {
+		panic(fmt.Sprintf("slotpool: Thread on released lease of slot %d", l.s.id))
 	}
 	return l.s.threads[shard]
 }
 
-// Renew pushes the lease's expiry deadline out by another LeaseTTL.
-// Long-lived holders (streaming handlers) call it between requests.
-// It reports false when the lease is no longer active or the reaper has
-// already claimed its expired deadline; true guarantees the reaper will
-// not revoke on any deadline observed before this renewal.
-func (l *Lease) Renew() bool {
-	if l.state.Load() != leaseActive {
-		return false
-	}
-	if l.p.cfg.LeaseTTL > 0 {
-		next := time.Now().Add(l.p.cfg.LeaseTTL).UnixNano()
-		for {
-			cur := atomic.LoadInt64(&l.deadline)
-			if cur == deadlineClaimed {
-				// The reaper claimed the expiry; revocation is in
-				// flight and the slot may already be with the next
-				// lessee.  Reporting success here is the race the
-				// claim protocol exists to close.
-				return false
-			}
-			if atomic.CompareAndSwapInt64(&l.deadline, cur, next) {
-				return true
-			}
-		}
-	}
-	return true
+// Deprecated: Renew only reports whether the lease is still held;
+// leases no longer expire.  It goes with the next change to the
+// benchmark module, which calls it.
+func (l Lease) Renew() bool {
+	return l.s.gen.Load() == l.gen
 }
 
 // Release returns the slot to the pool after the reuse audit.  It is
-// idempotent, and a no-op if the reaper revoked the lease first.
-func (l *Lease) Release() {
-	if !l.state.CompareAndSwap(leaseActive, leaseReleased) {
+// idempotent.
+func (l Lease) Release() {
+	if !l.s.gen.CompareAndSwap(l.gen, l.gen+1) {
 		return
 	}
-	l.p.m.releases.Add(1)
-	l.p.m.leased.Add(-1)
-	l.s.lease.Store(nil)
-	l.p.recycle(l.s)
-}
-
-// revoke is the reaper-side termination of an expired lease.  observed
-// is the expired deadline the caller read; revoke first claims it, so a
-// Renew racing in between wins and the revocation aborts.  Callers that
-// have already claimed the deadline pass deadlineClaimed.  The lease
-// state CAS then makes revocation and voluntary Release mutually
-// exclusive — exactly one of them runs the reuse audit and recycles the
-// slot, never both.
-func (l *Lease) revoke(observed int64) bool {
-	if observed != deadlineClaimed &&
-		!atomic.CompareAndSwapInt64(&l.deadline, observed, deadlineClaimed) {
-		return false // a concurrent Renew moved the deadline: renewal wins
-	}
-	if !l.state.CompareAndSwap(leaseActive, leaseRevoked) {
-		return false
-	}
-	l.p.m.expiries.Add(1)
-	l.p.m.leased.Add(-1)
-	l.s.lease.Store(nil)
-	l.p.hook(PExpired)
-	l.p.recycle(l.s)
-	return true
-}
-
-// forceRevoke claims whatever deadline the lease currently carries and
-// then revokes unconditionally.  Close uses it after stopping the
-// reaper, when renewal must no longer save a lease: the claim loop
-// guarantees a concurrent Renew either finishes first (its deadline is
-// the one claimed) or observes the sentinel and returns false.
-func (l *Lease) forceRevoke() bool {
-	for {
-		cur := atomic.LoadInt64(&l.deadline)
-		if cur == deadlineClaimed ||
-			atomic.CompareAndSwapInt64(&l.deadline, cur, deadlineClaimed) {
-			return l.revoke(deadlineClaimed)
-		}
-	}
+	p := l.s.p
+	p.m.releases.Add(1)
+	p.m.leased.Add(-1)
+	p.recycle(l.s)
 }
 
 // recycle audits the slot's announcement rows and either returns it to
@@ -571,33 +472,8 @@ func (p *Pool) retryQuarantine() {
 	}
 }
 
-// reap revokes expired leases every interval.
-func (p *Pool) reap(interval time.Duration) {
-	defer p.reapWG.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now().UnixNano()
-		for _, s := range p.slots {
-			l := s.lease.Load()
-			if l == nil || l.state.Load() != leaseActive {
-				continue
-			}
-			if d := atomic.LoadInt64(&l.deadline); d != 0 && d != deadlineClaimed && now > d {
-				l.revoke(d)
-			}
-		}
-		p.retryQuarantine()
-	}
-}
-
 // Drain waits until every slot is back in the free queue (all leases
-// released or revoked and all quarantines cleared), or ctx is done.
+// released and all quarantines cleared), or ctx is done.
 func (p *Pool) Drain(ctx context.Context) error {
 	for {
 		p.retryQuarantine()
@@ -613,20 +489,19 @@ func (p *Pool) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the reaper, revokes any leases still outstanding, and
-// unregisters every slot thread from every scheme, leaving the schemes
-// quiescent for their own audits.  Call Drain first for a graceful
-// shutdown; Close after a successful Drain revokes nothing.
+// Close refuses further leases, waits for the leases still held — each
+// lasts one request or batch, so the wait is bounded — and unregisters
+// every slot thread from every scheme, leaving the schemes quiescent for
+// their own audits.  A quarantined slot is not waited for.  Callers stop
+// issuing new leases first (server.Shutdown waits for every handler);
+// Close wakes only the leases already waiting.
 func (p *Pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
 	close(p.stop)
-	p.reapWG.Wait()
-	for _, s := range p.slots {
-		if l := s.lease.Load(); l != nil {
-			l.forceRevoke()
-		}
+	for p.m.leased.Load() > 0 {
+		time.Sleep(time.Millisecond)
 	}
 	for _, s := range p.slots {
 		for _, t := range s.threads {

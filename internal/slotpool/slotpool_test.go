@@ -58,6 +58,43 @@ func TestLeaseReleaseRoundtrip(t *testing.T) {
 	l.Thread(0)
 }
 
+// TestStaleLeaseCannotTouchNextGrant: a grant is a value handle, and a
+// slot's next grant reuses nothing of the last one but the slot, so a
+// stale copy must stay dead after the slot is leased again — its Release
+// is a no-op and its Thread panics, while the new grant is unaffected.
+func TestStaleLeaseCannotTouchNextGrant(t *testing.T) {
+	s := newCore(t, 64, 2)
+	p := MustNew(Config{Slots: 1}, s)
+	defer p.Close()
+
+	stale, err := p.Lease(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale.Release()
+	next, err := p.Lease(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Slot() != stale.Slot() {
+		t.Fatalf("one-slot pool granted slot %d after slot %d", next.Slot(), stale.Slot())
+	}
+	stale.Release()
+	if st := p.Stats(); st.Leased != 1 || st.Releases != 1 {
+		t.Fatalf("stale Release touched the next grant: %+v", st)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Thread on a stale lease did not panic")
+			}
+		}()
+		stale.Thread(0)
+	}()
+	next.Thread(0)
+	next.Release()
+}
+
 func TestLeaseBundlesMultipleSchemes(t *testing.T) {
 	a, b := newCore(t, 64, 3), newCore(t, 64, 3)
 	p := MustNew(Config{Slots: 3}, a, b)
@@ -101,9 +138,11 @@ func TestBackpressureTimeout(t *testing.T) {
 		t.Fatalf("cancelled lease: err = %v", err)
 	}
 	l.Release()
-	if _, err := p.Lease(context.Background()); err != nil {
+	l2, err := p.Lease(context.Background())
+	if err != nil {
 		t.Fatalf("lease after release: %v", err)
 	}
+	l2.Release()
 }
 
 func TestTryLease(t *testing.T) {
@@ -119,66 +158,11 @@ func TestTryLease(t *testing.T) {
 		t.Fatal("TryLease succeeded with all slots out")
 	}
 	l.Release()
-	if _, ok := p.TryLease(); !ok {
+	l2, ok := p.TryLease()
+	if !ok {
 		t.Fatal("TryLease after release failed")
 	}
-}
-
-func TestLeaseTTLExpiryReclaimsSlot(t *testing.T) {
-	s := newCore(t, 64, 2)
-	p := MustNew(Config{Slots: 1, LeaseTTL: 10 * time.Millisecond, ReapInterval: time.Millisecond}, s)
-	defer p.Close()
-
-	l, err := p.Lease(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a dead handler: never release.  The reaper must revoke
-	// and the slot must become leasable again.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	l2, err := p.Lease(ctx)
-	if err != nil {
-		t.Fatalf("lease after expiry: %v", err)
-	}
-	defer l2.Release()
-	if st := p.Stats(); st.Expiries != 1 {
-		t.Fatalf("expiries = %d, want 1", st.Expiries)
-	}
-	// The zombie's Release is a no-op and its Thread panics.
-	l.Release()
-	if st := p.Stats(); st.Releases != 0 {
-		t.Fatalf("zombie release counted: %+v", st)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Thread on revoked lease did not panic")
-			}
-		}()
-		l.Thread(0)
-	}()
-}
-
-func TestRenewDefersExpiry(t *testing.T) {
-	s := newCore(t, 64, 2)
-	p := MustNew(Config{Slots: 1, LeaseTTL: 40 * time.Millisecond, ReapInterval: 2 * time.Millisecond}, s)
-	defer p.Close()
-
-	l, err := p.Lease(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		time.Sleep(15 * time.Millisecond)
-		if !l.Renew() {
-			t.Fatalf("renew %d failed; lease revoked despite renewals (expiries=%d)", i, p.Stats().Expiries)
-		}
-	}
-	l.Release()
-	if st := p.Stats(); st.Expiries != 0 {
-		t.Fatalf("renewed lease expired anyway: %+v", st)
-	}
+	l2.Release()
 }
 
 // TestReuseAuditCleanAcrossLessees churns leases through real scheme
@@ -226,8 +210,8 @@ func TestReuseAuditCleanAcrossLessees(t *testing.T) {
 }
 
 // TestChurnMoreConnsThanSlots is the acceptance shape: 4× more worker
-// goroutines than slots, sharded store, TTL reaper on, chaos injector
-// on the lifecycle hook points — all audits clean afterwards.
+// goroutines than slots, sharded store, chaos injector on the lifecycle
+// hook points — all audits clean afterwards.
 func TestChurnMoreConnsThanSlots(t *testing.T) {
 	const shards, slots, workers = 2, 4, 16
 	var ss []mm.Scheme
@@ -243,11 +227,9 @@ func TestChurnMoreConnsThanSlots(t *testing.T) {
 	}
 	inj := chaos.NewInjector(42, chaos.Faults{DelayProb: 0.2, DelaySpins: 32, GoschedProb: 0.2, GoschedBurst: 2})
 	p := MustNew(Config{
-		Slots:        slots,
-		LeaseTTL:     time.Second, // generous: expiry path exists but should not fire
-		ReapInterval: 5 * time.Millisecond,
-		MaxWait:      5 * time.Second,
-		Hook:         func(Point) { inj.Perturb() },
+		Slots:   slots,
+		MaxWait: 5 * time.Second,
+		Hook:    func(Point) { inj.Perturb() },
 	}, ss...)
 
 	var wg sync.WaitGroup
@@ -463,92 +445,72 @@ func TestAnnotatorNotified(t *testing.T) {
 	l2.Release()
 }
 
-// TestRenewRevokeRace pins the reaper-vs-Renew arbitration protocol,
-// meant to run under -race: the reaper reads a lease's deadline and
-// tries to revoke on it while the holder renews concurrently.  Exactly
-// one side may win — a Renew that returned true must never be
-// overridden by a revocation based on the stale deadline it replaced
-// (before the deadline-claim CAS the reaper could revoke a just-renewed
-// lease and hand its slot to the next lessee while the renewed holder
-// kept operating on it).
-func TestRenewRevokeRace(t *testing.T) {
+// TestConcurrentReleaseRecyclesOnce races two Releases of the same
+// lease: exactly one may run the reuse audit and recycle the slot.  A
+// double recycle would enqueue the slot twice into the capacity-1 free
+// channel (blocking forever) or leak a quarantine entry for a slot that
+// is simultaneously back in circulation.  Meant to run under -race.
+func TestConcurrentReleaseRecyclesOnce(t *testing.T) {
 	s := newCore(t, 64, 2)
-	p := MustNew(Config{Slots: 1, LeaseTTL: time.Hour}, s)
+	p := MustNew(Config{Slots: 1}, s)
 	defer p.Close()
 
-	iters := 1000
-	if testing.Short() {
-		iters = 100
-	}
+	const iters = 1000
 	for i := 0; i < iters; i++ {
 		l, err := p.Lease(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		observed := atomic.LoadInt64(&l.deadline) // the reaper's read
-		var renewOK, revoked bool
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); renewOK = l.Renew() }()
-		go func() { defer wg.Done(); revoked = l.revoke(observed) }()
-		wg.Wait()
-		if renewOK == revoked {
-			t.Fatalf("iter %d: Renew=%v revoke=%v, want exactly one winner", i, renewOK, revoked)
-		}
-		if renewOK {
-			l.Thread(0) // must not panic: the renewed lease survived
-			l.Release()
-		}
-		if got := len(p.free); got != 1 {
-			t.Fatalf("iter %d: free queue holds %d slots, want 1 (slot lost or doubled)", i, got)
-		}
-	}
-	st := p.Stats()
-	if st.Releases+st.Expiries != uint64(iters) {
-		t.Fatalf("releases(%d)+expiries(%d) = %d, want %d (exactly one recycle per lease)",
-			st.Releases, st.Expiries, st.Releases+st.Expiries, iters)
-	}
-	if st.Quarantined != 0 {
-		t.Fatalf("quarantined = %d, want 0 (leaked quarantine entry)", st.Quarantined)
-	}
-}
-
-// TestReleaseRevokeRace races a voluntary Release against a reaper
-// revocation of the same lease: exactly one of them may run the reuse
-// audit and recycle the slot.  A double recycle would enqueue the slot
-// twice into the capacity-1 free channel (blocking forever) or leak a
-// quarantine entry for a slot that is simultaneously back in
-// circulation.
-func TestReleaseRevokeRace(t *testing.T) {
-	s := newCore(t, 64, 2)
-	p := MustNew(Config{Slots: 1, LeaseTTL: time.Hour}, s)
-	defer p.Close()
-
-	iters := 1000
-	if testing.Short() {
-		iters = 100
-	}
-	for i := 0; i < iters; i++ {
-		l, err := p.Lease(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		observed := atomic.LoadInt64(&l.deadline)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); l.Release() }()
-		go func() { defer wg.Done(); l.revoke(observed) }()
+		go func() { defer wg.Done(); l.Release() }()
 		wg.Wait()
 		if got := len(p.free); got != 1 {
 			t.Fatalf("iter %d: free queue holds %d slots, want 1", i, got)
 		}
 	}
 	st := p.Stats()
-	if st.Releases+st.Expiries != uint64(iters) {
-		t.Fatalf("releases(%d)+expiries(%d) = %d, want %d (double recycle or lost lease)",
-			st.Releases, st.Expiries, st.Releases+st.Expiries, iters)
+	if st.Releases != iters {
+		t.Fatalf("releases = %d, want %d (double recycle or lost lease)", st.Releases, iters)
 	}
 	if st.Quarantined != 0 {
 		t.Fatalf("quarantined = %d, want 0", st.Quarantined)
+	}
+}
+
+// TestCloseWaitsForHeldLease: Close does not revoke a held lease; it
+// returns only after the holder's Release, and then every thread is
+// unregistered with clean announcement rows.
+func TestCloseWaitsForHeldLease(t *testing.T) {
+	s := newCore(t, 64, 2)
+	p := MustNew(Config{Slots: 2}, s)
+	l, err := p.Lease(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var released atomic.Bool
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		h, err := l.Thread(0).Alloc() // still ours while Close waits
+		if err != nil {
+			t.Error(err)
+		} else {
+			l.Thread(0).Release(h)
+		}
+		released.Store(true)
+		l.Release()
+	}()
+	p.Close()
+	if !released.Load() {
+		t.Fatal("Close returned while a lease was still held")
+	}
+	for i := 0; i < 2; i++ {
+		if s.RegisteredThread(i) {
+			t.Fatalf("slot %d still registered after Close", i)
+		}
+	}
+	for _, err := range s.AuditAnnRows() {
+		t.Errorf("ann rows after Close: %v", err)
 	}
 }
