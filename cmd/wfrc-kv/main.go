@@ -1,21 +1,21 @@
-// Command wfrc-kv serves the sharded wait-free KV store over TCP.
-// Every shard is an independent arena + wait-free scheme instance; an
-// unbounded population of client connections shares the schemes' fixed
-// thread slots through the internal/slotpool lease layer.
+// Command wfrc-kv serves the wait-free KV store over TCP: one arena,
+// one wait-free scheme instance and one hashmap, whose fixed thread
+// slots an unbounded population of client connections shares through
+// the internal/slotpool lease layer.
 //
-//	wfrc-kv -addr :7700 -shards 4 -slots 8
+//	wfrc-kv -addr :7700 -slots 8
 //	wfrc-kv -addr :7700 -obs-addr :7701       # plus /metrics, /trace, /spans
 //
 // Tracing is always on: every request gets a span in a wait-free flight
 // recorder (-spans bounds the window), every help event lands in a ring
 // (-trace) stamped with the helper's and helpee's active span IDs, and
-// per-op×shard latency histograms are exported on /metrics.  SIGQUIT
+// per-op latency histograms are exported on /metrics.  SIGQUIT
 // dumps the flight recorder (spans joined with help events) to
 // -flight-dump without stopping the server; a failed shutdown audit
 // dumps it too, so the evidence survives the crash.
 //
 // On SIGTERM or SIGINT the server drains gracefully — in-flight
-// requests finish, leases are released, every shard scheme is audited —
+// requests finish, leases are released, the scheme is audited —
 // and the process exits 0 only if the audits found zero leaks and zero
 // announcement-row violations.  CI's smoke job relies on that exit
 // code.
@@ -77,11 +77,10 @@ func run() int {
 		respAddr   = flag.String("resp-addr", "", "optional second listener, conventionally :6379 for stock Redis tools; both listeners speak both protocols")
 		maxValue   = flag.Int("max-value", 16384, "largest RESP value payload in bytes (variable-size value layer); 0 disables it, native-only")
 		obsAddr    = flag.String("obs-addr", "", "serve /metrics and /debug/pprof on this address")
-		shards     = flag.Int("shards", 4, "shard count (power of two); each shard is its own arena + scheme")
-		slots      = flag.Int("slots", 8, "thread slots per shard scheme (NR_THREADS) = leasable connection slots")
-		nodes      = flag.Int("nodes", 1<<16, "initial arena segment per shard, in nodes")
-		maxMemory  = flag.String("max-memory", "", "total node-storage budget with K/M/G suffix (e.g. 256M); shards grow toward it by attaching arena segments at runtime, instead of being capped at -nodes (README \"Capacity model\")")
-		buckets    = flag.Int("buckets", 0, "hashmap buckets per shard (power of two); 0 derives it from the shard's node ceiling, one bucket per 4 nodes")
+		slots      = flag.Int("slots", 8, "thread slots of the scheme (NR_THREADS) = leasable connection slots")
+		nodes      = flag.Int("nodes", 1<<18, "initial arena segment, in nodes")
+		maxMemory  = flag.String("max-memory", "", "node-storage budget with K/M/G suffix (e.g. 256M); the arena grows toward it by attaching segments at runtime, instead of being capped at -nodes (README \"Capacity model\")")
+		buckets    = flag.Int("buckets", 0, "hashmap buckets (power of two); 0 derives them from the node ceiling, one bucket per 4 nodes")
 		leaseWait  = flag.Duration("lease-max-wait", 2*time.Second, "how long a request waits for a slot before Busy")
 		drainWait  = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 		chaosSeed  = flag.Int64("chaos-seed", 0, "seed for lease-lifecycle chaos injection")
@@ -92,17 +91,16 @@ func run() int {
 		spansN     = flag.Int("spans", 8192, "flight-recorder capacity in completed request spans (0 disables span tracing)")
 		memSample  = flag.Duration("mem-sample", time.Second, "memory-lifecycle sampling interval for the published snapshot (0 disables the periodic sampler; INFO and STATS still sample on demand)")
 		flightPath = flag.String("flight-dump", "wfrc-kv-flight.json", "flight-recorder dump destination for SIGQUIT/audit-failure (\"-\" = stderr)")
-		profLabels = flag.Bool("pprof-labels", true, "attach pprof labels (op, shard) to request handling")
+		profLabels = flag.Bool("pprof-labels", true, "attach a pprof label (op) to request handling")
 	)
 	flag.Parse()
 
 	cfg := server.Config{
 		Store: server.StoreConfig{
-			Shards:        *shards,
-			Slots:         *slots,
-			NodesPerShard: *nodes,
-			Buckets:       *buckets,
-			MaxValue:      *maxValue,
+			Slots:    *slots,
+			Nodes:    *nodes,
+			Buckets:  *buckets,
+			MaxValue: *maxValue,
 		},
 		LeaseMaxWait: *leaseWait,
 	}
@@ -112,15 +110,14 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "wfrc-kv: -max-memory: %v\n", err)
 			return 1
 		}
-		// The byte budget buys nodes: divide it evenly across shards and
-		// convert at this configuration's node size.  The ceiling only
-		// matters above -nodes; a budget smaller than the initial segments
-		// simply leaves the shards fixed.
+		// The byte budget buys nodes at this configuration's node size.
+		// The ceiling only matters above -nodes; a budget smaller than the
+		// initial segment simply leaves the arena fixed.
 		perNode := cfg.Store.ArenaConfig().BytesPerNode()
-		maxNodes := int(budget / uint64(*shards) / uint64(perNode))
-		cfg.Store.MaxNodesPerShard = maxNodes
+		maxNodes := int(budget / uint64(perNode))
+		cfg.Store.MaxNodes = maxNodes
 		if maxNodes <= *nodes {
-			fmt.Fprintf(os.Stderr, "wfrc-kv: -max-memory %s = %d nodes/shard (%d B/node), not above -nodes %d; shards stay fixed\n",
+			fmt.Fprintf(os.Stderr, "wfrc-kv: -max-memory %s = %d nodes (%d B/node), not above -nodes %d; the arena stays fixed\n",
 				*maxMemory, maxNodes, perNode, *nodes)
 		}
 	}
@@ -149,14 +146,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	scheme := srv.Store().CoreSchemes()[0] // the store's one scheme
 	if ring != nil {
-		// Every shard's help events land in the one ring; the span IDs
-		// carried as thread tags make them joinable against /spans.
-		for _, cs := range srv.Store().CoreSchemes() {
-			if cs != nil {
-				cs.SetHelpTracer(ring.CoreTracer())
-			}
-		}
+		// Help events land in the ring; the span IDs carried as thread
+		// tags make them joinable against /spans.
+		scheme.SetHelpTracer(ring.CoreTracer())
 	}
 	if *helpStir > 0 {
 		// The natural D3..D6 announcement window is a few nanoseconds, so
@@ -166,21 +160,15 @@ func run() int {
 		// announcement (H1..H6) — CI's trace job uses it to prove the
 		// span↔help join end to end.  Hooks must be installed before any
 		// connection runs on the threads.
-		for shard := range srv.Store().CoreSchemes() {
-			for _, th := range srv.Pool().SlotThreads(shard) {
-				hs, ok := th.(interface{ SetHook(func(core.Point)) })
-				if !ok {
-					continue
-				}
-				n := 0
-				hs.SetHook(func(p core.Point) {
-					if p == core.PD4 {
-						if n++; n%*helpStir == 0 {
-							time.Sleep(20 * time.Microsecond)
-						}
+		for _, th := range srv.Pool().SlotThreads() {
+			n := 0
+			th.(*core.Thread).SetHook(func(p core.Point) {
+				if p == core.PD4 {
+					if n++; n%*helpStir == 0 {
+						time.Sleep(20 * time.Microsecond)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 
@@ -243,14 +231,12 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	growth := "fixed"
 	if srv.Store().Growable() {
-		max := srv.Store().Capacity()[0].MaxNodes
-		fmt.Printf("wfrc-kv: %d shards × %d slots, %d nodes/shard growable to %d, %d buckets/shard, listening on %s\n",
-			*shards, *slots, *nodes, max, srv.Store().Buckets(), ln.Addr())
-	} else {
-		fmt.Printf("wfrc-kv: %d shards × %d slots, %d nodes/shard (fixed), %d buckets/shard, listening on %s\n",
-			*shards, *slots, *nodes, srv.Store().Buckets(), ln.Addr())
+		growth = fmt.Sprintf("growable to %d", scheme.MaxCapacity())
 	}
+	fmt.Printf("wfrc-kv: %d slots, %d nodes (%s), %d buckets, listening on %s\n",
+		*slots, *nodes, growth, srv.Store().Buckets(), ln.Addr())
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
@@ -297,15 +283,12 @@ func run() int {
 	fmt.Printf("wfrc-kv: drained clean — %d conns served, %d busy rejects, 0 leaks, 0 hygiene violations\n",
 		st.ConnsTotal, st.Busy)
 	if st.Growable {
-		attached := 0
-		for _, c := range st.Capacity {
-			attached += c.Segments
-		}
 		// The CI growable smoke step greps for "segments attached" and the
 		// count; the drain audit above already proved the leak audit holds
 		// across whatever was attached.
-		fmt.Printf("wfrc-kv: %d segments attached across %d shards (grew %d beyond initial), leak audit covered all segments\n",
-			attached, len(st.Capacity), attached-len(st.Capacity))
+		attached := srv.Store().SegmentsAttached()
+		fmt.Printf("wfrc-kv: %d segments attached (grew %d beyond the initial one), leak audit covered all segments\n",
+			attached, attached-1)
 	}
 	if inj != nil {
 		log := inj.Log()

@@ -2,11 +2,11 @@
 // concurrent connections than the server has thread slots (that is the
 // point: the slotpool must multiplex them, one lease per request),
 // churns connections, applies a configurable key skew,
-// and reports client-side latency plus the server-side lease and shard
+// and reports client-side latency plus the server-side lease and memory
 // counters it reads back through the STATS protocol op.
 //
 //	wfrc-load -addr 127.0.0.1:7700 -conns 32 -duration 10s
-//	wfrc-load -addr 127.0.0.1:7700 -out BENCH_kv.json          # schema-v5 report
+//	wfrc-load -addr 127.0.0.1:7700 -out BENCH_kv.json          # schema-v6 report
 //	wfrc-load -proto resp -value-size 512                      # drive the RESP front-end
 //	wfrc-load -rate 20000 -slo 2ms                             # open loop, CO-free
 //
@@ -60,9 +60,9 @@ func run() int {
 		rate      = flag.Float64("rate", 0, "open-loop offered load in req/s across all connections (0 = closed loop)")
 		slo       = flag.Duration("slo", time.Millisecond, "open-loop latency SLO for the under-SLO fraction")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		out       = flag.String("out", "", "write the schema-v5 server report (JSON) here")
+		out       = flag.String("out", "", "write the schema-v6 server report (JSON) here")
 		maxHWM    = flag.Int64("max-floating-hwm", 0,
-			"fail (exit 1) if the server's floating-garbage high-water mark, summed over shards, exceeds this node count (0 = no gate); CI derives the bound from the paper's Lemma 3")
+			"fail (exit 1) if the server's floating-garbage high-water mark exceeds this node count (0 = no gate); CI derives the bound from the paper's Lemma 3")
 	)
 	flag.Parse()
 	if *proto != "native" && *proto != "resp" {
@@ -308,8 +308,6 @@ func run() int {
 			MaxNS:  snap.MaxNS,
 		}
 	}
-	sec.SetShardOps(stats.ShardOps)
-
 	mode := "closed loop"
 	if openLoop {
 		mode = fmt.Sprintf("open loop @ %.0f req/s", *rate)
@@ -335,8 +333,7 @@ func run() int {
 	fmt.Printf("  lease wait p50=%v p99=%v mean=%v; busy rejects=%d, client errors=%d\n",
 		time.Duration(sec.LeaseWaitP50NS), time.Duration(sec.LeaseWaitP99NS),
 		time.Duration(sec.LeaseWaitMeanNS), sec.BusyRejects, errCount)
-	fmt.Printf("  shard ops=%v balance=%.3f; audit violations=%d\n",
-		sec.ShardOps, sec.ShardBalance, sec.AuditViolations)
+	fmt.Printf("  audit violations=%d\n", sec.AuditViolations)
 	var floating, floatingHWM int64
 	var lagP99 uint64
 	if stats.Memory != nil {
@@ -347,8 +344,8 @@ func run() int {
 				lagP99 = ls.Lag.P99NS
 			}
 		}
-		fmt.Printf("  memory: floating=%d floating-hwm=%d reclaim-lag p99=%v (summed over %d shards)\n",
-			floating, floatingHWM, time.Duration(lagP99), len(stats.Memory.Schemes))
+		fmt.Printf("  memory: floating=%d floating-hwm=%d reclaim-lag p99=%v\n",
+			floating, floatingHWM, time.Duration(lagP99))
 	}
 	if errCount > 0 && lastErr != nil {
 		fmt.Printf("  last client error: %v\n", lastErr)

@@ -1,6 +1,6 @@
 // Command wfrc-top is a live terminal dashboard for a running wfrc-kv.
 // It polls the observability endpoint's /metrics (Prometheus text
-// exposition) and /spans (flight-recorder JSON) and renders per-shard
+// exposition) and /spans (flight-recorder JSON) and renders store
 // throughput, lease-pool pressure, and the memory-lifecycle picture —
 // floating garbage, reclamation lag, occupancy gauges — refreshing in
 // place like top(1).
@@ -216,7 +216,7 @@ func (s scrape) one(name string) float64 {
 
 // histQuantile computes an upper bound on the q-quantile of a
 // cumulative-bucket histogram family, returning seconds.  Every label
-// set (shard, op) is merged by summing its cumulative counts per le
+// set (op, scheme) is merged by summing its cumulative counts per le
 // edge, which is the histogram of all their samples together.
 func (s scrape) histQuantile(name string, q float64) float64 {
 	cum := make(map[float64]float64) // le → cumulative count over every series
@@ -280,32 +280,19 @@ func render(w io.Writer, addr string, cur scrape, spansTotal float64, prev scrap
 		fmtSeconds(cur.histQuantile("wfrc_slotpool_lease_wait_seconds", 0.50)),
 		fmtSeconds(cur.histQuantile("wfrc_slotpool_lease_wait_seconds", 0.99)))
 
-	// Per-shard table: ops rate joined with the shard's memory lifecycle
-	// (the mem families label shards "waitfree-shard<N>").
-	shards := make([]string, 0, len(cur["wfrc_server_shard_ops_total"]))
-	for labels := range cur["wfrc_server_shard_ops_total"] {
-		shards = append(shards, label(labels, "shard"))
-	}
-	sort.Strings(shards)
-	opsHeader := "ops"
+	// The store's one memory row: its op rate beside its scheme's
+	// lifecycle counters.
+	opsHeader := "store ops"
 	if unit == "/s" {
-		opsHeader = "ops/s"
+		opsHeader = "store ops/s"
 	}
-	fmt.Fprintf(w, "%-6s %12s %10s %10s %10s %10s %9s\n",
-		"shard", opsHeader, "retired", "reclaimed", "floating", "hwm", "segments")
-	for _, sh := range shards {
-		opsLabels := fmt.Sprintf("shard=%q", sh)
-		memLabels := fmt.Sprintf("scheme=%q", "waitfree-shard"+sh)
-		ops, _ := rate(cur, prev, "wfrc_server_shard_ops_total", opsLabels, dt)
-		fmt.Fprintf(w, "%-6s %12.0f %10.0f %10.0f %10.0f %10.0f %9.0f\n", sh, ops,
-			cur["wfrc_mem_retired_total"][memLabels],
-			cur["wfrc_mem_reclaimed_total"][memLabels],
-			cur["wfrc_mem_floating"][memLabels],
-			cur["wfrc_mem_floating_hwm"][memLabels],
-			cur["wfrc_server_shard_segments"][opsLabels])
-	}
+	ops, _ := rate(cur, prev, "wfrc_server_store_ops_total", "", dt)
+	fmt.Fprintf(w, "%12s %10s %10s %10s %10s\n", opsHeader, "retired", "reclaimed", "floating", "hwm")
+	fmt.Fprintf(w, "%12.0f %10.0f %10.0f %10.0f %10.0f\n", ops,
+		sum(cur["wfrc_mem_retired_total"]), sum(cur["wfrc_mem_reclaimed_total"]),
+		sum(cur["wfrc_mem_floating"]), sum(cur["wfrc_mem_floating_hwm"]))
 
-	// Reclamation lag (all shards merged) and the remaining memory gauges.
+	// Reclamation lag and the remaining memory gauges.
 	fmt.Fprintf(w, "\nreclaim lag: p50=%s p99=%s (%.0f reclaims)\n",
 		fmtSeconds(cur.histQuantile("wfrc_mem_reclaim_lag_seconds", 0.50)),
 		fmtSeconds(cur.histQuantile("wfrc_mem_reclaim_lag_seconds", 0.99)),

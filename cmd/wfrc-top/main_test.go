@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wfrc/internal/obs"
@@ -76,5 +78,39 @@ lag_bucket{scheme="b",le="+Inf"} 100
 	}
 	if got := s.histQuantile("absent", 0.5); got != 0 {
 		t.Errorf("absent family: %g, want 0", got)
+	}
+}
+
+// TestRenderOneMemoryRow renders a frame from a fixed scrape: the store
+// has one memory row (its op count beside its scheme's lifecycle
+// counters), and the reclaim-lag line CI's mem-telemetry job greps for
+// follows it.
+func TestRenderOneMemoryRow(t *testing.T) {
+	cur := parseProm([]byte(`wfrc_server_store_ops_total 1200
+wfrc_mem_retired_total{scheme="waitfree"} 300
+wfrc_mem_reclaimed_total{scheme="waitfree"} 290
+wfrc_mem_floating{scheme="waitfree"} 10
+wfrc_mem_floating_hwm{scheme="waitfree"} 14
+wfrc_mem_reclaim_lag_seconds_bucket{scheme="waitfree",le="1e-06"} 290
+wfrc_mem_reclaim_lag_seconds_bucket{scheme="waitfree",le="+Inf"} 290
+wfrc_mem_reclaim_lag_seconds_count{scheme="waitfree"} 290
+wfrc_mem_arena_segments{scheme="waitfree"} 1
+`))
+	var b bytes.Buffer
+	render(&b, "test", cur, 0, nil, 0, 0)
+	out := b.String()
+	header := "   store ops    retired  reclaimed   floating        hwm\n"
+	row := "        1200        300        290         10         14\n"
+	if strings.Count(out, header) != 1 || strings.Count(out, row) != 1 ||
+		!strings.Contains(out, header+row) {
+		t.Errorf("want one memory row under its header:\n%s", out)
+	}
+	for _, want := range []string{"reclaim lag: p50=1µs p99=1µs (290 reclaims)", "arena_segments: 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("frame lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "shard") {
+		t.Errorf("frame still names a shard:\n%s", out)
 	}
 }

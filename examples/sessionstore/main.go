@@ -1,10 +1,10 @@
 // Session-store example: a concurrent key-value session table on the
-// sharded wait-free store behind wfrc-kv.  More front-end goroutines
-// run than the shard schemes have thread slots — each front-end leases
-// a slot bundle from the pool for a batch of requests and hands it
-// back, so the example exercises the same lease-churn path as the
-// network server, including the per-release announcement-row reuse
-// audit and the final quiescent leak audit.
+// wait-free store behind wfrc-kv.  More front-end goroutines run than
+// the scheme has thread slots — each front-end leases a slot from the
+// pool for a batch of requests and hands it back, so the example
+// exercises the same lease-churn path as the network server, including
+// the per-release announcement-row reuse audit and the final quiescent
+// leak audit.
 //
 //	go run ./examples/sessionstore
 package main
@@ -24,7 +24,6 @@ import (
 const (
 	frontends = 12 // deliberately more than slots: front-ends share leases
 	slots     = 4
-	shards    = 4
 	requests  = 25000
 	batch     = 500 // requests per lease before handing the slot back
 	keySpace  = 2048
@@ -32,10 +31,9 @@ const (
 
 func main() {
 	store, err := server.NewStore(server.StoreConfig{
-		Shards:        shards,
-		Slots:         slots,
-		NodesPerShard: 1 << 14,
-		Buckets:       64,
+		Slots:   slots,
+		Nodes:   1 << 16,
+		Buckets: 256,
 	})
 	if err != nil {
 		panic(err)
@@ -105,7 +103,7 @@ func main() {
 	live := store.Len()
 	fmt.Printf("created=%d expired=%d touched=%d live=%d (created-expired=%d)\n",
 		created.Load(), expired.Load(), touched.Load(), live, created.Load()-expired.Load())
-	fmt.Printf("lookups: %d hits, %d misses; shard ops=%v\n", hits.Load(), misses.Load(), store.OpCounts())
+	fmt.Printf("lookups: %d hits, %d misses\n", hits.Load(), misses.Load())
 	fmt.Printf("leases: %d grants over %d slots by %d front-ends (wait p99=%v), %d reuse-audit violations\n",
 		st.Leases, slots, frontends, time.Duration(st.WaitP99Ns), st.Violations)
 	if int64(live) != created.Load()-expired.Load() {

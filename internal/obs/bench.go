@@ -10,18 +10,19 @@ import (
 // BenchSchemaVersion identifies the layout of the one document this
 // package still describes: the server report wfrc-load writes with
 // -out.  Versions 1–4 and the experiment/matrix result rows went with
-// their producers; ValidateBenchJSON accepts exactly this version.
-const BenchSchemaVersion = 5
+// their producers, and version 5's shard keys (shards, shard_ops,
+// shard_balance) with the sharded store; ValidateBenchJSON accepts
+// exactly this version.
+const BenchSchemaVersion = 6
 
 // BenchServer is the "server" section: one wfrc-load run against a
 // wfrc-kv server.  Latency quantiles are the load generator's own;
-// lease-wait quantiles, per-shard op counts, the memory sample and the
-// audit counters come from the server's STATS response, so the report
+// lease-wait quantiles, the memory sample and the audit counters come
+// from the server's STATS response, so the report
 // captures both ends of the backpressure story.
 type BenchServer struct {
 	Connections int `json:"connections"`
 	Slots       int `json:"slots"`
-	Shards      int `json:"shards"`
 
 	Ops       uint64  `json:"ops"`
 	ElapsedNS int64   `json:"elapsed_ns"`
@@ -49,33 +50,8 @@ type BenchServer struct {
 	// garbage, lag quantiles and occupancy gauges.
 	Memory *MemSnapshot `json:"memory,omitempty"`
 
-	BusyRejects uint64 `json:"busy_rejects"`
-
-	ShardOps []uint64 `json:"shard_ops"`
-	// ShardBalance is max(shard_ops)/mean(shard_ops); 1.0 is perfect
-	// balance, and CI treats a large skew as a hashing regression.
-	ShardBalance float64 `json:"shard_balance"`
-
+	BusyRejects     uint64 `json:"busy_rejects"`
 	AuditViolations uint64 `json:"audit_violations"`
-}
-
-// SetShardOps stores the per-shard op counts and derives ShardBalance.
-func (b *BenchServer) SetShardOps(ops []uint64) {
-	b.ShardOps = ops
-	b.Shards = len(ops)
-	if len(ops) == 0 {
-		return
-	}
-	var sum, max uint64
-	for _, n := range ops {
-		sum += n
-		if n > max {
-			max = n
-		}
-	}
-	if sum > 0 {
-		b.ShardBalance = float64(max) * float64(len(ops)) / float64(sum)
-	}
 }
 
 // BenchOpenLoop is the open-loop section of a server report.  The load
@@ -150,10 +126,10 @@ func NewBenchReport(server *BenchServer) *BenchReport {
 // entry, in server.open_loop and in each server.memory.schemes entry.
 var (
 	requiredServerKeys = []string{
-		"connections", "slots", "shards", "ops", "elapsed_ns", "ops_per_sec",
+		"connections", "slots", "ops", "elapsed_ns", "ops_per_sec",
 		"latency_p50_ns", "latency_p99_ns", "latency_p999_ns", "latency_max_ns", "op_latency",
 		"lease_wait_p50_ns", "lease_wait_p99_ns", "lease_wait_mean_ns",
-		"busy_rejects", "shard_ops", "shard_balance", "audit_violations",
+		"busy_rejects", "audit_violations",
 	}
 	requiredOpLatencyKeys = []string{"count", "p50_ns", "p99_ns", "p999_ns", "max_ns"}
 	requiredOpenLoopKeys  = []string{

@@ -23,7 +23,6 @@ func sampleServerSection() *BenchServer {
 		Memory:      sampleMemCollector().Sample(),
 		BusyRejects: 3,
 	}
-	srv.SetShardOps([]uint64{1300, 1200, 1250, 1250})
 	return srv
 }
 
@@ -103,11 +102,8 @@ func TestValidateBenchJSONServerSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server report rejected: %v", err)
 	}
-	if got.Server.Connections != 16 || got.Server.Shards != 4 {
+	if got.Server.Connections != 16 || got.Server.BusyRejects != 3 {
 		t.Fatalf("server section lost in round trip: %+v", got.Server)
-	}
-	if got.Server.ShardBalance < 1.0 || got.Server.ShardBalance > 1.1 {
-		t.Errorf("shard balance = %v, want ~1.04", got.Server.ShardBalance)
 	}
 	if got.Server.OpLatency["get"].Count != 3000 || got.Server.LatencyP999NS != 1_500_000 {
 		t.Fatalf("latency fields lost in round trip: %+v", got.Server)
@@ -130,8 +126,8 @@ func TestValidateBenchJSONRejects(t *testing.T) {
 			wantErr: `missing key "host"`},
 		{name: "wrong schema version", mutate: func(d, _ map[string]interface{}) { d["schema_version"] = 999 },
 			wantErr: "schema_version 999"},
-		{name: "retired schema version", mutate: func(d, _ map[string]interface{}) { d["schema_version"] = 4 },
-			wantErr: "schema_version 4, want 5"},
+		{name: "retired schema version", mutate: func(d, _ map[string]interface{}) { d["schema_version"] = 5 },
+			wantErr: "schema_version 5, want 6"},
 		{name: "bad timestamp", mutate: func(d, _ map[string]interface{}) { d["generated_at"] = "yesterday" },
 			wantErr: "not RFC 3339"},
 		{name: "missing server section", mutate: func(d, _ map[string]interface{}) { delete(d, "server") },
@@ -142,8 +138,6 @@ func TestValidateBenchJSONRejects(t *testing.T) {
 			wantErr: `server: missing key "audit_violations"`},
 		{name: "server missing lease_wait_mean_ns", mutate: func(_, srv map[string]interface{}) { delete(srv, "lease_wait_mean_ns") },
 			wantErr: `server: missing key "lease_wait_mean_ns"`},
-		{name: "server shard_ops not array", mutate: func(_, srv map[string]interface{}) { srv["shard_ops"] = "lots" },
-			wantErr: "shard_ops"},
 		{name: "v3 server missing op_latency", mutate: func(_, srv map[string]interface{}) { delete(srv, "op_latency") },
 			wantErr: `missing key "op_latency"`},
 		{name: "v3 server missing latency_p999_ns", mutate: func(_, srv map[string]interface{}) { delete(srv, "latency_p999_ns") },

@@ -9,7 +9,7 @@ import (
 	"wfrc/internal/mm"
 )
 
-// serverHist is one cell of the per-op × shard request-latency matrix:
+// serverHist is one cell of the per-op × column request-latency matrix:
 // the shared mm.LatencyHist as the server records into it.
 func serverHist() *mm.LatencyHist {
 	return NewOpShardHist([]string{"get"}, 1).Hist(0, 0)
@@ -87,7 +87,7 @@ func TestOpShardHist(t *testing.T) {
 	m.Record(0, 2, time.Second)
 
 	if got := m.Hist(0, 1).Snapshot().Count; got != 2 {
-		t.Errorf("get/shard1 count = %d, want 2", got)
+		t.Errorf("get/col1 count = %d, want 2", got)
 	}
 	merged := m.MergedOp(0)
 	if merged.Count != 3 {
@@ -110,17 +110,17 @@ func TestOpShardHist(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE wfrc_server_latency_seconds histogram",
-		`wfrc_server_latency_seconds_bucket{op="get",shard="1",le="+Inf"} 2`,
-		`wfrc_server_latency_seconds_count{op="get",shard="0"} 1`,
-		`wfrc_server_latency_seconds_count{op="set",shard="0"} 1`,
-		`le="1.024e-06"`,
+		`wfrc_server_latency_seconds_bucket{op="get",le="1.024e-06"} 2`,
+		`wfrc_server_latency_seconds_count{op="get"} 3`,
+		`wfrc_server_latency_seconds_count{op="set"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)
 		}
 	}
-	// Buckets must be cumulative: the +Inf bucket equals the count.
-	if !strings.Contains(out, `wfrc_server_latency_seconds_bucket{op="set",shard="0",le="+Inf"} 1`) {
-		t.Errorf("set/shard0 +Inf bucket wrong:\n%s", out)
+	// Columns are merged, not labelled, and buckets are cumulative: the
+	// +Inf bucket equals the count.
+	if strings.Contains(out, "shard") || !strings.Contains(out, `wfrc_server_latency_seconds_bucket{op="get",le="+Inf"} 3`) {
+		t.Errorf("get series not merged across columns:\n%s", out)
 	}
 }

@@ -98,9 +98,9 @@ func (s *Server) Close() error { return s.srv.Close() }
 // AddProm registers an extra Prometheus exposition writer appended to
 // every /metrics response after the collector's own families.  Layers
 // with their own metric families — the slot pool's lease gauges and
-// wait histogram, the KV store's per-shard op counters — plug in here
-// instead of running a second scrape endpoint.  The writer must emit
-// well-formed text exposition and be safe for concurrent calls.
+// wait histogram, the KV store's op counter and capacity gauges — plug
+// in here instead of running a second scrape endpoint.  The writer must
+// emit well-formed text exposition and be safe for concurrent calls.
 func (s *Server) AddProm(f func(io.Writer) error) {
 	s.promMu.Lock()
 	defer s.promMu.Unlock()

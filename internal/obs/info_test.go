@@ -10,8 +10,8 @@ import (
 func TestWriteInfo(t *testing.T) {
 	c := NewCollector()
 	st := &mm.OpStats{DeRefs: 42, HelpsGiven: 7}
-	defer c.Attach("waitfree-shard0", 0, st)()
-	defer c.AttachGauge("wfrc_core_ann_scan_violations", "waitfree-shard0", func() int64 { return 3 })()
+	defer c.Attach("waitfree", 0, st)()
+	defer c.AttachGauge("wfrc_core_ann_scan_violations", "waitfree", func() int64 { return 3 })()
 
 	var sb strings.Builder
 	err := c.WriteInfo(&sb,
@@ -33,11 +33,11 @@ func TestWriteInfo(t *testing.T) {
 		"tcp_port:6379\r\n",
 		"# Clients\r\n",
 		"connected_clients:2\r\n",
-		"# scheme_waitfree_shard0\r\n",
+		"# scheme_waitfree\r\n",
 		"derefs:42\r\n",
 		"helps_given:7\r\n",
 		"# gauges\r\n",
-		"wfrc_core_ann_scan_violations_waitfree_shard0:3\r\n",
+		"wfrc_core_ann_scan_violations_waitfree:3\r\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("INFO output missing %q\n%s", want, out)

@@ -39,8 +39,8 @@ type LifecycleCollector struct {
 }
 
 // trackerSource is one attached lifecycle tracker.  Multiple trackers
-// may share a scheme label (one per KV shard, say); their readings are
-// merged — counters and floating sum, high-water marks sum too, making
+// may share a scheme label (one per arena of the same scheme, say);
+// their readings are merged — counters and floating sum, high-water marks sum too, making
 // the merged HWM an upper bound on the simultaneous peak, and the lag
 // histograms sum bucket by bucket.
 type trackerSource struct {
@@ -89,10 +89,10 @@ type schemeLifecycle struct {
 	lag  mm.LatencyCounts
 }
 
-// merged reads every tracker and folds same-label readings (shards of
-// one scheme): counters sum, the summed HWM over-approximates the
-// simultaneous peak, and the lag histograms sum bucket by bucket, so a
-// merged quantile is a quantile of every shard's reclaims together.
+// merged reads every tracker and folds same-label readings: counters
+// sum, the summed HWM over-approximates the simultaneous peak, and the
+// lag histograms sum bucket by bucket, so a merged quantile is a
+// quantile of every tracker's reclaims together.
 func (c *LifecycleCollector) merged() map[string]*schemeLifecycle {
 	out := make(map[string]*schemeLifecycle)
 	for _, src := range c.trackers.load() {
@@ -219,7 +219,7 @@ func (c *LifecycleCollector) WriteProm(w io.Writer) error {
 			func(s *mm.LifecycleSnap) any { return s.Reclaimed }},
 		{"wfrc_mem_floating", "Retired-but-unreclaimed nodes right now (floating garbage; Lemma 3 bounds this).", "gauge",
 			func(s *mm.LifecycleSnap) any { return s.Floating }},
-		{"wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating (summed across shards: an upper bound).", "gauge",
+		{"wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating (summed across trackers sharing a label: an upper bound).", "gauge",
 			func(s *mm.LifecycleSnap) any { return s.FloatingHWM }},
 		{"wfrc_mem_lifecycle_dropped_total", "Lifecycle notes dropped for handles beyond the tracker ceiling.", "counter",
 			func(s *mm.LifecycleSnap) any { return s.Dropped }},

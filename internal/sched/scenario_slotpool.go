@@ -59,7 +59,7 @@ func buildSlotLeaseChurn(w *World) {
 					}
 					return held
 				})
-				ct := l.Thread(0).(*core.Thread)
+				ct := l.Thread().(*core.Thread)
 				t.Instrument(ct)
 				p := ct.DeRefLink(root)
 				if h := p.Handle(); h != arena.Nil {
@@ -96,7 +96,7 @@ func buildSlotLeaseChurn(w *World) {
 
 	w.AtEnd(func() error {
 		tW.SetHook(nil)
-		for _, th := range pool.SlotThreads(0) {
+		for _, th := range pool.SlotThreads() {
 			th.(*core.Thread).SetHook(nil)
 		}
 		st := pool.Stats()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // checks all three export surfaces of the memory-lifecycle plane: the
 // INFO "# Memory" section, the wfrc_mem_* Prometheus families, and the
 // STATS reply's memory snapshot.  Deleting keys retires their nodes, so
-// after the churn every shard's tracker must have seen retire→reclaim
+// after the churn the scheme's tracker must have seen retire→reclaim
 // traffic.
 func TestServerMemoryTelemetry(t *testing.T) {
 	srv, addr := startServer(t, Config{Store: respStore()})
@@ -25,8 +26,7 @@ func TestServerMemoryTelemetry(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Enough keys to land on both shards; SET+DEL churns nodes through
-	// retire and reclamation.
+	// SET+DEL churns nodes through retire and reclamation.
 	for round := 0; round < 20; round++ {
 		for k := 0; k < 16; k++ {
 			key := fmt.Sprintf("mem:%d", k)
@@ -39,8 +39,8 @@ func TestServerMemoryTelemetry(t *testing.T) {
 		}
 	}
 
-	// INFO: the "# Memory" section carries per-shard lifecycle keys and
-	// the occupancy gauges.
+	// INFO: the "# Memory" section carries the scheme's lifecycle keys
+	// and the occupancy gauges.
 	r, err := c.Do("INFO")
 	if err != nil || r.IsError() {
 		t.Fatalf("INFO: %v %+v", err, r)
@@ -48,11 +48,11 @@ func TestServerMemoryTelemetry(t *testing.T) {
 	info := string(r.Str)
 	for _, want := range []string{
 		"# Memory",
-		"waitfree_shard0_retired:",
-		"waitfree_shard0_reclaim_lag_p99_ns:",
-		"waitfree_shard1_floating_hwm:",
-		"wfrc_mem_zct_depth_waitfree_shard0:",
-		"wfrc_mem_pin_fastpaths_waitfree_shard1:",
+		"waitfree_retired:",
+		"waitfree_reclaim_lag_p99_ns:",
+		"waitfree_floating_hwm:",
+		"wfrc_mem_zct_depth_waitfree:",
+		"wfrc_mem_pin_fastpaths_waitfree:",
 		"wfrc_mem_value_blocks_live_values:",
 	} {
 		if !strings.Contains(info, want) {
@@ -60,19 +60,29 @@ func TestServerMemoryTelemetry(t *testing.T) {
 		}
 	}
 
-	// Prometheus: the lifecycle families are present and labelled per
-	// shard.
+	// Prometheus: the lifecycle families are present and labelled with
+	// the one scheme, and no family the server exports has a shard label.
 	var buf bytes.Buffer
 	if err := srv.MemCollector().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	prom := buf.String()
+	for _, write := range []func(io.Writer) error{
+		srv.Pool().WriteProm, srv.Store().WriteProm, srv.Hists().WriteProm, srv.WriteProm,
+	} {
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if strings.Contains(buf.String(), "shard") {
+		t.Errorf("/metrics families still carry a shard dimension:\n%s", buf.String())
+	}
 	for _, want := range []string{
-		`wfrc_mem_retired_total{scheme="waitfree-shard0"}`,
-		`wfrc_mem_reclaimed_total{scheme="waitfree-shard1"}`,
-		`wfrc_mem_floating_hwm{scheme="waitfree-shard0"}`,
-		`wfrc_mem_reclaim_lag_seconds_bucket{scheme="waitfree-shard0",le="+Inf"}`,
-		`wfrc_mem_arena_segments{scheme="waitfree-shard0"}`,
+		`wfrc_mem_retired_total{scheme="waitfree"}`,
+		`wfrc_mem_reclaimed_total{scheme="waitfree"}`,
+		`wfrc_mem_floating_hwm{scheme="waitfree"}`,
+		`wfrc_mem_reclaim_lag_seconds_bucket{scheme="waitfree",le="+Inf"}`,
+		`wfrc_mem_arena_segments{scheme="waitfree"}`,
 		`wfrc_mem_value_blocks_live{scheme="values"}`,
 	} {
 		if !strings.Contains(prom, want) {
@@ -81,12 +91,12 @@ func TestServerMemoryTelemetry(t *testing.T) {
 	}
 
 	// STATS: the memory snapshot rides in the reply, with real traffic
-	// on every shard's tracker.
+	// on the scheme's tracker.
 	stats := srv.Stats()
 	if stats.Memory == nil {
 		t.Fatal("StatsReply.Memory is nil")
 	}
-	if len(stats.Memory.Schemes) != 2 {
+	if len(stats.Memory.Schemes) != 1 {
 		t.Fatalf("memory schemes = %v", stats.Memory.SchemeNames())
 	}
 	var retired, reclaimed uint64

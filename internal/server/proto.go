@@ -1,8 +1,7 @@
 // Package server is the network face of the repository: a KV service
-// whose every shard is a wait-free hashmap over its own arena and
-// scheme instance, fronted by internal/slotpool so an unbounded
-// population of TCP connections shares the schemes' fixed thread
-// slots.
+// whose store is one wait-free hashmap over one arena and scheme
+// instance, fronted by internal/slotpool so an unbounded population of
+// TCP connections shares the scheme's fixed thread slots.
 //
 // Wire protocol (all integers big-endian):
 //
@@ -20,6 +19,7 @@
 // value-word tag (internal/value): the server rejects Set/CAS requests
 // carrying it (StatusErr, ErrReservedBit), and a native Get of a key
 // last written over RESP returns the raw tagged word.
+//
 //	response := status(uint8) body
 //	  StatusOK       body := value(uint64) for Get; 1/0 inserted for Set;
 //	                         (none) for Del; (none) for CAS

@@ -2,7 +2,7 @@
 // protocol (RESP2) that redis-benchmark, redis-cli, and memtier drive
 // the wait-free store directly.  Both protocols share every listener —
 // handleConn sniffs the first byte — and differ only in framing; all
-// operations land on the same shards through the same slotpool leases.
+// operations land in the same store through the same slotpool leases.
 //
 // The front-end runs each connection to completion in one loop: fill the
 // read buffer, parse every complete command in place, take ONE slot
@@ -395,7 +395,6 @@ func (s *Server) infoSections() []obs.InfoSection {
 	return []obs.InfoSection{
 		{Name: "Server", Fields: []obs.InfoField{
 			obs.Field("wfrc_version", "dev"),
-			obs.Field("shards", s.store.Shards()),
 			obs.Field("slots", pool.Slots),
 			obs.Field("max_value_bytes", s.store.MaxValue()),
 		}},

@@ -76,10 +76,13 @@ func TestRESPBasic(t *testing.T) {
 		t.Fatalf("INFO: %v %+v", err, r)
 	}
 	info := string(r.Str)
-	for _, want := range []string{"# Server", "# Stats", "requests_resp:", "# scheme_waitfree_shard0", "derefs:"} {
+	for _, want := range []string{"# Server", "# Stats", "requests_resp:", "# scheme_waitfree", "derefs:"} {
 		if !strings.Contains(info, want) {
 			t.Errorf("INFO missing %q:\n%s", want, info)
 		}
+	}
+	if n := strings.Count(info, "# scheme_"); n != 1 {
+		t.Errorf("INFO has %d scheme sections, want the store's one:\n%s", n, info)
 	}
 }
 
@@ -138,7 +141,7 @@ func TestRESPDispatchAllocs(t *testing.T) {
 }
 
 // TestRESPMGETOneLease pins the acceptance criterion: an MGET of 16
-// keys takes exactly one slot-bundle lease, accounted as one batched
+// keys takes exactly one slot lease, accounted as one batched
 // lease carrying 16 operations.
 func TestRESPMGETOneLease(t *testing.T) {
 	srv, addr := startServer(t, Config{Store: respStore()})

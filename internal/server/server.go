@@ -9,12 +9,10 @@ import (
 	"io"
 	"net"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"wfrc/internal/core"
 	"wfrc/internal/mm"
 	"wfrc/internal/obs"
 	"wfrc/internal/slotpool"
@@ -22,7 +20,7 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Store configures the sharded KV store.
+	// Store configures the KV store.
 	Store StoreConfig
 	// LeaseMaxWait bounds how long a request waits for a free slot
 	// before it is answered with StatusBusy (default 2s).
@@ -32,14 +30,14 @@ type Config struct {
 	// Spans, when set, records a span per request: the server opens it
 	// before dispatch, the slot pool annotates lease-wait/quarantine
 	// phases (the tracer is installed as the pool's Annotator), and the
-	// span ID is installed as the slot's thread tag on the target shard's
-	// core scheme so help events carry it.  The tracer must cover at
-	// least Store.Slots lanes.
+	// span ID is installed as the slot's thread tag on the core scheme
+	// so help events carry it.  The tracer must cover at least
+	// Store.Slots lanes.
 	Spans *obs.SpanTracer
-	// ProfLabels attaches pprof labels ("op", "shard") to the handler
-	// goroutine around each request, so CPU profiles break down by
-	// protocol op and store shard.  Label contexts are precomputed at
-	// construction; the per-request cost is two SetGoroutineLabels calls.
+	// ProfLabels attaches a pprof label ("op") to the handler goroutine
+	// around each request, so CPU profiles break down by protocol op.
+	// Label contexts are precomputed at construction; the per-request
+	// cost is two SetGoroutineLabels calls.
 	ProfLabels bool
 }
 
@@ -48,22 +46,19 @@ type Config struct {
 // Prometheus endpoint.
 type StatsReply struct {
 	Pool        slotpool.Stats `json:"pool"`
-	ShardOps    []uint64       `json:"shard_ops"`
 	Conns       int64          `json:"conns"`
 	ConnsTotal  uint64         `json:"conns_total"`
 	Busy        uint64         `json:"busy_rejects"`
 	ProtoErrors uint64         `json:"proto_errors"`
-	// Growable and Capacity describe the store's arenas (README
-	// "Capacity model"): per-shard attached/max node counts and segment
-	// attach counters.  Capacity is present on every server; on a fixed
-	// store each entry reports Segments == 1 and Nodes == MaxNodes.
-	Growable bool            `json:"growable"`
-	Capacity []ShardCapacity `json:"capacity"`
+	// Growable reports whether the store's arena can attach segments at
+	// runtime (README "Capacity model"); the attached count is Memory's
+	// wfrc_mem_arena_segments gauge.
+	Growable bool `json:"growable"`
 	// RequestsNative and RequestsRESP count requests by front-end
 	// protocol (RESP commands count one each, including multi-key ones).
 	RequestsNative uint64 `json:"requests_native"`
 	RequestsRESP   uint64 `json:"requests_resp"`
-	// Memory is the memory-lifecycle snapshot (schema v5): per-shard
+	// Memory is the memory-lifecycle snapshot: the scheme's
 	// retired/reclaimed/floating counters with reclamation-lag quantiles,
 	// plus occupancy gauges.  wfrc-load folds it into its report so CI
 	// can gate on the floating-garbage high-water mark.
@@ -81,11 +76,12 @@ type Server struct {
 	pool  *slotpool.Pool
 
 	spans *obs.SpanTracer
-	cores []*core.Scheme // per shard; nil where the scheme is not the wait-free core
+	// hists holds one latency histogram per op and slot: each column has
+	// a single writer, and /metrics merges the columns per op.
 	hists *obs.OpShardHist
-	// labelCtx[op-1][shard] are precomputed pprof label contexts; nil
-	// when ProfLabels is off.  labelBase restores the unlabeled state.
-	labelCtx  [][]context.Context
+	// labelCtx[op-1] are precomputed pprof label contexts; nil when
+	// ProfLabels is off.  labelBase restores the unlabeled state.
+	labelCtx  []context.Context
 	labelBase context.Context
 
 	mu    sync.Mutex
@@ -106,7 +102,7 @@ type Server struct {
 	// for /metrics (wfrc-kv registers it on the obs HTTP server).
 	collector *obs.Collector
 	// memCollector aggregates the memory-lifecycle telemetry: one
-	// mm.LifecycleTracker per shard scheme plus occupancy gauges (ZCT
+	// mm.LifecycleTracker on the scheme plus occupancy gauges (ZCT
 	// depth, delta-cache fill, arena segments, live value blocks).  It
 	// backs the INFO "# Memory" section, the /metrics wfrc_mem_* families
 	// and StatsReply.Memory.
@@ -133,66 +129,58 @@ func New(cfg Config) (*Server, error) {
 		MaxWait:   cfg.LeaseMaxWait,
 		Hook:      cfg.Hook,
 		Annotator: ann,
-	}, store.Schemes()...)
+	}, store.scheme)
 	if err != nil {
 		return nil, err
 	}
+	cs := store.scheme
 	s := &Server{
-		cfg:       cfg,
-		store:     store,
-		pool:      pool,
-		spans:     cfg.Spans,
-		cores:     store.CoreSchemes(),
-		hists:     obs.NewOpShardHist(OpNames[1:], store.Shards()),
-		conns:     make(map[net.Conn]struct{}),
-		collector: obs.NewCollector(),
+		cfg:          cfg,
+		store:        store,
+		pool:         pool,
+		spans:        cfg.Spans,
+		hists:        obs.NewOpShardHist(OpNames[1:], store.cfg.Slots),
+		conns:        make(map[net.Conn]struct{}),
+		collector:    obs.NewCollector(),
+		memCollector: obs.NewLifecycleCollector(),
 	}
-	s.memCollector = obs.NewLifecycleCollector()
-	for i, cs := range s.cores {
-		if cs == nil {
-			continue
-		}
-		scheme := fmt.Sprintf("waitfree-shard%d", i)
-		for _, th := range pool.SlotThreads(i) {
-			s.collector.Attach(scheme, th.ID(), th.Stats())
-		}
-		cs := cs
-		s.collector.AttachGauge("wfrc_ann_scan_violations", scheme, func() int64 { return int64(cs.AnnScanViolations()) })
+	const scheme = "waitfree"
+	// Capture the stats pointers once: core's Stats() folds batched
+	// hot-path counters into the struct and must only be called on the
+	// owning goroutine (or, as here, before traffic starts); the pin gauge
+	// then reads the published field like the collector does.
+	var stats []*mm.OpStats
+	for _, th := range pool.SlotThreads() {
+		s.collector.Attach(scheme, th.ID(), th.Stats())
+		stats = append(stats, th.Stats())
+	}
+	s.collector.AttachGauge("wfrc_ann_scan_violations", scheme, func() int64 { return int64(cs.AnnScanViolations()) })
 
-		// Memory-lifecycle telemetry: the tracker stamps every retire and
-		// times the retire→free lag; the gauges read occupancy the tracker
-		// cannot see.  All wait-free reads — the sampler never blocks the
-		// reclamation hot path.
-		tr := mm.NewLifecycleTracker(cs.Arena().MaxNodes())
-		cs.SetLifecycleSink(tr)
-		s.memCollector.AttachTracker(scheme, tr)
-		s.memCollector.AttachMemGauge("wfrc_mem_zct_depth", scheme, func() int64 {
-			z, _ := cs.DeferredOccupancy()
-			return z
-		})
-		s.memCollector.AttachMemGauge("wfrc_mem_dcache_live", scheme, func() int64 {
-			_, d := cs.DeferredOccupancy()
-			return d
-		})
-		s.memCollector.AttachMemGauge("wfrc_mem_arena_segments", scheme, func() int64 {
-			return int64(cs.Segments())
-		})
-		// Capture the stats pointers once: core's Stats() folds batched
-		// hot-path counters into the struct and must only be called on
-		// the owning goroutine (or, as here, before traffic starts); the
-		// gauge then reads the published field like the collector does.
-		var stats []*mm.OpStats
-		for _, th := range pool.SlotThreads(i) {
-			stats = append(stats, th.Stats())
+	// Memory-lifecycle telemetry: the tracker stamps every retire and
+	// times the retire→free lag; the gauges read occupancy the tracker
+	// cannot see.  All wait-free reads — the sampler never blocks the
+	// reclamation hot path.
+	tr := mm.NewLifecycleTracker(cs.Arena().MaxNodes())
+	cs.SetLifecycleSink(tr)
+	s.memCollector.AttachTracker(scheme, tr)
+	s.memCollector.AttachMemGauge("wfrc_mem_zct_depth", scheme, func() int64 {
+		z, _ := cs.DeferredOccupancy()
+		return z
+	})
+	s.memCollector.AttachMemGauge("wfrc_mem_dcache_live", scheme, func() int64 {
+		_, d := cs.DeferredOccupancy()
+		return d
+	})
+	s.memCollector.AttachMemGauge("wfrc_mem_arena_segments", scheme, func() int64 {
+		return int64(cs.Segments())
+	})
+	s.memCollector.AttachMemGauge("wfrc_mem_pin_fastpaths", scheme, func() int64 {
+		var n uint64
+		for _, st := range stats {
+			n += st.PinFastPaths
 		}
-		s.memCollector.AttachMemGauge("wfrc_mem_pin_fastpaths", scheme, func() int64 {
-			var n uint64
-			for _, st := range stats {
-				n += st.PinFastPaths
-			}
-			return int64(n)
-		})
-	}
+		return int64(n)
+	})
 	if vs := store.Values(); vs != nil {
 		s.memCollector.AttachMemGauge("wfrc_mem_value_blocks_live", "values", vs.LiveBlocks)
 		s.memCollector.AttachMemGauge("wfrc_mem_value_segments", "values", func() int64 {
@@ -205,23 +193,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ProfLabels {
 		s.labelBase = context.Background()
-		s.labelCtx = make([][]context.Context, len(OpNames)-1)
+		s.labelCtx = make([]context.Context, len(OpNames)-1)
 		for i := range s.labelCtx {
-			s.labelCtx[i] = make([]context.Context, store.Shards())
-			for sh := 0; sh < store.Shards(); sh++ {
-				s.labelCtx[i][sh] = pprof.WithLabels(context.Background(),
-					pprof.Labels("op", OpNames[i+1], "shard", strconv.Itoa(sh)))
-			}
+			s.labelCtx[i] = pprof.WithLabels(context.Background(), pprof.Labels("op", OpNames[i+1]))
 		}
 	}
 	return s, nil
 }
 
-// Hists returns the per-op×shard server-side latency histograms, for
-// Prometheus registration (obs.Server.AddProm(s.Hists().WriteProm)).
+// Hists returns the per-op server-side latency histograms (one column
+// per slot), for Prometheus registration
+// (obs.Server.AddProm(s.Hists().WriteProm)) and MergedOp reads.
 func (s *Server) Hists() *obs.OpShardHist { return s.hists }
 
-// Store returns the sharded store, for observability attachment.
+// Store returns the store, for observability attachment.
 func (s *Server) Store() *Store { return s.store }
 
 // Pool returns the slot pool, for observability attachment.
@@ -345,43 +330,39 @@ func (s *Server) handleNative(conn net.Conn, r *bufio.Reader) {
 }
 
 // observeRequest wraps serveRequest with the observability hot path:
-// span open/close (with the span ID installed as the shard core's
-// thread tag so help events join to it), per-op×shard latency
-// recording, and pprof labels.  Everything here is zero-alloc and
-// lock-free — see the AllocsPerRun guards in internal/obs.
+// span open/close (with the span ID installed as the slot's thread tag
+// so help events join to it), per-op latency recording, and pprof
+// labels.  Everything here is zero-alloc and lock-free — see the
+// AllocsPerRun guards in internal/obs.
 func (s *Server) observeRequest(dst []byte, l slotpool.Lease, req Request) []byte {
 	opIdx := int(req.Op) - 1
 	if opIdx < 0 || opIdx >= len(OpNames)-1 {
 		return s.serveRequest(dst, l, req) // unknown op: protocol error path
 	}
-	shard := 0
-	if req.Op != OpStats && req.Op != OpBatch {
-		shard = s.store.Shard(req.Key)
-	}
 	if s.labelCtx != nil {
-		pprof.SetGoroutineLabels(s.labelCtx[opIdx][shard])
+		pprof.SetGoroutineLabels(s.labelCtx[opIdx])
 	}
 	slot := l.Slot()
 	tagged := false
 	var helps0 uint64
 	if s.spans != nil {
-		id := s.spans.Start(slot, req.Op, shard, req.Key)
-		if req.Op != OpStats && req.Op != OpBatch && s.cores[shard] != nil {
+		id := s.spans.Start(slot, req.Op, 0, req.Key)
+		if req.Op != OpStats && req.Op != OpBatch {
 			// Reading our own thread's counter is race-free: the lessee
 			// goroutine is the thread.
-			helps0 = l.Thread(shard).Stats().HelpsReceived
-			s.cores[shard].SetThreadTag(slot, id)
+			helps0 = l.Thread().Stats().HelpsReceived
+			s.store.scheme.SetThreadTag(slot, id)
 			tagged = true
 		}
 	}
 	start := time.Now()
 	dst = s.serveRequest(dst, l, req)
-	s.hists.Record(opIdx, shard, time.Since(start))
+	s.hists.Record(opIdx, slot, time.Since(start))
 	if s.spans != nil {
 		var helps uint32
 		if tagged {
-			s.cores[shard].SetThreadTag(slot, 0)
-			helps = uint32(l.Thread(shard).Stats().HelpsReceived - helps0)
+			s.store.scheme.SetThreadTag(slot, 0)
+			helps = uint32(l.Thread().Stats().HelpsReceived - helps0)
 		}
 		status := uint8(StatusErr)
 		if len(dst) > 0 {
@@ -469,13 +450,11 @@ func appendErr(dst []byte, err error) []byte {
 func (s *Server) Stats() StatsReply {
 	return StatsReply{
 		Pool:        s.pool.Stats(),
-		ShardOps:    s.store.OpCounts(),
 		Conns:       s.curConns.Load(),
 		ConnsTotal:  s.connsTotal.Load(),
 		Busy:        s.busy.Load(),
 		ProtoErrors: s.protoErrors.Load(),
 		Growable:    s.store.Growable(),
-		Capacity:    s.store.Capacity(),
 
 		RequestsNative: s.reqsNative.Load(),
 		RequestsRESP:   s.reqsRESP.Load(),
@@ -496,7 +475,7 @@ func (s *Server) WriteProm(w io.Writer) error {
 
 // Shutdown drains the server: stop accepting, nudge every connection
 // to finish its in-flight request and part, wait for handlers, drain
-// and close the slot pool, then audit every shard scheme.  The
+// and close the slot pool, then audit the scheme.  The
 // returned error joins any audit violations — a clean shutdown is the
 // zero-leak proof the acceptance criteria ask for.
 func (s *Server) Shutdown(ctx context.Context) error {

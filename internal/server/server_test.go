@@ -31,7 +31,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 }
 
 func smallStore() StoreConfig {
-	return StoreConfig{Shards: 2, Slots: 4, NodesPerShard: 1 << 10, Buckets: 16}
+	return StoreConfig{Slots: 4, Nodes: 1 << 11, Buckets: 32}
 }
 
 func TestProtoRoundtrip(t *testing.T) {
@@ -112,7 +112,7 @@ func TestKVSemanticsOverTCP(t *testing.T) {
 // that the same connection is served once the slots come back.
 func TestBackpressureBusy(t *testing.T) {
 	cfg := Config{
-		Store:        StoreConfig{Shards: 1, Slots: 2, NodesPerShard: 256, Buckets: 4},
+		Store:        StoreConfig{Slots: 2, Nodes: 256, Buckets: 4},
 		LeaseMaxWait: 30 * time.Millisecond,
 	}
 	srv, addr := startServer(t, cfg)
@@ -148,7 +148,7 @@ func TestBackpressureBusy(t *testing.T) {
 // hold nothing, so a third is served without a single Busy.
 func TestNativeIdleConnectionsHoldNoSlot(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Store:        StoreConfig{Shards: 1, Slots: 1, NodesPerShard: 256, Buckets: 4},
+		Store:        StoreConfig{Slots: 1, Nodes: 256, Buckets: 4},
 		LeaseMaxWait: 30 * time.Millisecond,
 	})
 	for i := 0; i < 2; i++ {
@@ -233,7 +233,7 @@ func TestNativeSteadyStateAllocs(t *testing.T) {
 func TestGracefulShutdownZeroLeaks(t *testing.T) {
 	inj := chaos.NewInjector(7, chaos.Faults{DelayProb: 0.1, DelaySpins: 16, GoschedProb: 0.1, GoschedBurst: 1})
 	srv, addr := startServer(t, Config{
-		Store: StoreConfig{Shards: 2, Slots: 3, NodesPerShard: 1 << 11, Buckets: 16},
+		Store: StoreConfig{Slots: 3, Nodes: 1 << 12, Buckets: 32},
 		Hook:  func(slotpool.Point) { inj.Perturb() },
 	})
 
@@ -274,14 +274,7 @@ func TestGracefulShutdownZeroLeaks(t *testing.T) {
 	if st.Pool.Violations != 0 {
 		t.Fatalf("hygiene violations: %d", st.Pool.Violations)
 	}
-	var total uint64
-	for _, n := range st.ShardOps {
-		if n == 0 {
-			t.Errorf("a shard saw zero ops: %v (shard hash degenerate?)", st.ShardOps)
-		}
-		total += n
-	}
-	if total == 0 {
+	if srv.Store().opsTotal() == 0 {
 		t.Fatal("no ops recorded")
 	}
 }
@@ -307,24 +300,44 @@ func TestShutdownWakesIdleConnections(t *testing.T) {
 	}
 }
 
-func TestStoreShardBalance(t *testing.T) {
-	st, err := NewStore(StoreConfig{Shards: 4, Slots: 1, NodesPerShard: 256, Buckets: 4})
+// TestStoreNodeBudgetIsOnePool pins that the node budget is one pool
+// that every key can draw on.  The keys are the ones the store's former
+// four-way split (a murmur-style mix of the key, low two bits) sent to
+// one quarter of the nodes, so half the budget in such keys ran that
+// quarter out of nodes while the other three sat empty.
+func TestStoreNodeBudgetIsOnePool(t *testing.T) {
+	const nodes = 4096
+	st, err := NewStore(StoreConfig{Slots: 2, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, st.Shards())
-	for k := uint64(0); k < 4096; k++ {
-		counts[st.Shard(k)]++
+	pool := slotpool.MustNew(slotpool.Config{Slots: 2}, st.scheme)
+	lease, err := pool.Lease(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, n := range counts {
-		if n < 512 || n > 1536 {
-			t.Errorf("shard %d got %d of 4096 sequential keys (want ~1024)", i, n)
+	inserted := 0
+	for k := uint64(0); inserted < nodes/2; k++ {
+		if mix := (k ^ k>>33) * 0xff51afd7ed558ccd; mix>>33&3 != 0 {
+			continue
 		}
+		if _, err := st.Set(lease, k, k); err != nil {
+			t.Fatalf("Set of key %d (%d inserted): %v", k, inserted, err)
+		}
+		inserted++
+	}
+	lease.Release()
+	pool.Close()
+	if n := st.Len(); n != nodes/2 {
+		t.Errorf("Len = %d, want %d", n, nodes/2)
+	}
+	for _, err := range st.Audit() {
+		t.Errorf("audit: %v", err)
 	}
 }
 
 // TestStoreGeometry pins the index sizing rule: one bucket per 4 nodes of
-// the shard's ceiling (not of its first segment), rounded down to a
+// the arena's ceiling (not of its first segment), rounded down to a
 // power of two, never below 16; an explicit bucket count is honoured.
 func TestStoreGeometry(t *testing.T) {
 	for _, c := range []struct {
@@ -332,15 +345,15 @@ func TestStoreGeometry(t *testing.T) {
 		cfg  StoreConfig
 		want int
 	}{
-		{"default", StoreConfig{}, 1 << 14},
-		{"fixed", StoreConfig{NodesPerShard: 1 << 10}, 256},
-		{"fixed, not a power of two", StoreConfig{NodesPerShard: 1000}, 128},
-		{"growable: ceiling, not first segment", StoreConfig{NodesPerShard: 1 << 10, MaxNodesPerShard: 1 << 13}, 2048},
-		{"ceiling below the first segment", StoreConfig{NodesPerShard: 1 << 10, MaxNodesPerShard: 64}, 256},
-		{"tiny", StoreConfig{NodesPerShard: 8}, 16},
-		{"explicit", StoreConfig{NodesPerShard: 1 << 10, MaxNodesPerShard: 1 << 13, Buckets: 32}, 32},
+		{"default", StoreConfig{}, 1 << 16},
+		{"fixed", StoreConfig{Nodes: 1 << 10}, 256},
+		{"fixed, not a power of two", StoreConfig{Nodes: 1000}, 128},
+		{"growable: ceiling, not first segment", StoreConfig{Nodes: 1 << 10, MaxNodes: 1 << 13}, 2048},
+		{"ceiling below the first segment", StoreConfig{Nodes: 1 << 10, MaxNodes: 64}, 256},
+		{"tiny", StoreConfig{Nodes: 8}, 16},
+		{"explicit", StoreConfig{Nodes: 1 << 10, MaxNodes: 1 << 13, Buckets: 32}, 32},
 	} {
-		c.cfg.Shards, c.cfg.Slots = 1, 1
+		c.cfg.Slots = 1
 		if got := c.cfg.ArenaConfig().RootLinks; got != c.want+2 {
 			t.Errorf("%s: ArenaConfig().RootLinks = %d, want %d buckets + 2", c.name, got, c.want)
 		}
@@ -349,7 +362,7 @@ func TestStoreGeometry(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if got := st.Buckets(); got != c.want {
-			t.Errorf("%s: %d buckets per shard, want %d", c.name, got, c.want)
+			t.Errorf("%s: %d buckets, want %d", c.name, got, c.want)
 		}
 	}
 }
@@ -358,7 +371,7 @@ func TestStoreGeometry(t *testing.T) {
 // and measures every key's chain position as a count: a Get dereferences
 // the bucket head plus one link per node up to the key.
 func TestStoreChainsStayShort(t *testing.T) {
-	srv, err := New(Config{Store: StoreConfig{Shards: 2, Slots: 2, NodesPerShard: 1 << 12}})
+	srv, err := New(Config{Store: StoreConfig{Slots: 2, Nodes: 1 << 13}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +382,7 @@ func TestStoreChainsStayShort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lease.Release()
-	const keys = 1 << 12 // half of 2 shards × 4096 nodes
+	const keys = 1 << 12 // half of 8192 nodes
 	for k := uint64(0); k < keys; k++ {
 		if _, err := st.Set(lease, k, k); err != nil {
 			t.Fatal(err)
@@ -377,7 +390,7 @@ func TestStoreChainsStayShort(t *testing.T) {
 	}
 	longest := uint64(0)
 	for k := uint64(0); k < keys; k++ {
-		stats := lease.Thread(st.Shard(k)).Stats()
+		stats := lease.Thread().Stats()
 		before := stats.DeRefs
 		if v, ok := st.Get(lease, k); !ok || v != k {
 			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
@@ -387,15 +400,15 @@ func TestStoreChainsStayShort(t *testing.T) {
 		}
 	}
 	if longest < 2 || longest > 8 {
-		t.Errorf("longest chain holds %d nodes at half occupancy of %d buckets/shard, want 2..8",
+		t.Errorf("longest chain holds %d nodes at half occupancy of %d buckets, want 2..8",
 			longest, st.Buckets())
 	}
 }
 
 // TestServerSpansRecorded drives requests through the TCP path with a
 // span tracer attached and checks that each request produced a span
-// with the right op/status names, the shard it routed to, and the lease
-// wait of its own per-frame lease.
+// with the right op/status names, its key, and the lease wait of its own
+// per-frame lease.
 func TestServerSpansRecorded(t *testing.T) {
 	store := smallStore()
 	spans := obs.NewSpanTracer(store.Slots, 64, OpNames, StatusNames)
@@ -423,28 +436,27 @@ func TestServerSpansRecorded(t *testing.T) {
 	if len(got) != 4 || spans.Total() != 4 {
 		t.Fatalf("recorded %d spans (total %d), want 4", len(got), spans.Total())
 	}
-	wantShard := srv.Store().Shard(7)
 	checks := []struct {
 		op, status string
-		shard      int
+		key        uint64
 	}{
-		{"set", "ok", wantShard},
-		{"get", "ok", wantShard},
-		{"get", "not_found", srv.Store().Shard(99999)},
+		{"set", "ok", 7},
+		{"get", "ok", 7},
+		{"get", "not_found", 99999},
 		{"stats", "ok", 0},
 	}
 	for i, want := range checks {
 		sp := got[i]
-		if sp.Op != want.op || sp.Status != want.status || sp.Shard != want.shard {
-			t.Errorf("span %d = %s/%s shard %d, want %s/%s shard %d",
-				i, sp.Op, sp.Status, sp.Shard, want.op, want.status, want.shard)
+		if sp.Op != want.op || sp.Status != want.status || sp.Key != want.key {
+			t.Errorf("span %d = %s/%s key %d, want %s/%s key %d",
+				i, sp.Op, sp.Status, sp.Key, want.op, want.status, want.key)
 		}
 		if sp.DurNS < 0 || sp.ID == 0 || sp.LeaseWaitNS < 0 {
 			t.Errorf("span %d has id %d dur %d lease wait %d", i, sp.ID, sp.DurNS, sp.LeaseWaitNS)
 		}
 	}
 
-	// The per-op×shard histograms saw the same requests.
+	// The per-op histograms saw the same requests.
 	if n := srv.Hists().MergedOp(int(OpGet) - 1).Count; n != 2 {
 		t.Errorf("get histogram count = %d, want 2", n)
 	}

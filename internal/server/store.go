@@ -14,55 +14,42 @@ import (
 	"wfrc/internal/value"
 )
 
-// StoreConfig parameterizes a sharded store.
+// StoreConfig parameterizes the store.
 type StoreConfig struct {
-	// Shards is the number of independent shards (power of two, default
-	// 4).  Each shard owns its own arena and wait-free scheme instance,
-	// so shards never contend on announcement rows or free-lists.
-	Shards int
-	// Slots is the thread-slot count of every shard scheme — the
-	// paper's NR_THREADS, and the slotpool lease capacity (default 8).
+	// Slots is the scheme's thread-slot count — the paper's NR_THREADS,
+	// and the slotpool lease capacity (default 8).
 	Slots int
-	// NodesPerShard sizes each shard's initial arena segment (default
-	// 1<<16).
-	NodesPerShard int
-	// MaxNodesPerShard caps each shard's arena across runtime-attached
-	// segments (README "Capacity model").  Zero (or <= NodesPerShard)
-	// keeps the shard fixed at NodesPerShard — the pre-growable
-	// behaviour.  wfrc-kv derives this from -max-memory.
-	MaxNodesPerShard int
-	// Buckets is each shard's hashmap bucket count (power of two).  Zero
-	// derives it from the shard's node ceiling — MaxNodesPerShard when
-	// the shard can grow, NodesPerShard otherwise — one bucket per
-	// nodesPerBucket nodes (DESIGN.md §9).
+	// Nodes sizes the arena's initial segment (default 1<<18).
+	Nodes int
+	// MaxNodes caps the arena across runtime-attached segments (README
+	// "Capacity model").  Zero (or <= Nodes) keeps the arena fixed at
+	// Nodes.  wfrc-kv derives this from -max-memory.
+	MaxNodes int
+	// Buckets is the hashmap bucket count (power of two).  Zero derives
+	// it from the node ceiling — MaxNodes when the arena can grow, Nodes
+	// otherwise — one bucket per nodesPerBucket nodes (DESIGN.md §9).
 	Buckets int
 	// MaxValue, when positive, enables the variable-size value layer
 	// (internal/value): RESP SETs carry byte payloads up to MaxValue
 	// bytes, stored in size-classed blocks and freed by the node-free
 	// hook when the owning node's reference count reclaims it
 	// (DESIGN.md §14).  Zero keeps the store native-only: values are
-	// bare uint64 words and nothing outside the arenas is allocated.
+	// bare uint64 words and nothing outside the arena is allocated.
 	// MaxValue may not exceed the largest default value class (16 KiB).
 	MaxValue int
 }
 
 func (c *StoreConfig) defaults() {
-	if c.Shards == 0 {
-		c.Shards = 4
-	}
 	if c.Slots == 0 {
 		c.Slots = 8
 	}
-	if c.NodesPerShard == 0 {
-		c.NodesPerShard = 1 << 16
+	if c.Nodes == 0 {
+		c.Nodes = 1 << 18
 	}
 	if c.Buckets == 0 {
 		// The table cannot grow after construction, so it is sized for what
 		// the arena may reach, not for its first segment.
-		ceiling := c.NodesPerShard
-		if c.MaxNodesPerShard > ceiling {
-			ceiling = c.MaxNodesPerShard
-		}
+		ceiling := max(c.Nodes, c.MaxNodes)
 		c.Buckets = minBuckets
 		for c.Buckets*2 <= ceiling/nodesPerBucket {
 			c.Buckets *= 2
@@ -71,8 +58,8 @@ func (c *StoreConfig) defaults() {
 }
 
 // The derived index geometry: one bucket (8 bytes of root link, untouched
-// until used) per nodesPerBucket nodes of shard ceiling, rounded down to
-// a power of two.  With the arena full a chain averages between
+// until used) per nodesPerBucket nodes of ceiling, rounded down to a
+// power of two.  With the arena full a chain averages between
 // nodesPerBucket and twice that, so a store operation visits O(1) nodes
 // whatever the capacity.
 const (
@@ -80,68 +67,56 @@ const (
 	minBuckets     = 16
 )
 
-// Store is a sharded wait-free KV store.  Every operation runs on the
-// scheme thread that the caller's slotpool lease holds for the target
-// shard, so the store itself has no thread bookkeeping.
+// Store is the wait-free KV store: one arena, one wait-free scheme and
+// one hashmap, so every thread slot reaches every free node (the
+// footnote-4 out-of-memory verdict is sound) and the paper's bounds are
+// stated once for one n.  Every operation runs on the scheme thread the
+// caller's slotpool lease holds, so the store has no thread bookkeeping.
 type Store struct {
 	cfg    StoreConfig
-	shards []storeShard
-	mask   uint64
+	scheme *core.Scheme
+	m      *hashmap.Map
+	// ops counts store operations, one padded cell per slot so
+	// connections on different cores never share a line on the hot path.
+	ops []mm.PadU64
 	// values is the variable-size payload layer, nil when
 	// StoreConfig.MaxValue is zero.  Its Thread handles are indexed by
-	// slot (lease) ID: one goroutine drives a slot at a time, across
-	// every shard, so slot index is the correct single-owner key even
-	// though the blocks are shared by all shards.
+	// slot (lease) ID: one goroutine drives a slot at a time.
 	values *value.Store
 }
 
-type storeShard struct {
-	scheme *core.Scheme
-	m      *hashmap.Map
-	// ops counts the operations routed to the shard, one padded cell
-	// per slot so connections on different cores never share a line on
-	// the hot path; OpCounts sums them.
-	ops []mm.PadU64
-}
-
-// ArenaConfig returns the arena geometry this configuration gives each
-// shard.  Capacity planners use it before the store exists: wfrc-kv
+// ArenaConfig returns the arena geometry this configuration gives the
+// store.  Capacity planners use it before the store exists: wfrc-kv
 // divides its -max-memory byte budget by BytesPerNode() of this config
-// to derive MaxNodesPerShard.
+// to derive MaxNodes.
 func (c StoreConfig) ArenaConfig() arena.Config {
 	cc := c
 	cc.defaults()
 	return arena.Config{
-		Nodes:        cc.NodesPerShard,
-		MaxNodes:     cc.MaxNodesPerShard,
+		Nodes:        cc.Nodes,
+		MaxNodes:     cc.MaxNodes,
 		LinksPerNode: 1,
 		ValsPerNode:  2,
 		RootLinks:    cc.Buckets + 2,
 	}
 }
 
-// NewStore builds the shards.
+// NewStore builds the arena, the scheme and the index.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	cfg.defaults()
-	if cfg.Shards&(cfg.Shards-1) != 0 || cfg.Shards < 1 {
-		return nil, fmt.Errorf("server: Shards must be a power of two, got %d", cfg.Shards)
+	ar, err := arena.New(cfg.ArenaConfig())
+	if err != nil {
+		return nil, fmt.Errorf("server: arena: %w", err)
 	}
-	st := &Store{cfg: cfg, mask: uint64(cfg.Shards - 1)}
-	for i := 0; i < cfg.Shards; i++ {
-		ar, err := arena.New(cfg.ArenaConfig())
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d arena: %w", i, err)
-		}
-		s, err := core.New(ar, core.Config{Threads: cfg.Slots})
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d scheme: %w", i, err)
-		}
-		m, err := hashmap.New(s, hashmap.Config{Buckets: cfg.Buckets})
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d map: %w", i, err)
-		}
-		st.shards = append(st.shards, storeShard{scheme: s, m: m, ops: make([]mm.PadU64, cfg.Slots)})
+	s, err := core.New(ar, core.Config{Threads: cfg.Slots})
+	if err != nil {
+		return nil, fmt.Errorf("server: scheme: %w", err)
 	}
+	m, err := hashmap.New(s, hashmap.Config{Buckets: cfg.Buckets})
+	if err != nil {
+		return nil, fmt.Errorf("server: map: %w", err)
+	}
+	st := &Store{cfg: cfg, scheme: s, m: m, ops: make([]mm.PadU64, cfg.Slots)}
 	if cfg.MaxValue > 0 {
 		vs, err := value.New(value.Config{Threads: cfg.Slots})
 		if err != nil {
@@ -152,19 +127,16 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 				cfg.MaxValue, vs.MaxPayload())
 		}
 		st.values = vs
-		for i := range st.shards {
-			// The hook runs on the reclamation winner's thread with
-			// exclusive ownership of the node (core lines R4/F1): free the
-			// blocks behind a ref-tagged value word and clear the word, so
-			// a reused node can never carry a stale ref into a second free.
-			ar := st.shards[i].scheme.Arena()
-			st.shards[i].scheme.SetNodeFreeHook(func(threadID int, h arena.Handle) {
-				if w := ar.Val(h, 1); value.IsRef(w) {
-					vs.Free(threadID, w)
-					ar.SetVal(h, 1, 0)
-				}
-			})
-		}
+		// The hook runs on the reclamation winner's thread with exclusive
+		// ownership of the node (core lines R4/F1): free the blocks behind
+		// a ref-tagged value word and clear the word, so a reused node can
+		// never carry a stale ref into a second free.
+		s.SetNodeFreeHook(func(threadID int, h arena.Handle) {
+			if w := ar.Val(h, 1); value.IsRef(w) {
+				vs.Free(threadID, w)
+				ar.SetVal(h, 1, 0)
+			}
+		})
 	}
 	return st, nil
 }
@@ -181,47 +153,23 @@ func (st *Store) MaxValue() int {
 	return st.cfg.MaxValue
 }
 
-// Schemes returns the shard schemes in shard order — exactly the
-// bundle a slotpool over this store must be built from.
-func (st *Store) Schemes() []mm.Scheme {
-	out := make([]mm.Scheme, len(st.shards))
-	for i := range st.shards {
-		out[i] = st.shards[i].scheme
-	}
-	return out
-}
+// Schemes returns the store's one scheme as a one-element slice, the
+// shape benchmark/ spreads into slotpool.New.  Kept for benchmark/; goes
+// with the next benchmark PR.
+func (st *Store) Schemes() []mm.Scheme { return []mm.Scheme{st.scheme} }
 
-// CoreSchemes returns the shard schemes with their concrete type, for
-// audits and observability attachment.
-func (st *Store) CoreSchemes() []*core.Scheme {
-	out := make([]*core.Scheme, len(st.shards))
-	for i := range st.shards {
-		out[i] = st.shards[i].scheme
-	}
-	return out
-}
+// CoreSchemes returns the store's one scheme, with its concrete type, as
+// a one-element slice: benchmark/ ranges over it to attach tracers.
+// Kept for benchmark/; goes with the next benchmark PR.
+func (st *Store) CoreSchemes() []*core.Scheme { return []*core.Scheme{st.scheme} }
 
-// Shards returns the shard count.
-func (st *Store) Shards() int { return len(st.shards) }
-
-// Buckets returns each shard's hashmap bucket count, derived or explicit.
+// Buckets returns the hashmap bucket count, derived or explicit.
 func (st *Store) Buckets() int { return st.cfg.Buckets }
 
-// Shard maps a key to its shard index.  The mix constant differs from
-// the hashmap's Fibonacci multiplier so shard and bucket selection stay
-// decorrelated (otherwise each shard would only ever populate a
-// 1/Shards slice of its buckets).
-func (st *Store) Shard(key uint64) int {
-	key ^= key >> 33
-	key *= 0xff51afd7ed558ccd
-	return int((key >> 33) & st.mask)
-}
-
-// Get reads key using the lease's thread for its shard.
+// Get reads key using the lease's thread.
 func (st *Store) Get(l slotpool.Lease, key uint64) (uint64, bool) {
-	sh := st.Shard(key)
-	st.shards[sh].ops[l.Slot()].Add(1)
-	return st.shards[sh].m.Get(l.Thread(sh), key)
+	st.ops[l.Slot()].Add(1)
+	return st.m.Get(l.Thread(), key)
 }
 
 // ErrReservedBit rejects native Set/CAS words that collide with the
@@ -238,23 +186,21 @@ var ErrReservedBit = errors.New("server: value bit 63 is reserved for the value 
 // hook releases any blocks exactly once.  Tagged words are rejected —
 // a native client must not be able to forge a block ref.
 func (st *Store) Set(l slotpool.Lease, key, value uint64) (bool, error) {
-	sh := st.Shard(key)
-	st.shards[sh].ops[l.Slot()].Add(1)
+	st.ops[l.Slot()].Add(1)
 	if st.values != nil {
 		if value>>63 != 0 {
 			return false, ErrReservedBit
 		}
-		existed, err := st.shards[sh].m.Replace(l.Thread(sh), key, value)
+		existed, err := st.m.Replace(l.Thread(), key, value)
 		return !existed, err
 	}
-	return st.shards[sh].m.Set(l.Thread(sh), key, value)
+	return st.m.Set(l.Thread(), key, value)
 }
 
 // Delete removes key, reporting whether it was present.
 func (st *Store) Delete(l slotpool.Lease, key uint64) bool {
-	sh := st.Shard(key)
-	st.shards[sh].ops[l.Slot()].Add(1)
-	return st.shards[sh].m.Delete(l.Thread(sh), key)
+	st.ops[l.Slot()].Add(1)
+	return st.m.Delete(l.Thread(), key)
 }
 
 // SetBytes stores a byte payload under key.  The payload is encoded
@@ -267,9 +213,8 @@ func (st *Store) SetBytes(l slotpool.Lease, key uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	sh := st.Shard(key)
-	st.shards[sh].ops[l.Slot()].Add(1)
-	if _, err := st.shards[sh].m.Replace(l.Thread(sh), key, w); err != nil {
+	st.ops[l.Slot()].Add(1)
+	if _, err := st.m.Replace(l.Thread(), key, w); err != nil {
 		// The word never reached a node, so it is ours to free.
 		st.values.Free(l.Slot(), w)
 		return err
@@ -282,9 +227,8 @@ func (st *Store) SetBytes(l slotpool.Lease, key uint64, payload []byte) error {
 // us — the guard keeps the node, the node keeps the blocks).  Native
 // uint64 values render as decimal, matching their RESP representation.
 func (st *Store) GetBytes(l slotpool.Lease, key uint64, dst []byte) ([]byte, bool) {
-	sh := st.Shard(key)
-	st.shards[sh].ops[l.Slot()].Add(1)
-	found := st.shards[sh].m.GetWith(l.Thread(sh), key, func(w uint64) {
+	st.ops[l.Slot()].Add(1)
+	found := st.m.GetWith(l.Thread(), key, func(w uint64) {
 		if st.values != nil && value.IsValue(w) {
 			dst = st.values.AppendPayload(dst, w)
 		} else {
@@ -300,47 +244,33 @@ func (st *Store) GetBytes(l slotpool.Lease, key uint64, dst []byte) ([]byte, boo
 // word can then never match old, so a block-backed value can never be
 // overwritten in place — the CAS just fails.
 func (st *Store) CompareAndSet(l slotpool.Lease, key, old, new uint64) (swapped, found bool) {
-	sh := st.Shard(key)
-	st.shards[sh].ops[l.Slot()].Add(1)
-	return st.shards[sh].m.CompareAndSet(l.Thread(sh), key, old, new)
+	st.ops[l.Slot()].Add(1)
+	return st.m.CompareAndSet(l.Thread(), key, old, new)
 }
 
-// OpCounts returns the per-shard operation counters.
-func (st *Store) OpCounts() []uint64 {
-	out := make([]uint64, len(st.shards))
-	for i := range st.shards {
-		for j := range st.shards[i].ops {
-			out[i] += st.shards[i].ops[j].Load()
-		}
+// opsTotal sums the per-slot operation counters.
+func (st *Store) opsTotal() uint64 {
+	var n uint64
+	for i := range st.ops {
+		n += st.ops[i].Load()
 	}
-	return out
+	return n
 }
 
-// Len counts live entries across shards.  Quiescence only.
-func (st *Store) Len() int {
-	total := 0
-	for i := range st.shards {
-		n := st.shards[i].m.Len()
-		if n < 0 {
-			return -1
-		}
-		total += n
-	}
-	return total
-}
+// OpCounts returns the store's operation count as a one-element slice.
+// Kept for benchmark/; goes with the next benchmark PR.
+func (st *Store) OpCounts() []uint64 { return []uint64{st.opsTotal()} }
 
-// Audit runs every shard scheme's reference-counting and
-// announcement-row audit.  Quiescence only: the slotpool over this
-// store must be drained and closed first, so live entries are the only
-// legitimately referenced nodes (they are link-held, which the arena
-// audit accounts for by itself — extraRefs stays nil).
+// Len counts live entries.  Quiescence only.
+func (st *Store) Len() int { return st.m.Len() }
+
+// Audit runs the scheme's reference-counting and announcement-row
+// audit.  Quiescence only: the slotpool over this store must be drained
+// and closed first, so live entries are the only legitimately
+// referenced nodes (they are link-held, which the arena audit accounts
+// for by itself — extraRefs stays nil).
 func (st *Store) Audit() []error {
-	var errs []error
-	for i := range st.shards {
-		for _, err := range st.shards[i].scheme.Audit(nil) {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
+	errs := st.scheme.Audit(nil)
 	if st.values != nil {
 		// Value-block conservation: every block slot must be either free
 		// or referenced by exactly one live node's value word.  Nodes
@@ -348,13 +278,11 @@ func (st *Store) Audit() []error {
 		// now (pool Close unregisters every thread, flushing deferred
 		// decrements), so any extra live slot here is a leaked payload.
 		live := make(map[uint64]bool)
-		for i := range st.shards {
-			st.shards[i].m.Range(func(_, w uint64) {
-				if value.IsRef(w) {
-					live[w] = true
-				}
-			})
-		}
+		st.m.Range(func(_, w uint64) {
+			if value.IsRef(w) {
+				live[w] = true
+			}
+		})
 		for _, err := range st.values.Audit(live) {
 			errs = append(errs, fmt.Errorf("values: %w", err))
 		}
@@ -362,87 +290,32 @@ func (st *Store) Audit() []error {
 	return errs
 }
 
-// Growable reports whether the shards can attach capacity at runtime
-// (MaxNodesPerShard above NodesPerShard).
-func (st *Store) Growable() bool { return st.shards[0].scheme.Growable() }
+// Growable reports whether the arena can attach capacity at runtime
+// (MaxNodes above Nodes).
+func (st *Store) Growable() bool { return st.scheme.Growable() }
 
-// ShardCapacity is one shard's capacity snapshot (see Capacity).
-type ShardCapacity struct {
-	// Nodes and MaxNodes are the shard arena's attached and ceiling node
-	// capacities.
-	Nodes, MaxNodes int
-	// Segments is the number of attached arena segments (1 = never grew).
-	Segments int
-	// Attaches and Refills count growth-pool events: segments attached
-	// and fresh-node chains handed to starving allocators.
-	Attaches, Refills uint64
-}
+// SegmentsAttached returns the arena's attached segments; a value above
+// 1 means the store grew past its initial capacity.
+func (st *Store) SegmentsAttached() int { return st.scheme.Segments() }
 
-// Capacity returns every shard's capacity snapshot, in shard order.
-// Safe to call while the store serves traffic (the gauges lag attaches
-// by at most one publish CAS).
-func (st *Store) Capacity() []ShardCapacity {
-	out := make([]ShardCapacity, len(st.shards))
-	for i := range st.shards {
-		s := st.shards[i].scheme
-		attaches, refills := s.GrowEvents()
-		out[i] = ShardCapacity{
-			Nodes:    s.Capacity(),
-			MaxNodes: s.MaxCapacity(),
-			Segments: s.Segments(),
-			Attaches: attaches,
-			Refills:  refills,
-		}
-	}
-	return out
-}
-
-// SegmentsAttached sums attached segments across shards; a value above
-// Shards() means at least one shard grew past its initial capacity.
-func (st *Store) SegmentsAttached() int {
-	total := 0
-	for _, c := range st.Capacity() {
-		total += c.Segments
-	}
-	return total
-}
-
-// WriteProm writes the per-shard op counters and capacity gauges in
-// Prometheus text format.
+// WriteProm writes the store's op counter and capacity gauges in
+// Prometheus text format.  The attached-segment gauge is the memory
+// collector's wfrc_mem_arena_segments.  Safe while the store serves
+// traffic (the gauges lag attaches by at most one publish CAS).
 func (st *Store) WriteProm(w io.Writer) error {
-	const name = "wfrc_server_shard_ops_total"
-	if _, err := fmt.Fprintf(w, "# HELP %s Store operations routed to each shard.\n# TYPE %s counter\n",
-		name, name); err != nil {
-		return err
-	}
-	for i, n := range st.OpCounts() {
-		if _, err := fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, n); err != nil {
-			return err
-		}
-	}
-	caps := st.Capacity()
+	attaches, refills := st.scheme.GrowEvents()
 	for _, m := range []struct {
 		name, help, typ string
-		val             func(ShardCapacity) uint64
+		val             uint64
 	}{
-		{"wfrc_server_shard_capacity_nodes", "Attached node capacity of each shard arena.", "gauge",
-			func(c ShardCapacity) uint64 { return uint64(c.Nodes) }},
-		{"wfrc_server_shard_capacity_max_nodes", "Node capacity ceiling of each shard arena.", "gauge",
-			func(c ShardCapacity) uint64 { return uint64(c.MaxNodes) }},
-		{"wfrc_server_shard_segments", "Arena segments attached per shard (1 = never grew).", "gauge",
-			func(c ShardCapacity) uint64 { return uint64(c.Segments) }},
-		{"wfrc_server_shard_segment_attaches_total", "Segments attached at runtime by each shard's growth pool.", "counter",
-			func(c ShardCapacity) uint64 { return c.Attaches }},
-		{"wfrc_server_shard_grow_refills_total", "Fresh-node chains spliced into free-lists per shard.", "counter",
-			func(c ShardCapacity) uint64 { return c.Refills }},
+		{"wfrc_server_store_ops_total", "Store operations (a batch counts each of its ops).", "counter", st.opsTotal()},
+		{"wfrc_server_arena_nodes", "Attached node capacity of the store arena.", "gauge", uint64(st.scheme.Capacity())},
+		{"wfrc_server_arena_max_nodes", "Node capacity ceiling of the store arena.", "gauge", uint64(st.scheme.MaxCapacity())},
+		{"wfrc_server_arena_segment_attaches_total", "Segments attached at runtime by the arena's growth pool.", "counter", attaches},
+		{"wfrc_server_arena_grow_refills_total", "Fresh-node chains spliced into free-lists.", "counter", refills},
 	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.val); err != nil {
 			return err
-		}
-		for i, c := range caps {
-			if _, err := fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", m.name, i, m.val(c)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -15,8 +15,8 @@ func TestLeaseBatchAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A batched lease is an ordinary slot bundle.
-	if lb.Thread(0) == nil {
+	// A batched lease is an ordinary slot lease.
+	if lb.Thread() == nil {
 		t.Fatal("batched lease has no thread")
 	}
 	ls, err := p.Lease(context.Background())

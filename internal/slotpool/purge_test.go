@@ -71,7 +71,7 @@ func TestPurgePinsOnRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ta, tb := la.Thread(0), lb.Thread(0)
+		ta, tb := la.Thread(), lb.Thread()
 
 		h := leaveStalePinOn(t, ta, root)
 		la.Release() // voluntary release: ta's row keeps its pin
@@ -109,7 +109,7 @@ func BenchmarkLeaseHandoff(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := setup.Thread(0)
+	st := setup.Thread()
 	h, err := st.Alloc()
 	if err != nil {
 		b.Fatal(err)
@@ -124,7 +124,7 @@ func BenchmarkLeaseHandoff(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		th := l.Thread(0)
+		th := l.Thread()
 		pp := th.DeRef(root)
 		th.Release(pp.Handle())
 		l.Release()

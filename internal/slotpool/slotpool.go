@@ -9,14 +9,13 @@
 // server has the opposite shape — goroutines appear per connection and
 // die with it — so the pool introduces a *lease* layer:
 //
-//   - At construction the pool registers Slots threads with every
-//     configured scheme (one scheme per store shard) and bundles the
-//     per-scheme threads of equal slot index into one leasable slot.
+//   - At construction the pool registers Slots threads with its one
+//     scheme; each registered thread is one leasable slot.
 //   - Lease hands the calling goroutine exclusive use of one slot's
-//     thread bundle, waiting boundedly when all slots are out
-//     (backpressure: ErrLeaseTimeout after Config.MaxWait).
+//     thread, waiting boundedly when all slots are out (backpressure:
+//     ErrLeaseTimeout after Config.MaxWait).
 //   - Release returns the slot after a *reuse audit*: the slot's
-//     announcement rows must carry no live announcement and no helper
+//     announcement row must carry no live announcement and no helper
 //     busy pin before the next lessee may run on them, so bookkeeping
 //     is verifiably clean across lessees.  A transiently dirty slot
 //     (a helper mid-H4..H8 on its row) is quarantined and recycled
@@ -92,13 +91,12 @@ func (p Point) String() string {
 
 // Config parameterizes a Pool.
 type Config struct {
-	// Slots is the number of leasable slots.  Zero takes every remaining
-	// thread slot of the schemes (their minimum Threads() less any
-	// already-registered threads is NOT computed — the schemes must have
-	// Slots free registration slots each).
+	// Slots is the number of leasable slots.  Zero takes the scheme's
+	// Threads() (already-registered threads are NOT subtracted — the
+	// scheme must have Slots free registration slots).
 	Slots int
-	// Deprecated: LeaseTTL is ignored; leases are no longer revoked.  It
-	// goes with the next change to the benchmark module, which sets it.
+	// Deprecated: LeaseTTL is ignored; leases are no longer revoked.
+	// Kept for benchmark/; goes with the next benchmark PR.
 	LeaseTTL time.Duration
 	// MaxWait bounds how long Lease blocks for a free slot before
 	// returning ErrLeaseTimeout.  Zero waits until ctx cancellation.
@@ -134,11 +132,10 @@ type Annotator interface {
 // Pool is the lease/release layer.  All methods are safe for concurrent
 // use.
 type Pool struct {
-	cfg     Config
-	schemes []mm.Scheme
-	cores   []*core.Scheme // nil entries where the scheme is not the wait-free core
-	slots   []*slot
-	free    chan *slot
+	cfg   Config
+	core  *core.Scheme // nil when the scheme is not the wait-free core
+	slots []*slot
+	free  chan *slot
 
 	quarMu     sync.Mutex
 	quarantine []*slot
@@ -149,19 +146,18 @@ type Pool struct {
 	m poolMetrics
 }
 
-// slot is one leasable bundle: the thread registered at the same slot
-// index in every scheme.
+// slot is one leasable thread of the pool's scheme.
 type slot struct {
-	p       *Pool
-	id      int
-	threads []mm.Thread
+	p      *Pool
+	id     int
+	thread mm.Thread
 	// gen is the slot's lease generation.  A grant is live while gen
 	// still equals the generation it was handed out at; Release advances
 	// it, so every earlier handle of the slot is dead for good.
 	gen atomic.Uint64
 }
 
-// Lease is exclusive use of one slot's thread bundle for one bounded
+// Lease is exclusive use of one slot's thread for one bounded
 // unit of work.  It is a two-word value, so a grant allocates nothing;
 // copies name the same grant.  A Lease belongs to one goroutine; only
 // Release is safe to call concurrently (it is idempotent: exactly one
@@ -171,22 +167,19 @@ type Lease struct {
 	gen uint64
 }
 
-// New creates a pool over the given schemes, registering cfg.Slots
-// threads with each.  The schemes are typically one wait-free core
-// scheme per store shard; any mm.Scheme works, but only core schemes
-// get announcement-row reuse audits.
+// New creates a pool over one scheme, registering cfg.Slots threads
+// with it.  Any mm.Scheme works, but only the wait-free core gets
+// announcement-row reuse audits.  The scheme is variadic only because
+// benchmark/ spreads Store.Schemes() into it: kept for benchmark/; goes
+// with the next benchmark PR.  Any count but one is an error.
 func New(cfg Config, schemes ...mm.Scheme) (*Pool, error) {
-	if len(schemes) == 0 {
-		return nil, fmt.Errorf("slotpool: at least one scheme required")
+	if len(schemes) != 1 {
+		return nil, fmt.Errorf("slotpool: exactly one scheme required, got %d", len(schemes))
 	}
+	s := schemes[0]
 	n := cfg.Slots
 	if n == 0 {
-		n = schemes[0].Threads()
-		for _, s := range schemes[1:] {
-			if t := s.Threads(); t < n {
-				n = t
-			}
-		}
+		n = s.Threads()
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("slotpool: Slots must be positive, got %d", n)
@@ -195,35 +188,21 @@ func New(cfg Config, schemes ...mm.Scheme) (*Pool, error) {
 		cfg.AuditRetries = 8
 	}
 	p := &Pool{
-		cfg:     cfg,
-		schemes: schemes,
-		cores:   make([]*core.Scheme, len(schemes)),
-		free:    make(chan *slot, n),
-		stop:    make(chan struct{}),
+		cfg:  cfg,
+		free: make(chan *slot, n),
+		stop: make(chan struct{}),
 	}
-	for i, s := range schemes {
-		if cs, ok := s.(*core.Scheme); ok {
-			p.cores[i] = cs
-		}
-	}
+	p.core, _ = s.(*core.Scheme)
 	for i := 0; i < n; i++ {
-		sl := &slot{p: p, id: i, threads: make([]mm.Thread, len(schemes))}
-		for j, s := range schemes {
-			t, err := s.Register()
-			if err != nil {
-				// Roll back every registration made so far.
-				for _, done := range p.slots {
-					for _, dt := range done.threads {
-						dt.Unregister()
-					}
-				}
-				for k := 0; k < j; k++ {
-					sl.threads[k].Unregister()
-				}
-				return nil, fmt.Errorf("slotpool: registering slot %d with scheme %d (%s): %w", i, j, s.Name(), err)
+		t, err := s.Register()
+		if err != nil {
+			// Roll back every registration made so far.
+			for _, done := range p.slots {
+				done.thread.Unregister()
 			}
-			sl.threads[j] = t
+			return nil, fmt.Errorf("slotpool: registering slot %d with %s: %w", i, s.Name(), err)
 		}
+		sl := &slot{p: p, id: i, thread: t}
 		p.slots = append(p.slots, sl)
 		p.free <- sl
 	}
@@ -232,8 +211,8 @@ func New(cfg Config, schemes ...mm.Scheme) (*Pool, error) {
 }
 
 // MustNew is New but panics on error; for tests and examples.
-func MustNew(cfg Config, schemes ...mm.Scheme) *Pool {
-	p, err := New(cfg, schemes...)
+func MustNew(cfg Config, s mm.Scheme) *Pool {
+	p, err := New(cfg, s)
 	if err != nil {
 		panic(err)
 	}
@@ -243,17 +222,14 @@ func MustNew(cfg Config, schemes ...mm.Scheme) *Pool {
 // Slots returns the number of leasable slots.
 func (p *Pool) Slots() int { return len(p.slots) }
 
-// Schemes returns the schemes the pool registers with, in shard order.
-func (p *Pool) Schemes() []mm.Scheme { return append([]mm.Scheme(nil), p.schemes...) }
-
-// SlotThreads returns every slot's registered thread for one scheme
-// (shard) index, in slot order — for attaching per-thread OpStats to an
-// observability collector.  The threads belong to the pool's lessees;
-// callers may read their Stats but must not operate through them.
-func (p *Pool) SlotThreads(scheme int) []mm.Thread {
+// SlotThreads returns every slot's registered thread, in slot order —
+// for attaching per-thread OpStats to an observability collector.  The
+// threads belong to the pool's lessees; callers may read their Stats but
+// must not operate through them.
+func (p *Pool) SlotThreads() []mm.Thread {
 	out := make([]mm.Thread, len(p.slots))
 	for i, s := range p.slots {
-		out[i] = s.threads[scheme]
+		out[i] = s.thread
 	}
 	return out
 }
@@ -270,10 +246,10 @@ func (p *Pool) Lease(ctx context.Context) (Lease, error) {
 	return p.lease(ctx, 0)
 }
 
-// LeaseBatch acquires one slot bundle to execute a batch of n
-// operations under a single lease — the amortization fast path for
-// multi-key ops (MGET/MSET, a drained pipeline burst).  The handout is
-// exactly Lease's: one bundle, one reuse audit on Release; only the
+// LeaseBatch acquires one slot to execute a batch of n operations under
+// a single lease — the amortization fast path for multi-key ops
+// (MGET/MSET, a drained pipeline burst).  The handout is exactly
+// Lease's: one slot, one reuse audit on Release; only the
 // accounting differs, so dashboards can tell how much lease overhead
 // batching saves (wfrc_slotpool_leases_batched_total vs the ops the
 // batches carried).  n must be at least 1.
@@ -353,24 +329,22 @@ func (p *Pool) grant(s *slot, start time.Time, batchOps int) Lease {
 	return l
 }
 
-// Slot returns the lease's slot index (the thread slot id in every
-// scheme).
+// Slot returns the lease's slot index (the scheme's thread slot id).
 func (l Lease) Slot() int { return l.s.id }
 
-// Thread returns the slot's registered thread for the given scheme
-// (shard) index.  It panics if the lease has been released: a holder
-// that runs on must not touch a bundle that may already belong to the
-// next lessee.
-func (l Lease) Thread(shard int) mm.Thread {
+// Thread returns the slot's registered thread.  It panics if the lease
+// has been released: a holder that runs on must not touch a thread that
+// may already belong to the next lessee.
+func (l Lease) Thread() mm.Thread {
 	if l.s.gen.Load() != l.gen {
 		panic(fmt.Sprintf("slotpool: Thread on released lease of slot %d", l.s.id))
 	}
-	return l.s.threads[shard]
+	return l.s.thread
 }
 
 // Deprecated: Renew only reports whether the lease is still held;
-// leases no longer expire.  It goes with the next change to the
-// benchmark module, which calls it.
+// leases no longer expire.  Kept for benchmark/; goes with the next
+// benchmark PR.
 func (l Lease) Renew() bool {
 	return l.s.gen.Load() == l.gen
 }
@@ -387,7 +361,7 @@ func (l Lease) Release() {
 	p.recycle(l.s)
 }
 
-// recycle audits the slot's announcement rows and either returns it to
+// recycle audits the slot's announcement row and either returns it to
 // the free queue or quarantines it until the audit passes.
 func (p *Pool) recycle(s *slot) {
 	p.hook(PReleaseAudit)
@@ -406,8 +380,8 @@ func (p *Pool) recycle(s *slot) {
 	p.quarMu.Unlock()
 }
 
-// auditSlot checks the reuse hygiene of slot s across every core
-// scheme: no live announcement in any of the slot's row cells (a
+// auditSlot checks the reuse hygiene of slot s in the core scheme: no
+// live announcement in any of the slot's row cells (a
 // stranded D3 publish would make helpers re-answer a dead lessee's
 // dereference) and no helper busy pin (an H4 pin held across handout
 // would let the previous lessee's helper CAS an answer into the next
@@ -417,21 +391,20 @@ func (p *Pool) recycle(s *slot) {
 // DeRefLink always swaps its announcement out before returning, so only
 // a goroutine that died inside D3..D6 can leave one.
 func (p *Pool) auditSlot(s *slot, retries int) bool {
+	cs := p.core
+	if cs == nil {
+		return true
+	}
 	for attempt := 0; ; attempt++ {
 		clean := true
-		for _, cs := range p.cores {
-			if cs == nil {
-				continue
+		for j := 0; j < cs.Threads(); j++ {
+			if cs.AnnSlotBusy(s.id, j) != 0 {
+				clean = false
 			}
-			for j := 0; j < cs.Threads(); j++ {
-				if cs.AnnSlotBusy(s.id, j) != 0 {
-					clean = false
-				}
-			}
-			if cs.AnnRowLive(s.id) {
-				p.m.violations.Add(1)
-				return false
-			}
+		}
+		if cs.AnnRowLive(s.id) {
+			p.m.violations.Add(1)
+			return false
 		}
 		if clean {
 			return true
@@ -491,10 +464,10 @@ func (p *Pool) Drain(ctx context.Context) error {
 
 // Close refuses further leases, waits for the leases still held — each
 // lasts one request or batch, so the wait is bounded — and unregisters
-// every slot thread from every scheme, leaving the schemes quiescent for
-// their own audits.  A quarantined slot is not waited for.  Callers stop
-// issuing new leases first (server.Shutdown waits for every handler);
-// Close wakes only the leases already waiting.
+// every slot thread, leaving the scheme quiescent for its own audit.
+// A quarantined slot is not waited for.  Callers stop issuing new
+// leases first (server.Shutdown waits for every handler); Close wakes
+// only the leases already waiting.
 func (p *Pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
@@ -504,8 +477,6 @@ func (p *Pool) Close() {
 		time.Sleep(time.Millisecond)
 	}
 	for _, s := range p.slots {
-		for _, t := range s.threads {
-			t.Unregister()
-		}
+		s.thread.Unregister()
 	}
 }

@@ -39,7 +39,7 @@ func TestLeaseReleaseRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Thread(0).ID(); got != l.Slot() {
+	if got := l.Thread().ID(); got != l.Slot() {
 		t.Fatalf("thread id %d != slot %d", got, l.Slot())
 	}
 	if st := p.Stats(); st.Leased != 1 || st.Leases != 1 {
@@ -55,7 +55,7 @@ func TestLeaseReleaseRoundtrip(t *testing.T) {
 			t.Fatal("Thread on released lease did not panic")
 		}
 	}()
-	l.Thread(0)
+	l.Thread()
 }
 
 // TestStaleLeaseCannotTouchNextGrant: a grant is a value handle, and a
@@ -89,31 +89,30 @@ func TestStaleLeaseCannotTouchNextGrant(t *testing.T) {
 				t.Fatal("Thread on a stale lease did not panic")
 			}
 		}()
-		stale.Thread(0)
+		stale.Thread()
 	}()
-	next.Thread(0)
+	next.Thread()
 	next.Release()
 }
 
-func TestLeaseBundlesMultipleSchemes(t *testing.T) {
-	a, b := newCore(t, 64, 3), newCore(t, 64, 3)
-	p := MustNew(Config{Slots: 3}, a, b)
-	defer p.Close()
-
-	l, err := p.Lease(context.Background())
-	if err != nil {
-		t.Fatal(err)
+// TestNewRequiresExactlyOneScheme: a pool leases threads of one scheme.
+// New stays variadic for one more change, so any other count must fail
+// up front rather than bundle or ignore schemes.
+func TestNewRequiresExactlyOneScheme(t *testing.T) {
+	a, b := newCore(t, 64, 2), newCore(t, 64, 2)
+	for _, ss := range [][]mm.Scheme{nil, {a, b}} {
+		if p, err := New(Config{Slots: 1}, ss...); err == nil || !strings.Contains(err.Error(), "exactly one scheme") {
+			t.Errorf("New over %d schemes: pool %v, err %v; want an exactly-one-scheme error", len(ss), p, err)
+		}
 	}
-	defer l.Release()
-	if l.Thread(0).ID() != l.Thread(1).ID() {
-		t.Fatalf("bundle slot ids diverge: %d vs %d", l.Thread(0).ID(), l.Thread(1).ID())
+	// Nothing was registered on the way to the error.
+	for _, s := range []*core.Scheme{a, b} {
+		for i := 0; i < 2; i++ {
+			if s.RegisteredThread(i) {
+				t.Errorf("slot %d left registered by a rejected New", i)
+			}
+		}
 	}
-	// Both threads are real registered threads of their own scheme.
-	h, err := l.Thread(1).Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Thread(1).Release(h)
 }
 
 func TestBackpressureTimeout(t *testing.T) {
@@ -184,7 +183,7 @@ func TestReuseAuditCleanAcrossLessees(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				th := l.Thread(0)
+				th := l.Thread()
 				k := uint64(g*1000 + i)
 				if _, err := m.Set(th, k, k); err != nil {
 					t.Error(err)
@@ -210,27 +209,18 @@ func TestReuseAuditCleanAcrossLessees(t *testing.T) {
 }
 
 // TestChurnMoreConnsThanSlots is the acceptance shape: 4× more worker
-// goroutines than slots, sharded store, chaos injector on the lifecycle
-// hook points — all audits clean afterwards.
+// goroutines than slots over one store scheme, chaos injector on the
+// lifecycle hook points — all audits clean afterwards.
 func TestChurnMoreConnsThanSlots(t *testing.T) {
-	const shards, slots, workers = 2, 4, 16
-	var ss []mm.Scheme
-	var cores []*core.Scheme
-	for i := 0; i < shards; i++ {
-		cs := newCore(t, 512, slots)
-		cores = append(cores, cs)
-		ss = append(ss, cs)
-	}
-	maps := make([]*hashmap.Map, shards)
-	for i, s := range ss {
-		maps[i] = hashmap.MustNew(s, hashmap.Config{Buckets: 4})
-	}
+	const slots, workers = 4, 16
+	cs := newCore(t, 1024, slots)
+	m := hashmap.MustNew(cs, hashmap.Config{Buckets: 8})
 	inj := chaos.NewInjector(42, chaos.Faults{DelayProb: 0.2, DelaySpins: 32, GoschedProb: 0.2, GoschedBurst: 2})
 	p := MustNew(Config{
 		Slots:   slots,
 		MaxWait: 5 * time.Second,
 		Hook:    func(Point) { inj.Perturb() },
-	}, ss...)
+	}, cs)
 
 	var wg sync.WaitGroup
 	var ops atomic.Uint64
@@ -244,14 +234,14 @@ func TestChurnMoreConnsThanSlots(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for sh := 0; sh < shards; sh++ {
-					th := l.Thread(sh)
-					k := uint64(g)<<32 | uint64(i)
-					if _, err := maps[sh].Set(th, k, k^0xff); err != nil {
+				th := l.Thread()
+				for j := uint64(0); j < 2; j++ {
+					k := uint64(g)<<32 | uint64(i)<<1 | j
+					if _, err := m.Set(th, k, k^0xff); err != nil {
 						t.Error(err)
 					}
-					maps[sh].CompareAndSet(th, k, k^0xff, k)
-					maps[sh].Delete(th, k)
+					m.CompareAndSet(th, k, k^0xff, k)
+					m.Delete(th, k)
 					ops.Add(3)
 				}
 				l.Release()
@@ -270,10 +260,8 @@ func TestChurnMoreConnsThanSlots(t *testing.T) {
 		t.Fatalf("leases = %d, want >= %d", st.Leases, workers)
 	}
 	p.Close()
-	for i, cs := range cores {
-		for _, err := range cs.Audit(nil) {
-			t.Errorf("shard %d audit: %v", i, err)
-		}
+	for _, err := range cs.Audit(nil) {
+		t.Errorf("scheme audit: %v", err)
 	}
 	if inj.Log().Draws == 0 {
 		t.Error("chaos injector never drew (hook not wired)")
@@ -307,39 +295,34 @@ func TestCloseUnregistersAllThreads(t *testing.T) {
 }
 
 func TestSlotsDefaultsToSchemeThreads(t *testing.T) {
-	a, b := newCore(t, 64, 5), newCore(t, 64, 3)
-	p := MustNew(Config{}, a, b)
+	p := MustNew(Config{}, newCore(t, 64, 5))
 	defer p.Close()
-	if p.Slots() != 3 {
-		t.Fatalf("Slots() = %d, want min(5,3)=3", p.Slots())
+	if p.Slots() != 5 {
+		t.Fatalf("Slots() = %d, want the scheme's 5 threads", p.Slots())
 	}
 }
 
 func TestWorksOverEverySchemeKind(t *testing.T) {
-	// The pool is scheme-neutral: bundle one scheme of each kind.
-	var ss []mm.Scheme
+	// The pool is scheme-neutral: one pool over a scheme of each kind.
 	for _, f := range schemes.Factories() {
 		s, err := f.New(arena.Config{Nodes: 64, LinksPerNode: 1, ValsPerNode: 2, RootLinks: 8},
 			schemes.Options{Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss = append(ss, s)
-	}
-	p := MustNew(Config{Slots: 2}, ss...)
-	defer p.Close()
-	l, err := p.Lease(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ss {
-		h, err := l.Thread(i).Alloc()
+		p := MustNew(Config{Slots: 2}, s)
+		l, err := p.Lease(context.Background())
 		if err != nil {
-			t.Fatalf("scheme %d alloc: %v", i, err)
+			t.Fatal(err)
 		}
-		l.Thread(i).Release(h)
+		h, err := l.Thread().Alloc()
+		if err != nil {
+			t.Fatalf("%s alloc: %v", s.Name(), err)
+		}
+		l.Thread().Release(h)
+		l.Release()
+		p.Close()
 	}
-	l.Release()
 }
 
 func TestWritePromShape(t *testing.T) {
@@ -492,11 +475,11 @@ func TestCloseWaitsForHeldLease(t *testing.T) {
 	var released atomic.Bool
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		h, err := l.Thread(0).Alloc() // still ours while Close waits
+		h, err := l.Thread().Alloc() // still ours while Close waits
 		if err != nil {
 			t.Error(err)
 		} else {
-			l.Thread(0).Release(h)
+			l.Thread().Release(h)
 		}
 		released.Store(true)
 		l.Release()
