@@ -270,6 +270,65 @@ func BenchmarkE5CASLinkScan(b *testing.B) {
 	}
 }
 
+// BenchmarkE5DeRefWithScanner is experiment E5c: the DeRef+Release
+// round trip of E5a while a second thread CASes a different root link,
+// so its HelpDeRef reads the reader's announcement row (H2/H3) on every
+// update.  It prices the cross-core cost of the reader's announcement
+// writes, which the single-threaded E5a and ladder rung cannot show.
+func BenchmarkE5DeRefWithScanner(b *testing.B) {
+	ar := wfrc.MustNewArena(wfrc.ArenaConfig{Nodes: 8, RootLinks: 2})
+	s, err := core.New(ar, core.Config{Threads: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rootA, rootB := ar.NewRoot(), ar.NewRoot()
+	reader, err := s.RegisterCore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer reader.Unregister()
+	h, _ := reader.Alloc()
+	reader.StoreLink(rootA, wfrc.MakePtr(h, false))
+	reader.Release(h)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t, err := s.RegisterCore()
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer t.Unregister()
+		x, _ := t.Alloc()
+		y, _ := t.Alloc()
+		t.StoreLink(rootB, wfrc.MakePtr(x, false))
+		cur, next := x, y
+		for {
+			select {
+			case <-stop:
+				t.CASLink(rootB, wfrc.MakePtr(cur, false), wfrc.NilPtr)
+				t.Release(x)
+				t.Release(y)
+				return
+			default:
+			}
+			t.CASLink(rootB, wfrc.MakePtr(cur, false), wfrc.MakePtr(next, false))
+			cur, next = next, cur
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := reader.DeRef(rootA)
+		reader.Release(p.Handle())
+	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

@@ -65,7 +65,7 @@ type Config struct {
 // class is one size class: a growable store of word segments plus the
 // shared block pool over it.
 type class struct {
-	slotWords int
+	slotWords  int
 	blockSlots int
 
 	segShift uint // log2 slots per segment

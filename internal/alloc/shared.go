@@ -33,11 +33,11 @@ type padPtr struct {
 // popStats carries the per-call accounting and instrumentation through
 // the shared-pool operations back into the caller's Stats.
 type popStats struct {
-	steps    uint64
-	casFail  uint64
-	granted  bool
-	gave     bool
-	hook     func(Point)
+	steps   uint64
+	casFail uint64
+	granted bool
+	gave    bool
+	hook    func(Point)
 }
 
 func (st *popStats) at(p Point) {

@@ -487,37 +487,16 @@ func (t *Thread) deRefDeferredSlow(l mm.LinkID, node mm.Ptr, h arena.Handle, b i
 }
 
 // deRefAnnounced is the paper's D1–D10 with the D5 guard taken as a pin
-// (counted FAA only when the pin table is full).  The D1 scan, its
-// wait-freedom bound, the violation accounting and the helper answer
-// protocol are identical to the immediate scheme's deRefCounted — the
-// bench -validate Lemma-2 gate and the chaos step-budget checker
-// therefore count violations in the same units on both variants.
+// (counted FAA only when the pin table is full).  D1–D2 are the
+// immediate scheme's own (announce), and the helper answer protocol is
+// identical to deRefCounted's — the bench -validate Lemma-2 gate and the
+// chaos step-budget checker therefore count violations in the same units
+// on both variants.
 func (t *Thread) deRefAnnounced(l mm.LinkID) mm.Ptr {
 	s := t.s
-	row := &s.ann[t.id]
-	index := -1
-	bound := AnnScanBound(s.n)
-	var probes uint64
-	for i := 0; ; i++ {
-		t.at(PD1)
-		probes++
-		if row.slots[i%s.n].busy.Load() == 0 {
-			index = i % s.n
-			break
-		}
-		if int(probes) == bound {
-			t.stats.AnnScanViolations++
-			s.annScanViolations.Add(1)
-		}
-		if int(probes) >= bound {
-			runtime.Gosched()
-		}
-	}
-	slot := &row.slots[index]
-
-	s.annPending.Add(1)                // open the window before D3
-	row.index.Store(int64(index))      // D2
-	slot.readAddr.Store(encodeLink(l)) // D3
+	slot, probes := t.announce(&s.ann[t.id]) // D1–D2
+	s.annPending.Add(1)                      // open the window before D3
+	slot.readAddr.Store(encodeLink(l))       // D3
 	t.at(PD3)
 	node := s.ar.LoadLink(l) // D4
 	t.at(PD4)

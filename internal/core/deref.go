@@ -65,49 +65,66 @@ func (t *Thread) noteDeRefFast() {
 	t.stats.DeRefHist.Buckets[0]++
 }
 
+// announce is lines D1–D2 of both announced dereferences (deRefCounted
+// and the deferred variant's deRefAnnounced): choose a slot of row with
+// no pending helper CAS and advertise it in the row's index.
+//
+// D1: at most NR_THREADS-1 helpers can hold busy pins on this row at any
+// instant, so a free slot is found within AnnScanBound probes; more
+// probes than that means the wait-freedom bound is broken (a wedged
+// helper, or a scheme bug).  The violation is surfaced through the
+// scheme's audit counter and per-thread stats rather than silently
+// spinning, and the over-bound scan yields the processor so a wedged run
+// degrades instead of burning a core.
+//
+// D2 stores only when the index moves.  The owner is the index's only
+// writer outside Register/Unregister, so a store of the value already
+// there changes nothing an H2 read can see, and D3 is still a
+// sequentially consistent store ahead of D4.  The scan starts at slot 0,
+// which is busy only while a helper holds a pin, so the skipped store is
+// the common case: it saves a fenced write per dereference and leaves
+// the line shared with every helper's H2 read.
+func (t *Thread) announce(row *annRow) (*annSlot, uint64) {
+	s := t.s
+	bound := uint64(AnnScanBound(s.n))
+	var probes uint64
+	i := 0
+	for {
+		t.at(PD1)
+		probes++
+		if row.slots[i].busy.Load() == 0 {
+			break
+		}
+		if probes == bound {
+			t.stats.AnnScanViolations++
+			s.annScanViolations.Add(1)
+		}
+		if probes >= bound {
+			runtime.Gosched()
+		}
+		if i++; i == s.n {
+			i = 0
+		}
+	}
+	if row.index.Load() != int64(i) {
+		row.index.Store(int64(i)) // D2
+	}
+	return &row.slots[i], probes
+}
+
 // deRefCounted is the paper's D1–D10 with the optimistic FAA guard —
 // the immediate scheme's dereference, and the deferred variant's helper
 // dereference (H5 must hand over a counted reference, because pins are
 // thread-local and cannot be transferred through an announcement cell).
 func (t *Thread) deRefCounted(l mm.LinkID) mm.Ptr {
 	s := t.s
-	row := &s.ann[t.id]
-
-	// D1: choose an announcement slot with no pending helper CAS.  At
-	// most NR_THREADS-1 helpers can hold busy pins on this row at any
-	// instant, so a free slot is found within AnnScanBound probes; more
-	// probes than that means the wait-freedom bound is broken (a wedged
-	// helper, or a scheme bug).  The violation is surfaced through the
-	// scheme's audit counter and per-thread stats rather than silently
-	// spinning, and the over-bound scan yields the processor so a wedged
-	// run degrades instead of burning a core.
-	index := -1
-	bound := AnnScanBound(s.n)
-	var probes uint64
-	for i := 0; ; i++ {
-		t.at(PD1)
-		probes++
-		if row.slots[i%s.n].busy.Load() == 0 {
-			index = i % s.n
-			break
-		}
-		if int(probes) == bound {
-			t.stats.AnnScanViolations++
-			s.annScanViolations.Add(1)
-		}
-		if int(probes) >= bound {
-			runtime.Gosched()
-		}
-	}
-	slot := &row.slots[index]
-
+	slot, probes := t.announce(&s.ann[t.id]) // D1–D2
 	if s.deferred {
 		// Helper dereferences on the deferred variant announce too, so
 		// they must keep the annPending window count accurate (see the
 		// Scheme field); the immediate scheme skips the counter.
 		s.annPending.Add(1)
 	}
-	row.index.Store(int64(index))      // D2
 	slot.readAddr.Store(encodeLink(l)) // D3
 	t.at(PD3)
 	node := s.ar.LoadLink(l) // D4

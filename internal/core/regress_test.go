@@ -83,6 +83,107 @@ func TestDeRefScanBoundedUnderPinnedSlot(t *testing.T) {
 	tB.Unregister()
 }
 
+// TestAnnRowIndexNamesAnnouncedSlot pins the D2 contract that announce's
+// skipped store relies on: while a dereference is in flight (read at the
+// owner's PD4 hook) AnnRowIndex names the slot it announced in — slot 0
+// on the first DeRef after Register, slot 1 while a helper parked at PH4
+// holds slot 0 busy, slot 0 again once the pin drops — and it reads -1
+// before the first announcement and after Unregister.
+func TestAnnRowIndexNamesAnnouncedSlot(t *testing.T) {
+	for _, deferred := range []bool{false, true} {
+		name := "immediate"
+		if deferred {
+			name = "deferred"
+		}
+		t.Run(name, func(t *testing.T) {
+			ar := arena.MustNew(arena.Config{Nodes: 16, RootLinks: 1})
+			s := MustNew(ar, Config{Threads: 4, Deferred: deferred})
+			s.TestingSetDeferredForceAnnounce(deferred) // every DeRef announces
+			tA := mustRegister(t, s)
+			tB := mustRegister(t, s)
+			root := ar.NewRoot()
+			x, _ := tB.Alloc()
+			tB.StoreLink(root, arena.MakePtr(x, false))
+			tB.Release(x)
+
+			if got := s.AnnRowIndex(tA.ID()); got != -1 {
+				t.Fatalf("index after Register = %d, want -1", got)
+			}
+			// deRef runs one DeRef on A and returns the index its PD4 hook
+			// read; with atD6 set it also sends that index from PD6 and
+			// parks A there until stall is closed.
+			deRef := func(atD6 chan<- int64, stall <-chan struct{}) int64 {
+				idx := int64(-2)
+				tA.SetHook(func(p Point) {
+					switch {
+					case p == PD4:
+						idx = s.AnnRowIndex(tA.ID())
+					case p == PD6 && atD6 != nil:
+						atD6 <- idx
+						<-stall
+					}
+				})
+				p := tA.DeRefLink(root)
+				tA.SetHook(nil)
+				tA.Release(p.Handle())
+				return idx
+			}
+
+			// The first DeRef announces in slot 0 and stalls at PD6 so B's
+			// helper can find the announcement and pin slot 0 at PH4.
+			aAtD6, aGo := make(chan int64), make(chan struct{})
+			first := make(chan int64, 1)
+			go func() { first <- deRef(aAtD6, aGo) }()
+			select {
+			case got := <-aAtD6:
+				if got != 0 {
+					close(aGo)
+					t.Fatalf("first DeRef announced in %d, want 0", got)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("timed out waiting for A at PD6")
+			}
+			bAtH4, bGo := make(chan struct{}), make(chan struct{})
+			bFired := false
+			tB.SetHook(func(p Point) {
+				if p == PH4 && !bFired {
+					bFired = true
+					close(bAtH4)
+					<-bGo
+				}
+			})
+			bDone := make(chan bool)
+			go func() { bDone <- tB.CASLink(root, arena.MakePtr(x, false), arena.NilPtr) }()
+			select {
+			case <-bAtH4:
+			case <-time.After(5 * time.Second):
+				t.Fatal("timed out waiting for B's helper to pin A's announcement at PH4")
+			}
+			close(aGo)
+			<-first
+
+			if got := deRef(nil, nil); got != 1 {
+				t.Errorf("DeRef with slot 0 pinned announced in %d, want 1", got)
+			}
+			close(bGo)
+			if !<-bDone {
+				t.Fatal("B's CASLink failed")
+			}
+			tB.SetHook(nil)
+			if got := deRef(nil, nil); got != 0 {
+				t.Errorf("DeRef after the pin dropped announced in %d, want 0", got)
+			}
+
+			tA.Unregister()
+			if got := s.AnnRowIndex(tA.ID()); got != -1 {
+				t.Errorf("index after Unregister = %d, want -1", got)
+			}
+			tB.Unregister()
+			audit(t, s, nil)
+		})
+	}
+}
+
 // TestDeRefScanViolationSurfaced wedges every slot of a row (the state
 // the wait-freedom proof says is unreachable) and checks the scan no
 // longer spins silently: the violation shows up in the scheme's audit

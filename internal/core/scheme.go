@@ -239,9 +239,9 @@ type Scheme struct {
 	// resurrected out of the ZCT (its count rose again before the drain)
 	// reports NoteReclaimed at the failed election, cancelling the retire.
 	// The sink must be wait-free and allocation-free (mm.LifecycleTracker
-	// is).  Production servers attach one tracker per shard; the only cost
-	// when unset is one atomic pointer load per reclamation.  It is
-	// deliberately separate from nodeFreeHook: the value layer owns that
+	// is).  The KV server attaches one tracker to its store's scheme; the
+	// only cost when unset is one atomic pointer load per reclamation.  It
+	// is deliberately separate from nodeFreeHook: the value layer owns that
 	// hook (DESIGN.md §14), and telemetry must not displace it.
 	mm.Lifecycle
 

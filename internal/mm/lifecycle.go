@@ -49,8 +49,8 @@ type LifecycleSink interface {
 // LifecycleSource is the optional telemetry surface of a Scheme that
 // can publish lifecycle transitions, discovered by type assertion like
 // [Grower] and [Robust].  Setting a nil sink detaches the current one.
-// wfrc-kv attaches one LifecycleTracker per shard for the life of the
-// server; benchmark/ attaches a fresh one per traced run.
+// wfrc-kv attaches one LifecycleTracker, to its store's one scheme, for
+// the life of the server; benchmark/ attaches a fresh one per traced run.
 type LifecycleSource interface {
 	SetLifecycleSink(LifecycleSink)
 }

@@ -130,11 +130,11 @@ type State struct {
 	busy    [MaxThreads][MaxThreads]int8
 
 	// Figure 5 free-list state (ModelFreeList only).
-	next     [MaxNodes + 1]uint8        // mm_next chains
-	freeHead [2 * MaxThreads]uint8      // 2·NR_THREADS list heads
-	curFL    uint8                      // currentFreeList
-	helpCur  uint8                      // helpCurrent
-	annAlloc [MaxThreads]uint8          // allocation grant cells
+	next     [MaxNodes + 1]uint8   // mm_next chains
+	freeHead [2 * MaxThreads]uint8 // 2·NR_THREADS list heads
+	curFL    uint8                 // currentFreeList
+	helpCur  uint8                 // helpCurrent
+	annAlloc [MaxThreads]uint8     // allocation grant cells
 
 	thr [MaxThreads]thread
 }

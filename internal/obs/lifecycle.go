@@ -38,11 +38,12 @@ type LifecycleCollector struct {
 	snap atomic.Pointer[MemSnapshot]
 }
 
-// trackerSource is one attached lifecycle tracker.  Multiple trackers
-// may share a scheme label (one per arena of the same scheme, say);
-// their readings are merged — counters and floating sum, high-water marks sum too, making
-// the merged HWM an upper bound on the simultaneous peak, and the lag
-// histograms sum bucket by bucket.
+// trackerSource is one attached lifecycle tracker.  The KV server
+// attaches one, to its store's one scheme.  Should several trackers
+// share a scheme label (one per arena of the same scheme, say), their
+// readings are merged — counters and floating sum, high-water marks sum
+// too, making the merged HWM an upper bound on the simultaneous peak, and
+// the lag histograms sum bucket by bucket.
 type trackerSource struct {
 	scheme string
 	t      *mm.LifecycleTracker

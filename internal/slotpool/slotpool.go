@@ -362,12 +362,19 @@ func (l Lease) Release() {
 }
 
 // recycle audits the slot's announcement row and either returns it to
-// the free queue or quarantines it until the audit passes.
+// the free queue or quarantines it until the audit passes.  A clean
+// release also re-audits the quarantine, when it holds any slot: Lease
+// reaches retryQuarantine only when the free queue is empty, so a pool
+// whose queue never empties would otherwise never get a quarantined slot
+// back.
 func (p *Pool) recycle(s *slot) {
 	p.hook(PReleaseAudit)
 	if p.auditSlot(s, p.cfg.AuditRetries) {
 		p.hook(PRecycled)
 		p.free <- s
+		if p.m.quarantined.Load() != 0 {
+			p.retryQuarantine()
+		}
 		return
 	}
 	p.m.quarantined.Add(1)

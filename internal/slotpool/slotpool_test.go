@@ -208,6 +208,86 @@ func TestReuseAuditCleanAcrossLessees(t *testing.T) {
 	}
 }
 
+// TestQuarantinedSlotReturnsWhileQueueNeverEmpties quarantines one slot
+// (a helper parked at PH4 holds a pin on its row across Release), drops
+// the pin, and then keeps leasing and releasing with a free slot always
+// queued: Lease never finds the queue empty, so only the clean releases
+// can bring the quarantined slot back into circulation.
+func TestQuarantinedSlotReturnsWhileQueueNeverEmpties(t *testing.T) {
+	s := newCore(t, 64, 3)
+	p := MustNew(Config{Slots: 2, AuditRetries: 1, MaxWait: time.Second}, s)
+	defer p.Close()
+	tW, err := s.RegisterCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tW.Unregister()
+	root := s.Arena().NewRoot()
+	x, err := tW.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tW.StoreLink(root, arena.MakePtr(x, false))
+	tW.Release(x)
+
+	// The lessee stalls inside its announcement window so the writer's
+	// HelpDeRef finds it, pins the slot (H4) and parks there.
+	l, err := p.Lease(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := l.Slot()
+	ct := l.Thread().(*core.Thread)
+	atD6, goD6 := make(chan struct{}), make(chan struct{})
+	ct.SetHook(func(pt core.Point) {
+		if pt == core.PD6 {
+			close(atD6)
+			<-goD6
+		}
+	})
+	read := make(chan arena.Ptr)
+	go func() { read <- ct.DeRefLink(root) }()
+	<-atD6
+	atH4, goH4 := make(chan struct{}), make(chan struct{})
+	tW.SetHook(func(pt core.Point) {
+		if pt == core.PH4 {
+			close(atH4)
+			<-goH4
+		}
+	})
+	casDone := make(chan bool)
+	go func() { casDone <- tW.CASLink(root, arena.MakePtr(x, false), arena.NilPtr) }()
+	<-atH4
+	ct.SetHook(nil)
+	close(goD6)
+	ct.Release((<-read).Handle())
+	l.Release()
+	if q := p.Stats().Quarantined; q != 1 {
+		t.Fatalf("quarantined = %d after releasing under a parked helper pin, want 1", q)
+	}
+	tW.SetHook(nil)
+	close(goH4)
+	<-casDone
+
+	seen := false
+	for i := 0; i < 8; i++ {
+		l, err := p.Lease(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = seen || l.Slot() == pinned
+		l.Release()
+	}
+	st := p.Stats()
+	if st.Quarantined != 0 || !seen {
+		t.Fatalf("slot %d never returned to circulation (quarantined = %d, leased again = %v)",
+			pinned, st.Quarantined, seen)
+	}
+	if st.Violations != 0 {
+		t.Fatalf("reuse audit flagged %d hygiene violations", st.Violations)
+	}
+}
+
 // TestChurnMoreConnsThanSlots is the acceptance shape: 4× more worker
 // goroutines than slots over one store scheme, chaos injector on the
 // lifecycle hook points — all audits clean afterwards.
