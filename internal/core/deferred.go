@@ -7,14 +7,15 @@ import (
 	"wfrc/internal/mm"
 )
 
-// This file implements the deferred-decrement variant of the scheme
+// This file implements the deferred variant of the scheme
 // (Config.Deferred, registered as "waitfree-deferred").  The paper's
 // algorithms charge two shared fetch-and-adds on every DeRefLink/
 // ReleaseRef pair; following the deferred-reference-counting idea of
-// Anderson/Blelloch/Wei (and the classic zero-count-table idiom), this
-// variant takes the dereference guard through a thread-local *pin table*
-// and buffers the release's decrement in a thread-local *delta cache*,
-// so the common path touches no shared count at all:
+// Anderson/Blelloch/Wei (protect, then deferred eject) and the classic
+// zero-count-table idiom, this variant takes the dereference guard
+// through a thread-local *pin table* instead of the shared count, and
+// defers only the reclamation of a node whose count reaches zero, which
+// waits in a thread-local *zero-count table* (ZCT):
 //
 //   - DeRefLink (fast path): read the link, publish the target handle in
 //     one of the thread's PinSlots pin slots, re-read the link.  If the
@@ -31,28 +32,25 @@ import (
 //     cell.
 //   - ReleaseRef: if the thread holds a live pin guard on the handle,
 //     drop it — a thread-local counter decrement, no shared access at
-//     all (the publication itself is sticky; see the cache comment
-//     below).  Otherwise the reference is counted and a 2-unit decrement
-//     is merged into the delta cache (direct-mapped by handle; a
-//     collision applies the evicted entry's decrements immediately).
-//   - Flush (cache pressure, explicit Flush, AllocNode's out-of-memory
-//     rule, Unregister): apply every cached decrement with one FAA per
-//     node.  A node whose count reaches zero enters the thread's ZCT;
-//     draining the ZCT re-checks count==0, scans every thread's pin row,
-//     and only then runs the paper's CAS(mm_ref,0,1) reclamation
-//     election, routing winners through the usual CleanUpNode/FreeNode
-//     path (the dead node's own link references are released back into
-//     the delta cache).
+//     all (the publication itself is sticky; see the pin-table comment
+//     below).  Otherwise the reference is counted and its FAA(mm_ref,−2)
+//     is applied at once; a node whose count reaches zero is pushed on
+//     the thread's ZCT instead of being reclaimed on the spot.
+//   - Drain (ZCT overflow, explicit Flush, AllocNode's out-of-memory
+//     rule, the memory-pressure answer, Unregister): re-check count==0
+//     for each candidate, scan every thread's pin row, and only then run
+//     the paper's CAS(mm_ref,0,1) reclamation election, routing winners
+//     through the usual CleanUpNode/FreeNode path (the dead node's own
+//     link references are released the same way, so the cascade
+//     re-enters the ZCT).
 //
 // # Safety
 //
-// Increments stay immediate (FixRef, CASLink/StoreLink's +2, A9's
-// free-list guard), only even-unit user-reference decrements are
-// deferred.  The applied count therefore never under-states the true
-// count: applied = Σincrements − Σapplied decrements ≥ true count ≥ 0.
-// A node observed at 0 has *all* its decrements applied and is truly
-// unreferenced — no pending decrement anywhere can drive a count
-// negative or zero a live node.
+// Counted references — links, FixRef copies, helper answers and the
+// full-pin-table fallback — reach mm_ref at once, exactly as on the
+// immediate scheme; pin guards never touch it.  A node observed at 0
+// therefore has no incoming link and no counted guard, and a pin is the
+// only thing that can still protect it.
 //
 // The pin guard is the hazard-pointer handshake under Go's sequentially
 // consistent atomics.  Fast path: the pin is published before the
@@ -81,17 +79,15 @@ import (
 // revalidation read is needed either.  Only a *fresh* publish pays the
 // sequentially-consistent store and the revalidate.  Stale publications
 // are evicted on set conflict, dropped one at a time when they block the
-// owner's own ZCT drain (pinnedBySelf), and purged wholesale by
-// *purging* flushes — explicit Flush, AllocNode's out-of-memory flush
-// and retirement — so quiescence audits still see an empty table.
-// Interval-driven pressure flushes keep the cache warm (see
-// flushDeferred).
+// owner's own ZCT drain (pinnedBySelf), and purged wholesale by every
+// flush (see flushDeferred), so quiescence audits still see an empty
+// table.  The overflow drain purges nothing, which keeps the cache warm.
 //
 // The local guard count makes releases fungible: a thread holding both
 // a pin guard and a counted reference on the same node may release them
 // in either order — whichever Release runs first consumes the pin
-// (local decrement), the other buffers the counted decrement.  The
-// totals a flush applies are identical.
+// (local decrement), the other applies the counted decrement.  The
+// count ends the same either way.
 const (
 	pinWays    = 2
 	pinSetMask = PinSlots/pinWays - 1
@@ -171,8 +167,8 @@ func (t *Thread) purgePins() {
 // pinnedBySelf resolves the drain's own-row check locally: if this
 // thread holds a live guard on h it reports true (keep the candidate);
 // a released sticky publication of h is evicted on the way (clearing it
-// makes the candidate reclaimable — non-purging flushes would otherwise
-// keep it forever), and the mirror makes the shared-row scan
+// makes the candidate reclaimable — the overflow drain purges nothing
+// else and would keep it until the next flush), and the mirror makes the shared-row scan
 // unnecessary for the own row entirely.
 func (t *Thread) pinnedBySelf(h arena.Handle) bool {
 	b := (int(h) & pinSetMask) * pinWays
@@ -213,7 +209,7 @@ func (s *Scheme) pinnedByOther(self int, h arena.Handle) bool {
 }
 
 // releaseDeferred is ReleaseRef on the deferred variant: drop a pin
-// guard if the thread holds a live one on h, else buffer a 2-unit
+// guard if the thread holds a live one on h, else apply a counted
 // decrement.  ReleaseRef open-codes the pin hit; internal callers use
 // this full form.
 func (t *Thread) releaseDeferred(h arena.Handle) {
@@ -223,86 +219,49 @@ func (t *Thread) releaseDeferred(h arena.Handle) {
 	t.deferCountedDec(h)
 }
 
-// deferCountedDec buffers one counted 2-unit decrement against h.  Cache
-// pressure triggers a full flush so per-thread reclamation slack stays
-// bounded.
+// deferCountedDec applies one counted 2-unit decrement to h and, if an
+// allocator has raised the out-of-memory broadcast, answers it.
 func (t *Thread) deferCountedDec(h arena.Handle) {
 	t.stats.DeferredDecs++
-	t.deferDec(h, 1)
+	t.applyDec(h)
 	if t.s.memPressure.Load() != 0 && !t.inFlush {
 		// An allocator ran the arena dry: answer the broadcast with a
-		// purging flush so our cached decrements, ZCT candidates, and
-		// released sticky pins become free nodes (see Scheme.memPressure).
-		// The magazine goes with them: nodes parked there, including the
-		// ones this flush just freed, are out of the starving thread's
-		// reach until they are on a shared list.
+		// flush so our ZCT candidates and released sticky pins become
+		// free nodes (see Scheme.memPressure).  The magazine goes with
+		// them: nodes parked there, including the ones this flush just
+		// freed, are out of the starving thread's reach until they are
+		// on a shared list.
 		t.s.memPressure.Store(0)
-		t.flushDeferred(true)
+		t.flushDeferred()
 		t.spillMagazine()
-		return
-	}
-	if t.dSinceFlush >= deferredFlushInterval && !t.inFlush {
-		// Pressure flush: keep the sticky pin cache — it publishes at
-		// most PinSlots handles (bounded slack), and purging it here
-		// would wipe the hit rate every interval.
-		t.flushDeferred(false)
 	}
 }
 
-// deferDec merges n 2-unit decrements against h into the delta cache.
-// A direct-mapped collision evicts the resident entry by applying its
-// decrements immediately, so the buffer never grows and lookup stays
-// O(1).
-func (t *Thread) deferDec(h arena.Handle, n uint32) {
-	t.dSinceFlush++
-	e := &t.dcache[int(h)&(dcacheSize-1)]
-	switch e.h {
-	case h:
-		e.dec += n
-		return
-	case arena.Nil:
-		e.h, e.dec = h, n
-		t.dLive++
-		t.s.dcacheLive[t.id].Store(int64(t.dLive))
-		return
-	}
-	old, dec := e.h, e.dec
-	e.h, e.dec = h, n
-	t.applyDec(old, dec)
-}
-
-// applyDec applies dec buffered 2-unit decrements to h with a single
-// FAA; a node that reaches zero becomes a ZCT reclaim candidate.
-func (t *Thread) applyDec(h arena.Handle, dec uint32) {
+// applyDec applies one 2-unit decrement to h; a node that reaches zero
+// becomes a ZCT reclaim candidate.
+func (t *Thread) applyDec(h arena.Handle) {
 	t.at(PFL1)
-	if t.s.ar.Ref(h).Add(-2*int64(dec)) == 0 {
+	if t.s.ar.Ref(h).Add(-2) == 0 {
 		t.zctPush(h)
 	}
 }
 
 // zctDrainThreshold bounds how many zero-count candidates a thread may
-// park before draining them inline.  The decrement-volume trigger in
-// deferCountedDec alone is not enough: a workload can produce dead
-// nodes much faster than counted decrements (the delta cache merges a
-// hot node's decrements into one entry), and 2·NR_THREADS undrained
-// tables would then starve the arena while every node in them is
-// already reclaimable.
+// park before draining them inline (the classic ZCT's scan on
+// overflow).  With the pin table it bounds each thread's reclamation
+// slack at zctDrainThreshold + PinSlots nodes.
 const zctDrainThreshold = 64
 
 // zctPush records h as a reclaim candidate.  Duplicates are tolerated
 // rather than scanned for (the drain's Load()!=0 check drops entries the
 // CAS(0,1) election already claimed, and the election itself admits only
 // one reclaimer), so a push is a plain append.  A table that grows past
-// zctDrainThreshold outside a flush is drained on the spot, keeping
-// per-thread dead-node residency bounded regardless of decrement volume.
+// zctDrainThreshold outside a flush is drained on the spot.
 func (t *Thread) zctPush(h arena.Handle) {
 	// Telemetry: entering the ZCT is the deferred variant's retire
-	// instant (idempotent for duplicate pushes); the mirror lets
-	// cross-thread gauges read the table's depth without touching the
-	// owner-private slice.
+	// instant (idempotent for duplicate pushes).
 	t.s.NoteRetired(h)
 	t.zct = append(t.zct, h)
-	t.s.zctDepth[t.id].Store(int64(len(t.zct)))
 	if len(t.zct) >= zctDrainThreshold && !t.inFlush {
 		t.inFlush = true
 		t.drainZCT()
@@ -310,60 +269,36 @@ func (t *Thread) zctPush(h arena.Handle) {
 	}
 }
 
-// Flush applies this thread's pending deferred decrements and attempts
-// reclamation of the resulting zero-count nodes.  It is a no-op on the
-// immediate scheme.  Callers that need a quiescent count picture (tests,
-// audits) flush every thread; Unregister does it automatically.
+// Flush clears this thread's released pins and reclaims its zero-count
+// nodes that no pin protects.  It is a no-op on the immediate scheme.
+// Callers that need a quiescent count picture (tests, audits) flush
+// every thread; Unregister does it automatically.
 func (t *Thread) Flush() {
 	if t.s.deferred {
-		t.flushDeferred(true)
+		t.flushDeferred()
 	}
 }
 
-// flushDeferred runs flush passes until no cached decrement remains and
-// the ZCT stops shrinking, returning how many nodes were reclaimed.
-// Reclaiming a node releases its outgoing link references back into the
-// cache, so the loop cascades exactly like the paper's recursive R3; it
-// terminates because every buffered decrement is applied at most once
-// and at most Nodes reclamations exist.
-//
-// purge clears released sticky publications first.  Quiescence flushes
-// (public Flush, retire) must purge so audits see an empty pin table and
-// every node is reclaimable; AllocNode's out-of-memory flush purges to
-// surrender the cache's ≤PinSlots kept nodes.  Interval-driven pressure
-// flushes pass false and keep the cache warm — the handles it publishes
-// stay in the ZCT for the next purging flush, a bounded slack.
-func (t *Thread) flushDeferred(purge bool) (freed int) {
+// flushDeferred clears the thread's released sticky publications, so
+// every node it no longer guards is reclaimable, adopts orphaned
+// candidates, then drains the ZCT until a pass frees nothing, returning
+// how many nodes were reclaimed.  Reclaiming a node releases its
+// outgoing link references, which can push fresh candidates, so the
+// loop cascades exactly like the paper's recursive R3; it terminates
+// because at most Nodes reclamations exist.
+func (t *Thread) flushDeferred() (freed int) {
 	if t.inFlush {
 		return 0
 	}
 	t.inFlush = true
 	defer func() { t.inFlush = false }()
 	t.stats.DeferredFlushes++
-	t.dSinceFlush = 0
-	if purge {
-		t.purgePins()
-	}
+	t.purgePins()
 	t.adoptOrphans()
 	for {
-		applied := false
-		if t.dLive > 0 {
-			for i := range t.dcache {
-				e := &t.dcache[i]
-				if e.h == arena.Nil {
-					continue
-				}
-				h, dec := e.h, e.dec
-				e.h, e.dec = arena.Nil, 0
-				t.dLive--
-				t.applyDec(h, dec)
-				applied = true
-			}
-			t.s.dcacheLive[t.id].Store(int64(t.dLive))
-		}
 		n := t.drainZCT()
 		freed += n
-		if !applied && n == 0 {
+		if n == 0 {
 			return freed
 		}
 	}
@@ -403,13 +338,13 @@ func (t *Thread) drainZCT() (freed int) {
 			freed++
 		}
 	}
-	t.s.zctDepth[t.id].Store(int64(len(t.zct)))
 	return freed
 }
 
 // reclaimDeferred is the deferred variant's R3/R4: the election winner
-// exclusively owns n, clears its link cells with plain stores, defers
-// the released link references, and returns the node to the free-list.
+// exclusively owns n, clears its link cells with plain stores, releases
+// the link references they held (a target that reaches zero joins the
+// ZCT), and returns the node to the free-list.
 func (t *Thread) reclaimDeferred(n arena.Handle) {
 	s := t.s
 	s.ar.LinkRange(n, func(id mm.LinkID) {
@@ -417,7 +352,7 @@ func (t *Thread) reclaimDeferred(n arena.Handle) {
 		if p != arena.NilPtr {
 			s.ar.StoreLink(id, arena.NilPtr)
 			if p.Handle() != arena.Nil {
-				t.deferDec(p.Handle(), 1)
+				t.applyDec(p.Handle())
 			}
 		}
 	})
@@ -436,11 +371,10 @@ func (t *Thread) adoptOrphans() {
 // retireDeferred drains the thread's deferred state ahead of
 // unregistration: live pin guards are promoted to counted references
 // (+2 per guard) so references the caller still holds remain visible to
-// the count audit, sticky cache entries are cleared, then the cache and
-// ZCT are flushed.  Candidates a peer
-// still pins are retried briefly and finally handed to the scheme's
-// orphan list; pins are short-lived, so in practice the list stays
-// empty.
+// the count audit, sticky cache entries are cleared, then the ZCT is
+// flushed.  Candidates a peer still pins are retried briefly and
+// finally handed to the scheme's orphan list; pins are short-lived, so
+// in practice the list stays empty.
 func (t *Thread) retireDeferred() {
 	row := &t.s.pins[t.id]
 	cleared := int64(0)
@@ -457,15 +391,14 @@ func (t *Thread) retireDeferred() {
 	if cleared > 0 {
 		row.live.Add(-cleared)
 	}
-	t.flushDeferred(true)
+	t.flushDeferred()
 	for i := 0; len(t.zct) > 0 && i < 128; i++ {
 		runtime.Gosched()
-		t.flushDeferred(true)
+		t.flushDeferred()
 	}
 	if len(t.zct) > 0 {
 		t.s.orphans.Park(t.zct)
 		t.zct = nil
-		t.s.zctDepth[t.id].Store(0)
 	}
 }
 
@@ -495,7 +428,6 @@ func (t *Thread) deRefDeferredSlow(l mm.LinkID, node mm.Ptr, h arena.Handle, b i
 func (t *Thread) deRefAnnounced(l mm.LinkID) mm.Ptr {
 	s := t.s
 	slot, probes := t.announce(&s.ann[t.id]) // D1–D2
-	s.annPending.Add(1)                      // open the window before D3
 	slot.readAddr.Store(encodeLink(l))       // D3
 	t.at(PD3)
 	node := s.ar.LoadLink(l) // D4
@@ -508,7 +440,6 @@ func (t *Thread) deRefAnnounced(l mm.LinkID) mm.Ptr {
 	}
 	t.at(PD6)
 	n1 := slot.readAddr.Swap(0) // D6
-	s.annPending.Add(-1)        // window closed
 	if n1 != encodeLink(l) {    // D7: a helper answered with a counted ref
 		if node.Handle() != arena.Nil {
 			if pinIdx >= 0 { // D8: drop our own guard on the stale read
@@ -530,15 +461,7 @@ func (t *Thread) deRefAnnounced(l mm.LinkID) mm.Ptr {
 // Test hook only; never enable in production.
 func (s *Scheme) TestingSetDeferredForceAnnounce(on bool) { s.forceAnnounce = on }
 
-// DeferredPending returns how many distinct nodes currently wait in the
-// thread's delta cache and ZCT (audit/test helper; owner-thread data,
-// call at quiescence or from the owning goroutine).
-func (t *Thread) DeferredPending() int {
-	n := len(t.zct)
-	for i := range t.dcache {
-		if t.dcache[i].h != arena.Nil {
-			n++
-		}
-	}
-	return n
-}
+// DeferredPending returns how many reclaim candidates wait in the
+// thread's ZCT (audit/test helper; owner-thread data, call at quiescence
+// or from the owning goroutine).
+func (t *Thread) DeferredPending() int { return len(t.zct) }

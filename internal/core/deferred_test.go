@@ -17,8 +17,8 @@ func newDeferredScheme(t testing.TB, nodes, threads, links, vals, roots int) *Sc
 
 // TestDeferredFastPathCounts checks the deferred hot path's accounting:
 // a pin-and-revalidate dereference records zero probes (so it can never
-// trip the Lemma-2 gates) and a release buffers its decrement instead
-// of touching the shared count.
+// trip the Lemma-2 gates) and leaves the shared count alone, and
+// releasing it drops the pin without a counted decrement.
 func TestDeferredFastPathCounts(t *testing.T) {
 	s := newDeferredScheme(t, 8, 2, 1, 0, 1)
 	th := mustRegister(t, s)
@@ -46,16 +46,16 @@ func TestDeferredFastPathCounts(t *testing.T) {
 	if got := s.ar.Ref(x).Load(); got != before {
 		t.Errorf("fast-path DeRef moved the shared count %d -> %d", before, got)
 	}
-	// Releasing the fast-path reference clears the pin without buffering
-	// a decrement: pending stays at the single entry Release(x) buffered
-	// for the counted Alloc guard.
+	// Releasing the fast-path reference drops the pin without a counted
+	// decrement: DeferredDecs stays at the one the Alloc guard's release
+	// applied, and no ZCT candidate appears.
 	pendingBefore := th.DeferredPending()
 	th.Release(p.Handle())
 	if st := th.Stats(); st.DeferredDecs != 1 {
-		t.Errorf("DeferredDecs = %d, want 1 (only the alloc guard's release buffers)", st.DeferredDecs)
+		t.Errorf("DeferredDecs = %d, want 1 (only the alloc guard's release is counted)", st.DeferredDecs)
 	}
 	if n := th.DeferredPending(); n != pendingBefore {
-		t.Errorf("pending deferred entries after pin release = %d, want %d", n, pendingBefore)
+		t.Errorf("ZCT candidates after pin release = %d, want %d", n, pendingBefore)
 	}
 
 	th.Flush()
@@ -139,13 +139,13 @@ func TestDeferredScanViolationGateAgreement(t *testing.T) {
 
 // TestOOMBroadcastReclaimsPeerSlack pins the footnote-4 amendment for
 // the deferred variant: an allocator that exhausts the free-lists and
-// finds nothing in its own caches must not declare out-of-memory while
-// a peer's delta cache still holds enough buffered decrements to refill
-// the arena.  The allocator broadcasts memory pressure
-// (Scheme.memPressure) and yields; the peer answers from its next
-// buffered decrement with a purging flush.  Before the broadcast
-// existed this configuration returned ErrOutOfMemory even though every
-// missing node was reclaimable (the e8 churn regression).
+// finds nothing in its own ZCT must not declare out-of-memory while a
+// peer's ZCT still holds enough zero-count nodes to refill the arena.
+// The allocator broadcasts memory pressure (Scheme.memPressure) and
+// yields; the peer answers from its next counted decrement with a
+// flush.  Without the broadcast this configuration returns
+// ErrOutOfMemory even though every missing node is reclaimable (the e8
+// churn regression).
 func TestOOMBroadcastReclaimsPeerSlack(t *testing.T) {
 	const nodes = 64
 	s := newDeferredScheme(t, nodes, 2, 1, 0, 1)
@@ -153,8 +153,8 @@ func TestOOMBroadcastReclaimsPeerSlack(t *testing.T) {
 	alloc := mustRegister(t, s)
 
 	// The hoarder kills most of the arena: allocate, then release — the
-	// decrements sit buffered in its delta cache, so the nodes stay at a
-	// nonzero count and off the free-lists.
+	// nodes reach zero and wait in its ZCT, below the drain threshold,
+	// so they stay off the free-lists.
 	var dead []arena.Handle
 	for {
 		h, err := hoarder.Alloc()
@@ -175,7 +175,7 @@ func TestOOMBroadcastReclaimsPeerSlack(t *testing.T) {
 	}
 
 	// The hoarder keeps working on its one remaining node: each
-	// ReleaseRef of a counted reference is a buffered decrement and
+	// ReleaseRef of a counted reference is a counted decrement and
 	// therefore a broadcast check.
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -193,7 +193,7 @@ func TestOOMBroadcastReclaimsPeerSlack(t *testing.T) {
 	}()
 
 	// The allocator drains the free-lists dry and keeps going: the
-	// broadcast must surface the hoarder's buffered slack instead of
+	// broadcast must surface the hoarder's ZCT slack instead of
 	// ErrOutOfMemory.
 	var got []arena.Handle
 	for len(got) < nodes/2 {
@@ -216,4 +216,34 @@ func TestOOMBroadcastReclaimsPeerSlack(t *testing.T) {
 	audit(t, s, nil)
 	alloc.Unregister()
 	hoarder.Unregister()
+}
+
+// TestDeferredSlackBound pins the deferred variant's per-thread
+// reclamation slack: a counted release reaches the shared count at once,
+// so nodes that die with no flush and no pin wait only in the thread's
+// ZCT, which drains itself at zctDrainThreshold.  200 dead nodes must
+// therefore leave fewer than zctDrainThreshold candidates pending.
+func TestDeferredSlackBound(t *testing.T) {
+	s := newDeferredScheme(t, 512, 2, 1, 0, 1)
+	th := mustRegister(t, s)
+	var dead []arena.Handle
+	for i := 0; i < 200; i++ {
+		h, err := th.Alloc()
+		if err != nil {
+			t.Fatalf("Alloc %d: %v", i, err)
+		}
+		dead = append(dead, h)
+	}
+	for _, h := range dead {
+		th.Release(h)
+	}
+	if f := th.Stats().DeferredFlushes; f != 0 {
+		t.Fatalf("%d flushes ran, want none (the bound must hold without one)", f)
+	}
+	if n := th.DeferredPending(); n >= zctDrainThreshold {
+		t.Errorf("%d of 200 dead nodes pending with no flush, want < zctDrainThreshold (%d)", n, zctDrainThreshold)
+	}
+	th.Flush()
+	audit(t, s, nil)
+	th.Unregister()
 }

@@ -119,13 +119,7 @@ func (t *Thread) announce(row *annRow) (*annSlot, uint64) {
 func (t *Thread) deRefCounted(l mm.LinkID) mm.Ptr {
 	s := t.s
 	slot, probes := t.announce(&s.ann[t.id]) // D1–D2
-	if s.deferred {
-		// Helper dereferences on the deferred variant announce too, so
-		// they must keep the annPending window count accurate (see the
-		// Scheme field); the immediate scheme skips the counter.
-		s.annPending.Add(1)
-	}
-	slot.readAddr.Store(encodeLink(l)) // D3
+	slot.readAddr.Store(encodeLink(l))       // D3
 	t.at(PD3)
 	node := s.ar.LoadLink(l) // D4
 	t.at(PD4)
@@ -134,10 +128,7 @@ func (t *Thread) deRefCounted(l mm.LinkID) mm.Ptr {
 	}
 	t.at(PD6)
 	n1 := slot.readAddr.Swap(0) // D6
-	if s.deferred {
-		s.annPending.Add(-1)
-	}
-	if n1 != encodeLink(l) { // D7: a helper answered
+	if n1 != encodeLink(l) {    // D7: a helper answered
 		if node.Handle() != arena.Nil {
 			t.ReleaseRef(node.Handle()) // D8
 		}
@@ -214,12 +205,6 @@ func (t *Thread) ReleaseRef(h arena.Handle) {
 func (t *Thread) HelpDeRef(l mm.LinkID) {
 	s := t.s
 	t.stats.HelpScans++
-	if s.deferred && s.annPending.Load() == 0 {
-		// No D3–D6 window is open anywhere: an announcer not yet
-		// visible here ordered its D4 link read after our link update
-		// and will see the fresh value itself (see Scheme.annPending).
-		return
-	}
 	for id := 0; id < s.n; id++ { // H1
 		row := &s.ann[id]
 		index := row.index.Load() // H2

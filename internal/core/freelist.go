@@ -30,7 +30,7 @@ const oomSleepStep = 20 * time.Microsecond
 // Gosched calls on this thread brings that about on an oversubscribed
 // host; so the second half sleeps for a growing interval.  The wait
 // stays bounded, and only an allocator that found the arena empty and
-// its own caches dry ever pays it.
+// its own ZCT dry ever pays it.
 func oomYield(round int) {
 	if round <= oomBroadcastRounds/2 {
 		runtime.Gosched()
@@ -50,7 +50,7 @@ func oomYield(round int) {
 //
 // On a growable arena (DESIGN.md §12) the footnote-4 exhaustion verdict
 // gains an escape hatch ordered by cost: first the deferred variant
-// flushes its own caches (reusing memory it already owns), then the
+// flushes its own ZCT (reusing memory it already owns), then the
 // thread pulls one chain of fresh nodes from the growth pool and
 // splices it into its own free-list (attaching an arena segment if the
 // pool is dry), and only with the arena at MaxNodes does the PR-6
@@ -81,15 +81,15 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 		t.at(PA3)
 		steps++
 		if steps > uint64(s.lim) {
-			// Footnote-4 rule, deferred amendment: pending deferred
-			// decrements are reclaimable memory, so the deferred variant
-			// flushes its own cache/ZCT before declaring exhaustion and
+			// Footnote-4 rule, deferred amendment: zero-count nodes in
+			// the ZCT are reclaimable memory, so the deferred variant
+			// flushes its own ZCT before declaring exhaustion and
 			// retries with a fresh budget whenever the flush actually
 			// freed nodes.  Each retry is paid for by at least one
 			// reclaimed node, so the loop stays bounded (at most Nodes
 			// extra rounds over the whole run).
 			if s.deferred {
-				if freed := t.flushDeferred(true); freed > 0 {
+				if freed := t.flushDeferred(); freed > 0 {
 					steps = 0 // budget re-armed; paid for by freed nodes
 					continue
 				}
@@ -111,7 +111,7 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 				}
 			}
 			if s.deferred {
-				// Nothing left in our own caches or the arena, but peers
+				// Nothing left in our own ZCT or the arena, but peers
 				// may hold reclaimable slack in theirs (which only they
 				// can flush).  Broadcast memory pressure and yield a
 				// bounded number of times before declaring exhaustion;

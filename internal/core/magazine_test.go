@@ -217,7 +217,7 @@ func TestMemoryPressureAnswerSpillsMagazine(t *testing.T) {
 	h1, _ := peer.Alloc()
 	h2, _ := peer.Alloc()
 	peer.Release(h1)
-	peer.flushDeferred(false)
+	peer.flushDeferred()
 	if got := s.mag[peer.ID()].n; got != 1 {
 		t.Fatalf("peer's row holds %d nodes, want h1 parked", got)
 	}

@@ -104,11 +104,11 @@ type Config struct {
 	// selects a default that is safely above the wait-freedom bound for
 	// Threads participants.
 	AllocRetryLimit int
-	// Deferred selects the deferred-decrement variant ("waitfree-deferred"):
+	// Deferred selects the deferred variant ("waitfree-deferred"):
 	// DeRefLink guards nodes through a per-thread pin table instead of an
-	// immediate FAA on the shared count, ReleaseRef batches decrements in a
-	// thread-local delta cache, and a ZCT-style flush applies the deltas
-	// and reclaims zero-count unpinned nodes.  See deferred.go.
+	// immediate FAA on the shared count, a node whose count reaches zero
+	// waits in a per-thread zero-count table (ZCT), and a drain reclaims
+	// the zero-count candidates no pin protects.  See deferred.go.
 	Deferred bool
 }
 
@@ -160,25 +160,6 @@ type magRow struct {
 	n    int
 	node [magCap]arena.Handle
 	_    [11]uint64
-}
-
-// dcacheSize is the direct-mapped delta-cache capacity (entries) of the
-// deferred variant; a power of two.
-const dcacheSize = 256
-
-// deferredFlushInterval bounds how many deferred decrements a thread may
-// buffer before a full flush.  Per-thread reclamation slack stays
-// bounded regardless (at most dcacheSize distinct nodes wait in the
-// cache, a collision applies the evicted entry immediately, and
-// AllocNode flushes on out-of-memory), so the interval only trades flush
-// amortization against how long a zero-count node may linger.
-const deferredFlushInterval = 2048
-
-// dEntry is one delta-cache entry: a node handle and how many 2-unit
-// decrements are pending against it.
-type dEntry struct {
-	h   arena.Handle
-	dec uint32
 }
 
 // pinEntry is one owner-private pin-cache slot: the published handle and
@@ -245,15 +226,6 @@ type Scheme struct {
 	// hook (DESIGN.md §14), and telemetry must not displace it.
 	mm.Lifecycle
 
-	// zctDepth and dcacheLive mirror each thread's ZCT length and
-	// delta-cache occupancy for cross-thread gauges (deferred variant
-	// only; nil otherwise).  Owner-written at the points where the
-	// private values change, so a concurrent snapshotter reads a
-	// slightly stale but never torn occupancy — the same discipline as
-	// pinRow.live.
-	zctDepth   []mm.PadI64
-	dcacheLive []mm.PadI64
-
 	// tags holds one request tag per thread slot (see SetThreadTag).
 	// The tags are opaque to the scheme; the observability layer stores
 	// the active request-span ID of the goroutine currently operating
@@ -271,27 +243,15 @@ type Scheme struct {
 	deferred bool
 	pins     []pinRow
 
-	// annPending counts open D3–D6 announcement windows, maintained only
-	// on the deferred variant (raised before the D3 store, lowered after
-	// the D6 swap).  Announcements are rare there — only the pin
-	// fallback and helper paths announce — so HelpDeRef short-circuits
-	// its row scan with one load when the counter is zero; a zero read
-	// is conclusive because an announcer whose raise is not yet visible
-	// ordered its D4 link read after the helper's link update and needs
-	// no help.  The immediate scheme announces on every DeRefLink and
-	// never consults the counter, so it does not pay the two extra RMWs.
-	annPending mm.PadI64
-
 	// memPressure is the deferred variant's out-of-memory broadcast.  An
 	// allocator that exhausted the free-lists and found nothing to
-	// reclaim in its own caches raises the flag; every thread checks it
-	// when buffering a counted decrement and answers with a purging
-	// flush, surrendering its cached decrements, ZCT candidates,
-	// released sticky pins and magazine row.  Without the broadcast a thread's
-	// reclaimable memory is reachable only through its own flush
-	// triggers, and on small arenas the other threads' bounded slack
-	// alone can exhaust the free-lists (footnote-4 amendment, see
-	// AllocNode).
+	// reclaim in its own ZCT raises the flag; every thread checks it
+	// when applying a counted decrement and answers with a flush,
+	// surrendering its ZCT candidates, released sticky pins and magazine
+	// row.  Without the broadcast a thread's reclaimable memory is
+	// reachable only through its own flush triggers, and on small arenas
+	// the other threads' bounded slack alone can exhaust the free-lists
+	// (footnote-4 amendment, see AllocNode).
 	memPressure mm.PadI64
 
 	// forceAnnounce makes the deferred variant's DeRefLink skip the
@@ -369,23 +329,6 @@ func (s *Scheme) SetNodeFreeHook(fn func(threadID int, h arena.Handle)) {
 	s.nodeFreeHook.Store(&fn)
 }
 
-// DeferredOccupancy sums the deferred variant's cross-thread occupancy
-// mirrors: how many reclaim candidates sit in ZCTs (plus the orphan
-// list) and how many delta-cache entries hold buffered decrements,
-// over all thread slots.  Both zero on the immediate variant.  Safe
-// for concurrent use; values are momentary.
-func (s *Scheme) DeferredOccupancy() (zct, dcache int64) {
-	if s.zctDepth == nil {
-		return 0, 0
-	}
-	for i := range s.zctDepth {
-		zct += s.zctDepth[i].Load()
-		dcache += s.dcacheLive[i].Load()
-	}
-	zct += int64(s.orphans.Len())
-	return zct, dcache
-}
-
 // SetThreadTag associates an opaque tag with thread slot id, read back
 // into HelpEvent.HelperTag/HelpeeTag when a help involving that slot is
 // traced.  The KV server stores the active request-span ID here for the
@@ -434,8 +377,6 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 	}
 	if cfg.Deferred {
 		s.pins = make([]pinRow, n)
-		s.zctDepth = make([]mm.PadI64, n)
-		s.dcacheLive = make([]mm.PadI64, n)
 	}
 	for i := range s.ann {
 		s.ann[i].slots = make([]annSlot, n)
@@ -568,12 +509,9 @@ type Thread struct {
 	// Deferred-variant state (unused on the immediate scheme).  All
 	// fields are owner-private; only the pin row (in Scheme.pins, indexed
 	// by id) is shared with other threads' ZCT scans.
-	pinCache    [PinSlots]pinEntry // owner-private mirror of the shared pin row
-	dcache      [dcacheSize]dEntry // direct-mapped pending decrements
-	dLive       int                // occupied dcache entries (flush fast-exit)
-	dSinceFlush int                // deferred decs since the last full flush
-	zct         []arena.Handle     // zero-count table: reclaim candidates
-	inFlush     bool               // reentrancy guard for flushDeferred
+	pinCache [PinSlots]pinEntry // owner-private mirror of the shared pin row
+	zct      []arena.Handle     // zero-count table: reclaim candidates
+	inFlush  bool               // reentrancy guard for flushDeferred
 
 	// fastDeRefs counts pin-cache dereference hits not yet folded into
 	// stats.  The fast path would otherwise pay three counter writes
@@ -610,9 +548,9 @@ func (t *Thread) Stats() *mm.OpStats {
 // Unregister implements mm.Thread.  On the deferred variant the
 // thread's pending state is retired first: leftover pins are promoted to
 // counted references (so guards the caller still legitimately holds stay
-// visible to the count audit once the pin row goes away), the delta
-// cache is flushed, and the ZCT is drained — entries a peer still pins
-// are handed to the scheme's orphan list for the next flusher to adopt.
+// visible to the count audit once the pin row goes away) and the ZCT is
+// drained — entries a peer still pins are handed to the scheme's orphan
+// list for the next flusher to adopt.
 // Last, the slot's magazine is spilled through F1–F10, so once every
 // thread has unregistered every free node is on a Figure-5 structure
 // again.
@@ -679,7 +617,7 @@ const (
 
 	// Deferred-variant points (see deferred.go).
 	PP2  // pin published, link revalidation read not yet performed
-	PFL1 // one flush delta applied to mm_ref, zero check not yet acted on
+	PFL1 // a counted decrement applied to mm_ref, zero check not yet acted on
 	PZ1  // ZCT pin scan found no pins, reclaim election CAS not yet tried
 
 	// Growable-arena point (see freelist.go / internal/alloc.NodePool).

@@ -105,9 +105,9 @@ func TestReplaceConcurrent(t *testing.T) {
 		threads = 4
 		keys    = 8
 		rounds  = 300
-		// One waitfree-deferred thread can hold back several hundred nodes
-		// (delta cache, ZCT, sticky pins; ROADMAP item 1), so the arena is
-		// sized for that, not for the 8 live keys.
+		// One waitfree-deferred thread can hold back up to 128 nodes (ZCT
+		// 64 + sticky pins 64; ROADMAP item 1), so the arena is sized for
+		// that, not for the 8 live keys.
 		nodes = 2048
 	)
 	encode := func(k uint64, w, i int) uint64 { return k<<32 | uint64(w)<<16 | uint64(i) }

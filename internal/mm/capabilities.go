@@ -12,7 +12,7 @@ package mm
 
 // Flusher is the optional quiescence surface of a Thread that buffers
 // reclamation state thread-locally: the wait-free deferred variant's
-// delta cache and ZCT, Hyaline's accumulated retirement batch.  Flush
+// ZCT and sticky pins, Hyaline's accumulated retirement batch.  Flush
 // applies the buffered state so a subsequent audit sees exact counts.
 // Like the audits it is a quiescence-only call, and each thread must be
 // flushed from its own goroutine (see schemes.Flush for the two-pass

@@ -194,7 +194,7 @@ func (f *FreeStack) Walk() map[Handle]int {
 // A wait that only yields takes ~no time when the other runnable
 // goroutines sit on another P, so a retry budget counted in yields alone
 // can elapse inside one OS time slice of the thread whose pin, hazard,
-// retire list or delta cache holds the memory; a sleep cannot be skipped
+// retire list or ZCT holds the memory; a sleep cannot be skipped
 // and hands that thread the CPU.
 func waitForPeers() { time.Sleep(50 * time.Microsecond) }
 

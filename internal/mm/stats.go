@@ -143,12 +143,13 @@ type OpStats struct {
 	// PinFastPaths counts DeRef calls satisfied by the deferred variant's
 	// pin-and-revalidate fast path (no announcement, no shared FAA).
 	PinFastPaths uint64
-	// DeferredDecs counts release decrements buffered in the deferred
-	// variant's delta cache instead of applied immediately.
+	// DeferredDecs counts the deferred variant's releases that found no
+	// pin guard to drop and so applied a counted decrement.  The link
+	// references a reclaimed node releases are not included.
 	DeferredDecs uint64
-	// DeferredFlushes counts full flush passes of the deferred variant
-	// (cache pressure, explicit Flush, alloc out-of-memory retries and
-	// Unregister).
+	// DeferredFlushes counts full flushes of the deferred variant
+	// (explicit Flush, alloc out-of-memory retries, the memory-pressure
+	// answer and Unregister); the ZCT's overflow drains are not counted.
 	DeferredFlushes uint64
 	// GrowRefills counts allocation attempts rescued by a fresh-node
 	// chain from the growth pool instead of a footnote-4 out-of-memory

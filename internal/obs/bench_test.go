@@ -213,7 +213,7 @@ func TestValidateBenchJSONServerMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateBenchJSON: %v", err)
 	}
-	if got.Server.Memory == nil || got.Server.Memory.Schemes["alpha"].Retired != 3 {
+	if got.Server.Memory == nil || got.Server.Memory.Schemes["alpha"].Retired != 2 {
 		t.Fatalf("server.memory lost in round trip: %+v", got.Server.Memory)
 	}
 	if len(got.Server.Memory.Gauges) != 2 {

@@ -14,10 +14,9 @@ import (
 // Memory-lifecycle aggregation: the obs-side counterpart of
 // mm.LifecycleTracker.  Schemes report retire/reclaim transitions into
 // per-arena trackers (wait-free, zero-alloc — see internal/mm); this
-// collector aggregates any number of trackers plus scheme-level memory
-// gauges (ZCT depth, delta-cache occupancy, block-pool segments, value
-// liveness) into one published MemSnapshot, and renders the three
-// export surfaces:
+// collector gathers one tracker per scheme label plus scheme-level
+// memory gauges (arena and block-pool segments, value liveness) into one
+// published MemSnapshot, and renders the three export surfaces:
 //
 //   - Prometheus exposition (WriteProm): wfrc_mem_* families, with the
 //     retire→free lag as a native histogram (seconds, cumulative le).
@@ -39,11 +38,9 @@ type LifecycleCollector struct {
 }
 
 // trackerSource is one attached lifecycle tracker.  The KV server
-// attaches one, to its store's one scheme.  Should several trackers
-// share a scheme label (one per arena of the same scheme, say), their
-// readings are merged — counters and floating sum, high-water marks sum
-// too, making the merged HWM an upper bound on the simultaneous peak, and
-// the lag histograms sum bucket by bucket.
+// attaches one, to its store's one scheme.  A label is attached once:
+// its readings are that one tracker's, so the HWM is the scheme's real
+// peak.
 type trackerSource struct {
 	scheme string
 	t      *mm.LifecycleTracker
@@ -53,14 +50,15 @@ type trackerSource struct {
 func NewLifecycleCollector() *LifecycleCollector { return &LifecycleCollector{} }
 
 // AttachTracker registers t's readings under a scheme label and returns
-// a detach function.
+// a detach function.  Attach each label once; a second tracker under a
+// label already taken hides the first.
 func (c *LifecycleCollector) AttachTracker(scheme string, t *mm.LifecycleTracker) (detach func()) {
 	return c.trackers.attach(trackerSource{scheme: scheme, t: t})
 }
 
 // AttachMemGauge registers a named memory gauge — occupancy numbers the
-// trackers cannot see, like ZCT depth, delta-cache occupancy, attached
-// block-pool segments or live value blocks.  The name must be a valid
+// trackers cannot see, like attached arena or block-pool segments or
+// live value blocks.  The name must be a valid
 // Prometheus metric name; it is exported verbatim with a scheme label.
 func (c *LifecycleCollector) AttachMemGauge(name, scheme string, read func() int64) (detach func()) {
 	return c.gauges.attach(gaugeSource{name: name, scheme: scheme, read: read})
@@ -84,35 +82,19 @@ func (s *MemSnapshot) SchemeNames() []string {
 	return names
 }
 
-// schemeLifecycle is one scheme label's merged tracker readings.
+// schemeLifecycle is one scheme label's tracker reading: the summary
+// and the lag histogram's bucket counts, which the Prometheus family
+// renders in full.
 type schemeLifecycle struct {
 	snap mm.LifecycleSnap
 	lag  mm.LatencyCounts
 }
 
-// merged reads every tracker and folds same-label readings: counters
-// sum, the summed HWM over-approximates the simultaneous peak, and the
-// lag histograms sum bucket by bucket, so a merged quantile is a
-// quantile of every tracker's reclaims together.
-func (c *LifecycleCollector) merged() map[string]*schemeLifecycle {
+// readings reads every tracker, one reading per scheme label.
+func (c *LifecycleCollector) readings() map[string]*schemeLifecycle {
 	out := make(map[string]*schemeLifecycle)
 	for _, src := range c.trackers.load() {
-		m, ok := out[src.scheme]
-		if !ok {
-			m = &schemeLifecycle{}
-			out[src.scheme] = m
-		}
-		s := src.t.Snapshot()
-		m.snap.Retired += s.Retired
-		m.snap.Reclaimed += s.Reclaimed
-		m.snap.Floating += s.Floating
-		m.snap.FloatingHWM += s.FloatingHWM
-		m.snap.Dropped += s.Dropped
-		lag := src.t.Lag().Counts()
-		m.lag.Add(&lag)
-	}
-	for _, m := range out {
-		m.snap.Lag = m.lag.Snapshot()
+		out[src.scheme] = &schemeLifecycle{snap: src.t.Snapshot(), lag: src.t.Lag().Counts()}
 	}
 	return out
 }
@@ -122,7 +104,7 @@ func (c *LifecycleCollector) merged() map[string]*schemeLifecycle {
 // any frequency against running schemes.
 func (c *LifecycleCollector) Sample() *MemSnapshot {
 	snap := &MemSnapshot{At: time.Now(), Schemes: make(map[string]mm.LifecycleSnap)}
-	for name, m := range c.merged() {
+	for name, m := range c.readings() {
 		snap.Schemes[name] = m.snap
 	}
 	snap.Gauges = readGauges(&c.gauges)
@@ -203,7 +185,7 @@ func (c *LifecycleCollector) InfoSection() InfoSection {
 //     boundaries, converted to seconds.
 //   - every attached gauge, verbatim, with a scheme label.
 func (c *LifecycleCollector) WriteProm(w io.Writer) error {
-	byScheme := c.merged()
+	byScheme := c.readings()
 	names := make([]string, 0, len(byScheme))
 	for n := range byScheme {
 		names = append(names, n)
@@ -220,7 +202,7 @@ func (c *LifecycleCollector) WriteProm(w io.Writer) error {
 			func(s *mm.LifecycleSnap) any { return s.Reclaimed }},
 		{"wfrc_mem_floating", "Retired-but-unreclaimed nodes right now (floating garbage; Lemma 3 bounds this).", "gauge",
 			func(s *mm.LifecycleSnap) any { return s.Floating }},
-		{"wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating (summed across trackers sharing a label: an upper bound).", "gauge",
+		{"wfrc_mem_floating_hwm", "High-water mark of wfrc_mem_floating.", "gauge",
 			func(s *mm.LifecycleSnap) any { return s.FloatingHWM }},
 		{"wfrc_mem_lifecycle_dropped_total", "Lifecycle notes dropped for handles beyond the tracker ceiling.", "counter",
 			func(s *mm.LifecycleSnap) any { return s.Dropped }},

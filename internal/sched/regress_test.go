@@ -74,7 +74,7 @@ var regressionSeeds = []struct {
 	{
 		scenario: "deferred-flush-vs-help",
 		seed:     7,
-		about:    "writer answers the owner's announcement at D6 while the owner's delta cache holds the target's pending decrement; both flushes run with the guard live",
+		about:    "writer answers the owner's announcement at D6 and its unlink zeroes the old target; both flushes run with the guard live",
 		minNotes: map[string]int64{
 			"helps-given": 1, "helps-received": 1,
 			"owner-flush": 2, "writer-flush": 1, "installs": 1,

@@ -526,15 +526,14 @@ func buildDFSAllocFree(w *World) {
 // --- deferred-flush-vs-help -------------------------------------------------
 
 // buildDeferredFlushVsHelp races the deferred variant's flush against
-// the helping protocol.  The owner's delta cache holds a pending
-// decrement for the root's target from setup; the owner then announces
-// a dereference of that same node (announced path forced) and flushes
-// while its dereference guard — a pin, or a helper-granted counted
-// reference when the writer answers at D6 — is still live.  The flush
-// applies the pending decrement, which may drive the applied count to
-// zero, but the ZCT drain must never claim the node for reclamation
-// while the guard exists: pinnedByAny keeps pinned candidates, and a
-// counted guard keeps the count nonzero.  The mid-run oddness check
+// the helping protocol.  After setup the root's link is the only counted
+// reference to its target; the owner announces a dereference of that
+// node (announced path forced) and flushes while its dereference guard
+// — a pin, or a helper-granted counted reference when the writer
+// answers at D6 — is still live, and the writer's CAS unlinks the node,
+// driving its count to zero and onto the writer's ZCT.  No drain may
+// claim a guarded node for reclamation: the pin scans keep pinned
+// candidates, and a counted guard keeps the count nonzero.  The mid-run oddness check
 // (mm_ref odd means the CAS(0,1) election was won) plus the quiescent
 // audit assert exactly that on every explored interleaving.
 func buildDeferredFlushVsHelp(w *World) {
@@ -545,13 +544,13 @@ func buildDeferredFlushVsHelp(w *World) {
 	root := ar.NewRoot()
 	hA, hB := mustAlloc(tO), mustAlloc(tO)
 	tO.StoreLink(root, arena.MakePtr(hA, false))
-	tO.ReleaseRef(hA) // buffered: the pending decrement the flush will apply
+	tO.ReleaseRef(hA) // the root link is now hA's only counted reference
 
 	w.Spawn("owner", func(t *T) {
 		t.Instrument(tO)
 		p := tO.DeRefLink(root)
 		w.Note("owner-deref", 1)
-		tO.Flush() // applies the setup decrement under the live guard
+		tO.Flush() // purges and drains under the live guard
 		w.Note("owner-flush", 1)
 		if h := p.Handle(); h != arena.Nil {
 			if ref := ar.Ref(h).Load(); ref&1 != 0 {

@@ -108,11 +108,10 @@ func TestConformanceRegistry(t *testing.T) {
 // it recorded reclaimed.
 func TestConformanceChurn(t *testing.T) {
 	const (
-		// Above what waitfree-deferred may hold back per thread (delta
-		// cache 256 + ZCT 64 + sticky pins 64 nodes): its out-of-memory
-		// broadcast gives a descheduled peer well under one OS time slice
-		// to answer, so a smaller arena can report exhaustion while merely
-		// floating.
+		// Well above what waitfree-deferred may hold back per thread (ZCT
+		// 64 + sticky pins 64 nodes): its out-of-memory broadcast gives a
+		// descheduled peer well under one OS time slice to answer, so a
+		// smaller arena can report exhaustion while merely floating.
 		nodes   = 2048
 		workers = 3
 	)

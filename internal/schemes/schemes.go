@@ -128,7 +128,7 @@ func Names() []string {
 }
 
 // Flush applies any reclamation state buffered thread-locally (the
-// waitfree-deferred delta cache and ZCT, Hyaline's retirement batch) by
+// waitfree-deferred ZCT and sticky pins, Hyaline's retirement batch) by
 // draining every thread that implements the mm.Flusher capability, so a
 // subsequent AuditRC sees exact counts; it is a no-op for threads
 // without buffered state.  Like AuditRC it is a quiescence-only call,

@@ -51,8 +51,7 @@ func TestServerMemoryTelemetry(t *testing.T) {
 		"waitfree_retired:",
 		"waitfree_reclaim_lag_p99_ns:",
 		"waitfree_floating_hwm:",
-		"wfrc_mem_zct_depth_waitfree:",
-		"wfrc_mem_pin_fastpaths_waitfree:",
+		"wfrc_mem_arena_segments_waitfree:",
 		"wfrc_mem_value_blocks_live_values:",
 	} {
 		if !strings.Contains(info, want) {

@@ -102,10 +102,9 @@ type Server struct {
 	// for /metrics (wfrc-kv registers it on the obs HTTP server).
 	collector *obs.Collector
 	// memCollector aggregates the memory-lifecycle telemetry: one
-	// mm.LifecycleTracker on the scheme plus occupancy gauges (ZCT
-	// depth, delta-cache fill, arena segments, live value blocks).  It
-	// backs the INFO "# Memory" section, the /metrics wfrc_mem_* families
-	// and StatsReply.Memory.
+	// mm.LifecycleTracker on the scheme plus occupancy gauges (arena
+	// segments, live value blocks).  It backs the INFO "# Memory"
+	// section, the /metrics wfrc_mem_* families and StatsReply.Memory.
 	memCollector *obs.LifecycleCollector
 }
 
@@ -145,14 +144,11 @@ func New(cfg Config) (*Server, error) {
 		memCollector: obs.NewLifecycleCollector(),
 	}
 	const scheme = "waitfree"
-	// Capture the stats pointers once: core's Stats() folds batched
+	// Attach the stats pointers once: core's Stats() folds batched
 	// hot-path counters into the struct and must only be called on the
-	// owning goroutine (or, as here, before traffic starts); the pin gauge
-	// then reads the published field like the collector does.
-	var stats []*mm.OpStats
+	// owning goroutine (or, as here, before traffic starts).
 	for _, th := range pool.SlotThreads() {
 		s.collector.Attach(scheme, th.ID(), th.Stats())
-		stats = append(stats, th.Stats())
 	}
 	s.collector.AttachGauge("wfrc_ann_scan_violations", scheme, func() int64 { return int64(cs.AnnScanViolations()) })
 
@@ -163,23 +159,8 @@ func New(cfg Config) (*Server, error) {
 	tr := mm.NewLifecycleTracker(cs.Arena().MaxNodes())
 	cs.SetLifecycleSink(tr)
 	s.memCollector.AttachTracker(scheme, tr)
-	s.memCollector.AttachMemGauge("wfrc_mem_zct_depth", scheme, func() int64 {
-		z, _ := cs.DeferredOccupancy()
-		return z
-	})
-	s.memCollector.AttachMemGauge("wfrc_mem_dcache_live", scheme, func() int64 {
-		_, d := cs.DeferredOccupancy()
-		return d
-	})
 	s.memCollector.AttachMemGauge("wfrc_mem_arena_segments", scheme, func() int64 {
 		return int64(cs.Segments())
-	})
-	s.memCollector.AttachMemGauge("wfrc_mem_pin_fastpaths", scheme, func() int64 {
-		var n uint64
-		for _, st := range stats {
-			n += st.PinFastPaths
-		}
-		return int64(n)
 	})
 	if vs := store.Values(); vs != nil {
 		s.memCollector.AttachMemGauge("wfrc_mem_value_blocks_live", "values", vs.LiveBlocks)

@@ -112,11 +112,12 @@ type SchemeConfig struct {
 	// HazardSlots sets hazard pointers per thread for NewHazard (0 keeps
 	// the default of 8).
 	HazardSlots int
-	// Deferred selects the wait-free scheme's deferred-decrement variant
+	// Deferred selects the wait-free scheme's deferred variant
 	// ("waitfree-deferred"): dereference guards go through a per-thread
-	// pin table and release decrements are batched in a thread-local
-	// delta cache with ZCT-style flushing, eliminating the two shared
-	// fetch-and-adds on the DeRef/Release hot path.
+	// pin table instead of the two shared fetch-and-adds of the
+	// DeRef/Release hot path, and a node whose count reaches zero waits
+	// in a per-thread zero-count table (ZCT) until a drain finds no pin
+	// on it.
 	Deferred bool
 }
 
