@@ -28,8 +28,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,33 +42,6 @@ func main() {
 	os.Exit(run())
 }
 
-// parseBytes parses a human-readable byte size: a non-negative integer
-// with an optional K, M, or G suffix (binary multiples, case
-// insensitive, optional trailing B/iB as in "512MiB").
-func parseBytes(s string) (uint64, error) {
-	orig := s
-	s = strings.TrimSpace(strings.ToUpper(s))
-	s = strings.TrimSuffix(s, "IB")
-	s = strings.TrimSuffix(s, "B")
-	var mult uint64 = 1
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid size %q (want e.g. 64M, 2G, 131072K)", orig)
-	}
-	if n > 0 && mult > ^uint64(0)/n {
-		return 0, fmt.Errorf("size %q overflows", orig)
-	}
-	return n * mult, nil
-}
-
 func run() int {
 	var (
 		addr       = flag.String("addr", ":7700", "listen address for the KV protocol (native and RESP auto-detected per connection)")
@@ -78,9 +49,8 @@ func run() int {
 		maxValue   = flag.Int("max-value", 16384, "largest RESP value payload in bytes (variable-size value layer); 0 disables it, native-only")
 		obsAddr    = flag.String("obs-addr", "", "serve /metrics and /debug/pprof on this address")
 		slots      = flag.Int("slots", 8, "thread slots of the scheme (NR_THREADS) = leasable connection slots")
-		nodes      = flag.Int("nodes", 1<<18, "initial arena segment, in nodes")
-		maxMemory  = flag.String("max-memory", "", "node-storage budget with K/M/G suffix (e.g. 256M); the arena grows toward it by attaching segments at runtime, instead of being capped at -nodes (README \"Capacity model\")")
-		buckets    = flag.Int("buckets", 0, "hashmap buckets (power of two); 0 derives them from the node ceiling, one bucket per 4 nodes")
+		nodes      = flag.Int("nodes", 1<<18, "arena size in nodes, fixed for the server's life: the store's whole capacity, live keys plus per-slot slack (README \"Capacity model\")")
+		buckets    = flag.Int("buckets", 0, "hashmap buckets (power of two); 0 derives them from -nodes, one bucket per 4 nodes")
 		leaseWait  = flag.Duration("lease-max-wait", 2*time.Second, "how long a request waits for a slot before Busy")
 		drainWait  = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 		chaosSeed  = flag.Int64("chaos-seed", 0, "seed for lease-lifecycle chaos injection")
@@ -103,23 +73,6 @@ func run() int {
 			MaxValue: *maxValue,
 		},
 		LeaseMaxWait: *leaseWait,
-	}
-	if *maxMemory != "" {
-		budget, err := parseBytes(*maxMemory)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wfrc-kv: -max-memory: %v\n", err)
-			return 1
-		}
-		// The byte budget buys nodes at this configuration's node size.
-		// The ceiling only matters above -nodes; a budget smaller than the
-		// initial segment simply leaves the arena fixed.
-		perNode := cfg.Store.ArenaConfig().BytesPerNode()
-		maxNodes := int(budget / uint64(perNode))
-		cfg.Store.MaxNodes = maxNodes
-		if maxNodes <= *nodes {
-			fmt.Fprintf(os.Stderr, "wfrc-kv: -max-memory %s = %d nodes (%d B/node), not above -nodes %d; the arena stays fixed\n",
-				*maxMemory, maxNodes, perNode, *nodes)
-		}
 	}
 	var inj *chaos.Injector
 	if *chaosDelay > 0 || *chaosYield > 0 {
@@ -231,12 +184,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	growth := "fixed"
-	if srv.Store().Growable() {
-		growth = fmt.Sprintf("growable to %d", scheme.MaxCapacity())
-	}
-	fmt.Printf("wfrc-kv: %d slots, %d nodes (%s), %d buckets, listening on %s\n",
-		*slots, *nodes, growth, srv.Store().Buckets(), ln.Addr())
+	fmt.Printf("wfrc-kv: %d slots, %d nodes, %d buckets, listening on %s\n",
+		*slots, *nodes, srv.Store().Buckets(), ln.Addr())
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
@@ -282,14 +231,6 @@ func run() int {
 	st := srv.Stats()
 	fmt.Printf("wfrc-kv: drained clean — %d conns served, %d busy rejects, 0 leaks, 0 hygiene violations\n",
 		st.ConnsTotal, st.Busy)
-	if st.Growable {
-		// The CI growable smoke step greps for "segments attached" and the
-		// count; the drain audit above already proved the leak audit holds
-		// across whatever was attached.
-		attached := srv.Store().SegmentsAttached()
-		fmt.Printf("wfrc-kv: %d segments attached (grew %d beyond the initial one), leak audit covered all segments\n",
-			attached, attached-1)
-	}
 	if inj != nil {
 		log := inj.Log()
 		fmt.Printf("wfrc-kv: chaos injected %d delays, %d preemption storms\n", log.Delays, log.Goscheds)

@@ -72,8 +72,7 @@ type class struct {
 	segs     []atomic.Pointer[[]uint64]
 	nSegs    atomic.Int64
 
-	pool     *sharedPool
-	attaches atomic.Uint64
+	pool *sharedPool
 }
 
 func (c *class) segSlots() int { return 1 << c.segShift }
@@ -158,7 +157,6 @@ func (c *class) attachSegment(idx int, st *popStats) {
 		c.chainBlock(first)
 		c.pool.push(0, item{a: first + 1, b: uint32(c.blockSlots)}, st)
 	}
-	c.attaches.Add(1)
 }
 
 // chainBlock links slots [first, first+B) into a free chain through
@@ -199,7 +197,6 @@ func (c *class) grow(st *popStats) (retry bool, err error) {
 				c.chainBlock(first)
 				c.pool.push(0, item{a: first + 1, b: uint32(c.blockSlots)}, st)
 			}
-			c.attaches.Add(1)
 			return true, nil
 		}
 		// Lost the attach; the winner is pushing its blocks right now.

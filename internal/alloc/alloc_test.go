@@ -3,8 +3,6 @@ package alloc
 import (
 	"sync"
 	"testing"
-
-	"wfrc/internal/arena"
 )
 
 func TestAllocFreeRoundTrip(t *testing.T) {
@@ -230,95 +228,5 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted invalid config", cfg)
 		}
-	}
-}
-
-// --- NodePool ---------------------------------------------------------------
-
-func TestNodePoolNilForFixedArena(t *testing.T) {
-	ar := arena.MustNew(arena.Config{Nodes: 8})
-	if p := NewNodePool(ar, 2); p != nil {
-		t.Fatal("NodePool for fixed arena should be nil")
-	}
-}
-
-func TestNodePoolRefill(t *testing.T) {
-	ar := arena.MustNew(arena.Config{Nodes: 64, MaxNodes: 64 * 4})
-	p := NewNodePool(ar, 2)
-	if p == nil {
-		t.Fatal("nil pool for growable arena")
-	}
-	seen := map[arena.Handle]bool{}
-	total := 0
-	for {
-		first, n, _, ok := p.Refill(0)
-		if !ok {
-			break
-		}
-		if n <= 0 {
-			t.Fatalf("refill returned count %d", n)
-		}
-		for i := 0; i < n; i++ {
-			h := first + arena.Handle(i)
-			if !ar.Valid(h) {
-				t.Fatalf("refill handed invalid handle %d", h)
-			}
-			if seen[h] {
-				t.Fatalf("handle %d refilled twice", h)
-			}
-			if got := ar.Ref(h).Load(); got != 1 {
-				t.Fatalf("fresh node %d has mm_ref %d, want 1", h, got)
-			}
-			seen[h] = true
-		}
-		total += n
-	}
-	// Everything past segment 0 must have been handed out exactly once.
-	want := ar.MaxNodes() - 64
-	if total != want {
-		t.Fatalf("refills delivered %d nodes, want %d", total, want)
-	}
-	if p.Attaches() != 3 {
-		t.Fatalf("attaches = %d, want 3", p.Attaches())
-	}
-	if len(p.PendingNodes()) != 0 {
-		t.Fatalf("%d nodes still pending after exhaustion", len(p.PendingNodes()))
-	}
-}
-
-// TestNodePoolConcurrent races refills and checks exclusivity of the
-// handed-out chains.
-func TestNodePoolConcurrent(t *testing.T) {
-	const threads = 4
-	ar := arena.MustNew(arena.Config{Nodes: 128, MaxNodes: 128 * 16})
-	p := NewNodePool(ar, threads)
-	var mu sync.Mutex
-	seen := map[arena.Handle]int{}
-	var wg sync.WaitGroup
-	for id := 0; id < threads; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for {
-				first, n, _, ok := p.Refill(id)
-				if !ok {
-					return
-				}
-				mu.Lock()
-				for i := 0; i < n; i++ {
-					seen[first+arena.Handle(i)]++
-				}
-				mu.Unlock()
-			}
-		}(id)
-	}
-	wg.Wait()
-	for h, c := range seen {
-		if c != 1 {
-			t.Fatalf("handle %d delivered %d times", h, c)
-		}
-	}
-	if len(seen) != ar.MaxNodes()-128 {
-		t.Fatalf("delivered %d nodes, want %d", len(seen), ar.MaxNodes()-128)
 	}
 }

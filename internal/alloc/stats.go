@@ -1,8 +1,8 @@
 package alloc
 
-// Stats counts one thread's allocator activity; Allocator.Stats and
-// NodePool.Stats return merged snapshots.  The step high-waters are the
-// package's wait-freedom evidence: tests assert they stay within
+// Stats counts one thread's allocator activity; Allocator.Stats returns
+// a merged snapshot.  The step high-waters are the package's
+// wait-freedom evidence: tests assert they stay within
 // AllocStepBound/FreeStepBound (see bounds.go).
 type Stats struct {
 	// AllocOps and FreeOps count completed operations.
@@ -22,9 +22,6 @@ type Stats struct {
 	// GrantsTaken counts pops served through the thread's grant cell;
 	// GrantsGiven counts wins re-donated to the cursor thread.
 	GrantsTaken, GrantsGiven uint64
-	// Refills counts NodePool refill chains handed out; Attaches counts
-	// segment attaches this thread performed.
-	Refills, Attaches uint64
 }
 
 // fold accumulates one shared-pool call's accounting.
@@ -57,6 +54,4 @@ func (s *Stats) merge(o Stats) {
 	s.CASFailures += o.CASFailures
 	s.GrantsTaken += o.GrantsTaken
 	s.GrantsGiven += o.GrantsGiven
-	s.Refills += o.Refills
-	s.Attaches += o.Attaches
 }

@@ -11,25 +11,13 @@
 // and value words live in flat cells that are never freed while the
 // arena is alive.
 //
-// # Segments
-//
-// Since the growable-allocator work (DESIGN.md §12) the arena is no
-// longer necessarily fixed at creation: it is a sequence of segments,
-// each a contiguous, immutable-once-attached range of node slots.
-// Config.Nodes sizes segment 0 and Config.MaxNodes caps the total;
-// Grow attaches one further segment (of SegmentNodes slots) through a
-// lock-free page-table CAS, so new capacity can appear at runtime while
-// readers run — type stability holds per segment exactly as it held for
-// the whole arena before.  A fixed arena (MaxNodes zero or equal to
-// Nodes) is simply the one-segment special case and costs one extra
-// (uncontended, L1-resident) atomic pointer load per cell access
-// compared with the flat layout it replaced.
+// The arena is fixed at creation, as the paper's Figure 5 free-list
+// assumes: Config.Nodes sizes it once, and running out of nodes is the
+// scheme's footnote-4 verdict, not a cue to grow.
 //
 // The arena itself performs no synchronization policy; it only exposes
-// atomically accessible cells and the segment registry.  Reclamation
-// protocols are layered on top by the scheme packages (internal/core,
-// internal/baseline/...), and the block-pool allocator that decides
-// *when* to grow lives in internal/alloc.
+// atomically accessible cells.  Reclamation protocols are layered on top
+// by the scheme packages (internal/core, internal/baseline/...).
 package arena
 
 import (
@@ -109,9 +97,9 @@ func (p Ptr) String() string {
 // IDs below the root cut identify root link cells; node link ids pack
 // the owning handle and slot ((h-1)<<slotBits | slot, offset past the
 // roots), so resolving a LinkID to its cell is shift-and-mask work with
-// no division, and ids stay stable as segments attach.  When
-// LinksPerNode is not a power of two the node-link id space has gaps;
-// audits therefore walk links per node (ForEachLink), never by raw id.
+// no division.  When LinksPerNode is not a power of two the node-link id
+// space has gaps; audits therefore walk links per node (ForEachLink),
+// never by raw id.
 type LinkID uint32
 
 // NoLink is the reserved, never-valid LinkID.
@@ -119,15 +107,9 @@ const NoLink LinkID = 0
 
 // Config sizes an Arena.
 type Config struct {
-	// Nodes is the number of allocatable node slots in segment 0 — the
-	// capacity available before any Grow call.
+	// Nodes is the number of allocatable node slots: the arena's whole
+	// capacity, fixed at construction.
 	Nodes int
-	// MaxNodes caps the total node capacity across all segments.  Zero
-	// (or a value <= Nodes) makes the arena fixed at Nodes — the
-	// pre-growable behaviour.  Growth happens in whole segments of
-	// SegmentNodes slots, so the effective maximum is the largest
-	// Nodes + k*SegmentNodes that does not exceed MaxNodes.
-	MaxNodes int
 	// LinksPerNode is the number of link cells embedded in each node.
 	LinksPerNode int
 	// ValsPerNode is the number of 64-bit value words in each node.
@@ -137,6 +119,8 @@ type Config struct {
 	RootLinks int
 }
 
+// validate checks cfg before New allocates anything, including that
+// the packed id of the last link slot of the last node fits in 32 bits.
 func (c Config) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("arena: Nodes must be positive, got %d", c.Nodes)
@@ -144,24 +128,20 @@ func (c Config) validate() error {
 	if c.Nodes >= 1<<31 {
 		return fmt.Errorf("arena: Nodes must fit in 31 bits, got %d", c.Nodes)
 	}
-	if c.MaxNodes < 0 || c.MaxNodes >= 1<<31 {
-		return fmt.Errorf("arena: MaxNodes must fit in 31 bits, got %d", c.MaxNodes)
-	}
 	if c.LinksPerNode < 0 || c.ValsPerNode < 0 || c.RootLinks < 0 {
 		return fmt.Errorf("arena: negative size in config %+v", c)
+	}
+	if c.LinksPerNode > 0 {
+		maxLink := uint64(c.RootLinks) + 1 + (uint64(c.Nodes-1)<<slotBitsFor(c.LinksPerNode) | uint64(c.LinksPerNode-1))
+		if maxLink >= 1<<32 {
+			return fmt.Errorf("arena: link ids overflow 32 bits (%d nodes x %d links/node)", c.Nodes, c.LinksPerNode)
+		}
 	}
 	return nil
 }
 
-// BytesPerNode estimates the memory footprint of one node slot under
-// this configuration: mm_ref + mm_next metadata plus the link and value
-// cells.  Capacity planners (wfrc-kv's -max-memory) divide a byte budget
-// by this to derive a MaxNodes cap; it deliberately ignores the
-// per-segment slice headers and the page table, which are O(segments),
-// not O(nodes).
-func (c Config) BytesPerNode() int {
-	return 16 + 8*c.LinksPerNode + 8*c.ValsPerNode
-}
+// slotBitsFor is the width of the slot field in a packed node-link id.
+func slotBitsFor(linksPerNode int) uint { return uint(bits.Len(uint(linksPerNode - 1))) }
 
 // nodeMeta is the per-node bookkeeping the paper's Node structure begins
 // with.  A node always starts with mm_ref (the paper's Lemma 1 relies on
@@ -172,42 +152,18 @@ type nodeMeta struct {
 	next atomic.Uint64 // mm_next: free-list successor (a raw Handle)
 }
 
-// page is one attached segment's storage.  All slices are fixed at
-// attach time and never moved, so cells stay type-stable for the life of
-// the arena.
-type page struct {
-	base Handle // first handle covered by the page
-	n    int    // usable node slots (may be below the page span for page 0)
-
-	meta  []nodeMeta
-	links []atomic.Uint64 // n*LinksPerNode cells, node-major
-	vals  []atomic.Uint64 // n*ValsPerNode cells, node-major
-}
-
-// Segment describes one attached segment for registries, audits and
-// gauges.
-type Segment struct {
-	// Index is the segment's position in attach order (0 = the initial
-	// segment).
-	Index int
-	// First and Last are the segment's handle range, inclusive.
-	First, Last Handle
-}
-
-// Nodes returns the segment's node count.
-func (s Segment) Nodes() int { return int(s.Last-s.First) + 1 }
-
-// Arena is a segmented pool of nodes with embedded link cells and value
-// words.  All cells are accessed atomically.  An Arena is safe for
-// concurrent use by any number of goroutines, including concurrent Grow.
+// Arena is a fixed pool of nodes with embedded link cells and value
+// words.  Node h's cells sit at index h-1 of three flat slices, so a
+// wild handle (Nil, or one above Nodes) fails the slice bounds check and
+// panics rather than aliasing another node.  All cells are accessed
+// atomically.  An Arena is safe for concurrent use by any number of
+// goroutines.
 type Arena struct {
 	cfg Config
 
-	// pageShift/pageMask map a handle to its page: every page spans
-	// 1<<pageShift logical handles (page 0's usable prefix is cfg.Nodes;
-	// the remainder of its span, if any, is never issued).
-	pageShift uint
-	pageMask  uint32
+	meta  []nodeMeta      // Nodes entries
+	links []atomic.Uint64 // Nodes*LinksPerNode cells, node-major
+	vals  []atomic.Uint64 // Nodes*ValsPerNode cells, node-major
 
 	// slotBits packs link slots into node-link ids.
 	slotBits uint
@@ -215,74 +171,27 @@ type Arena struct {
 	rootsCut uint32          // first node-link id; roots occupy 1..rootsCut-1
 	roots    []atomic.Uint64 // index 1..RootLinks; slot 0 unused
 	nextRoot atomic.Int64    // root cells handed out so far (NewRoots)
-
-	// pages is the lock-free segment registry: a fixed table of page
-	// pointers, populated left to right by CAS.  nPages is the published
-	// prefix length; entries beyond it may be mid-attach.
-	pages  []atomic.Pointer[page]
-	nPages atomic.Int64
 }
 
-// New creates an arena for the given configuration.
+// New creates an arena for the given configuration, every node free
+// (mm_ref = 1, odd, per the paper's convention).
 func New(cfg Config) (*Arena, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	a := &Arena{cfg: cfg}
-	// One page spans the next power of two >= Nodes (min 64), which is
-	// also the growth granularity.  A fixed arena is exactly one page.
-	shift := uint(bits.Len(uint(cfg.Nodes - 1)))
-	if shift < 6 {
-		shift = 6
+	a := &Arena{
+		cfg:      cfg,
+		meta:     make([]nodeMeta, cfg.Nodes),
+		links:    make([]atomic.Uint64, cfg.Nodes*cfg.LinksPerNode),
+		vals:     make([]atomic.Uint64, cfg.Nodes*cfg.ValsPerNode),
+		slotBits: slotBitsFor(cfg.LinksPerNode),
+		rootsCut: uint32(cfg.RootLinks) + 1,
+		roots:    make([]atomic.Uint64, cfg.RootLinks+1),
 	}
-	a.pageShift = shift
-	a.pageMask = 1<<shift - 1
-	pageSize := 1 << shift
-	maxPages := 1
-	if cfg.MaxNodes > cfg.Nodes {
-		maxPages += (cfg.MaxNodes - cfg.Nodes) / pageSize
+	for i := range a.meta {
+		a.meta[i].ref.Store(1)
 	}
-	a.slotBits = uint(bits.Len(uint(cfg.LinksPerNode - 1)))
-	a.rootsCut = uint32(cfg.RootLinks) + 1
-	// The packed node-link id of the last slot of the last possible
-	// handle must fit in 32 bits (NoLink excluded by rootsCut >= 1).
-	maxHandle := uint64(maxPages) * uint64(pageSize)
-	if maxHandle >= 1<<31 {
-		return nil, fmt.Errorf("arena: capacity %d (MaxNodes %d rounded to %d-node segments) exceeds the 31-bit handle space",
-			maxHandle, cfg.MaxNodes, pageSize)
-	}
-	if cfg.LinksPerNode > 0 {
-		maxLink := uint64(a.rootsCut) + ((maxHandle-1)<<a.slotBits | uint64(cfg.LinksPerNode-1))
-		if maxLink >= 1<<32 {
-			return nil, fmt.Errorf("arena: link ids overflow 32 bits (capacity %d x %d links/node)",
-				maxHandle, cfg.LinksPerNode)
-		}
-	}
-	a.roots = make([]atomic.Uint64, cfg.RootLinks+1)
-	a.pages = make([]atomic.Pointer[page], maxPages)
-	a.pages[0].Store(a.newPage(0, cfg.Nodes))
-	a.nPages.Store(1)
 	return a, nil
-}
-
-// newPage builds segment idx's storage with n usable slots, all free
-// (mm_ref = 1, odd, per the paper's convention).
-func (a *Arena) newPage(idx, n int) *page {
-	p := &page{
-		base: Handle(idx<<a.pageShift + 1),
-		n:    n,
-		meta: make([]nodeMeta, n),
-	}
-	if a.cfg.LinksPerNode > 0 {
-		p.links = make([]atomic.Uint64, n*a.cfg.LinksPerNode)
-	}
-	if a.cfg.ValsPerNode > 0 {
-		p.vals = make([]atomic.Uint64, n*a.cfg.ValsPerNode)
-	}
-	for i := range p.meta {
-		p.meta[i].ref.Store(1)
-	}
-	return p
 }
 
 // MustNew is New but panics on configuration errors; for tests and
@@ -298,108 +207,23 @@ func MustNew(cfg Config) *Arena {
 // Config returns the configuration the arena was created with.
 func (a *Arena) Config() Config { return a.cfg }
 
-// Nodes returns the number of node slots currently attached — the
-// allocatable capacity as of this call.  It grows (never shrinks) as
-// segments attach; fixed arenas report Config.Nodes forever.  Callers
-// using it as an iteration or cycle bound get a value that is correct
-// for every handle issued before the call.
-func (a *Arena) Nodes() int {
-	np := int(a.nPages.Load())
-	return a.cfg.Nodes + (np-1)<<a.pageShift
-}
+// Nodes returns the number of node slots: handles 1..Nodes are valid.
+func (a *Arena) Nodes() int { return a.cfg.Nodes }
 
-// MaxNodes returns the effective capacity ceiling: the largest node
-// count the arena can reach through Grow (Config.Nodes for fixed
-// arenas).  Growth happens in whole segments, so this is Config.MaxNodes
-// rounded down to the segment grid.
-func (a *Arena) MaxNodes() int {
-	return a.cfg.Nodes + (len(a.pages)-1)<<a.pageShift
-}
+// MaxNodes returns Nodes.  Kept for benchmark/; goes with the next
+// benchmark PR.
+func (a *Arena) MaxNodes() int { return a.Nodes() }
 
-// Growable reports whether the arena can attach segments beyond the
-// initial one.
-func (a *Arena) Growable() bool { return len(a.pages) > 1 }
-
-// SegmentNodes returns the growth granularity: the node count of every
-// segment attached by Grow.
-func (a *Arena) SegmentNodes() int { return 1 << a.pageShift }
-
-// SegmentsAttached returns the number of attached segments (>= 1).
-func (a *Arena) SegmentsAttached() int { return int(a.nPages.Load()) }
-
-// errArenaFull is Grow's capacity-ceiling error; test with ErrArenaFull.
-var errArenaFull = fmt.Errorf("arena: at MaxNodes capacity, no segment slots left")
-
-// ErrArenaFull reports whether err is the Grow capacity-ceiling error.
-func ErrArenaFull(err error) bool { return err == errArenaFull }
-
-// Grow attaches one fresh segment of SegmentNodes free node slots and
-// returns it.  The caller owns the returned handle range exclusively —
-// concurrent Grow calls never return the same segment — and is
-// responsible for feeding the fresh handles to an allocator.  Grow is
-// lock-free: a CAS loser retries on the next page-table slot, and a
-// reader racing an attach sees either the old or the new capacity,
-// never a partial segment.  It fails with the ErrArenaFull error once
-// the MaxNodes ceiling is reached.
-//
-// Grow allocates the segment's backing slices, so it is the one
-// deliberately non-constant-time entry point of the arena; allocator
-// hot paths must keep it off their per-operation step budget (see
-// internal/alloc).
-func (a *Arena) Grow() (Segment, error) {
-	for {
-		np := a.nPages.Load()
-		if int(np) < len(a.pages) && a.pages[np].Load() != nil {
-			// A finished attach whose publish CAS hasn't landed yet;
-			// help publish and re-read.
-			a.nPages.CompareAndSwap(np, np+1)
-			continue
-		}
-		if int(np) >= len(a.pages) {
-			return Segment{}, errArenaFull
-		}
-		pg := a.newPage(int(np), 1<<a.pageShift)
-		if a.pages[np].CompareAndSwap(nil, pg) {
-			a.nPages.CompareAndSwap(np, np+1)
-			return Segment{Index: int(np), First: pg.base, Last: pg.base + Handle(pg.n) - 1}, nil
-		}
-		// Lost the attach race for this slot; the winner owns that
-		// segment's handles.  Publish it and try the next slot.
-		a.nPages.CompareAndSwap(np, np+1)
-	}
-}
-
-// Segments returns the attached segments in attach order.  Safe to call
-// concurrently with Grow; the snapshot covers every segment whose
-// attach completed before the call.
-func (a *Arena) Segments() []Segment {
-	np := int(a.nPages.Load())
-	out := make([]Segment, 0, np)
-	for i := 0; i < np; i++ {
-		pg := a.pages[i].Load()
-		out = append(out, Segment{Index: i, First: pg.base, Last: pg.base + Handle(pg.n) - 1})
-	}
-	return out
-}
-
-// ForEachNode calls fn for every node slot of every attached segment,
-// in handle order.  Audit walks use it instead of assuming handles form
-// the contiguous range 1..Nodes: segment 0's span may end below the
-// page boundary, leaving a permanent gap before segment 1.
+// ForEachNode calls fn for every node slot, in handle order.
 func (a *Arena) ForEachNode(fn func(Handle)) {
-	np := int(a.nPages.Load())
-	for i := 0; i < np; i++ {
-		pg := a.pages[i].Load()
-		for j := 0; j < pg.n; j++ {
-			fn(pg.base + Handle(j))
-		}
+	for h := 1; h <= a.cfg.Nodes; h++ {
+		fn(Handle(h))
 	}
 }
 
 // ForEachLink calls fn for every link cell — the root cells first, then
-// every link slot of every attached node.  This is the audit walk that
-// replaced the flat NumLinks/LinkByIndex iteration: packed link ids are
-// not contiguous, and segments attach at runtime.
+// every link slot of every node.  Audits walk links this way, never by
+// raw id: packed link ids are not contiguous.
 func (a *Arena) ForEachLink(fn func(LinkID)) {
 	for i := 1; i < int(a.rootsCut); i++ {
 		fn(LinkID(i))
@@ -414,41 +238,17 @@ func (a *Arena) ForEachLink(fn func(LinkID)) {
 	})
 }
 
-// page returns the segment storage holding h.  h must be a handle the
-// arena issued; the bounds panic on a wild handle is deliberate.
-func (a *Arena) page(h Handle) *page {
-	return a.pages[(uint32(h)-1)>>a.pageShift].Load()
-}
-
 // --- node metadata -------------------------------------------------------
 
 // Ref returns the mm_ref cell of node h.  h must be a valid non-nil
 // handle.
-func (a *Arena) Ref(h Handle) *atomic.Int64 {
-	pg := a.page(h)
-	return &pg.meta[uint32(h)-uint32(pg.base)].ref
-}
+func (a *Arena) Ref(h Handle) *atomic.Int64 { return &a.meta[uint32(h)-1].ref }
 
 // Next returns the mm_next cell of node h (free-list successor handle).
-func (a *Arena) Next(h Handle) *atomic.Uint64 {
-	pg := a.page(h)
-	return &pg.meta[uint32(h)-uint32(pg.base)].next
-}
+func (a *Arena) Next(h Handle) *atomic.Uint64 { return &a.meta[uint32(h)-1].next }
 
-// Valid reports whether h is a handle this arena could have issued: it
-// falls inside an attached segment (the page-0 tail gap and unattached
-// segments are invalid).
-func (a *Arena) Valid(h Handle) bool {
-	if h == Nil {
-		return false
-	}
-	idx := (uint32(h) - 1) >> a.pageShift
-	if int(idx) >= len(a.pages) {
-		return false
-	}
-	pg := a.pages[idx].Load()
-	return pg != nil && uint32(h)-uint32(pg.base) < uint32(pg.n)
-}
+// Valid reports whether h is a handle this arena could have issued.
+func (a *Arena) Valid(h Handle) bool { return h != Nil && int(h) <= a.cfg.Nodes }
 
 // --- link cells -----------------------------------------------------------
 
@@ -485,10 +285,12 @@ func (a *Arena) NewRoot() LinkID {
 	return id
 }
 
-// LinkOf returns the id of link slot i of node h.
+// LinkOf returns the id of link slot i of node h.  It panics on a slot
+// out of range and on a wild handle, whose packed id would otherwise
+// wrap onto a root cell.
 func (a *Arena) LinkOf(h Handle, slot int) LinkID {
-	if slot < 0 || slot >= a.cfg.LinksPerNode {
-		panic(fmt.Sprintf("arena: link slot %d out of range [0,%d)", slot, a.cfg.LinksPerNode))
+	if uint(slot) >= uint(a.cfg.LinksPerNode) || uint32(h)-1 >= uint32(a.cfg.Nodes) {
+		panic("arena: LinkOf: link slot or node handle out of range")
 	}
 	return LinkID(a.rootsCut + ((uint32(h)-1)<<a.slotBits | uint32(slot)))
 }
@@ -499,10 +301,7 @@ func (a *Arena) Link(id LinkID) *atomic.Uint64 {
 		return &a.roots[id]
 	}
 	v := uint32(id) - a.rootsCut
-	h := Handle(v>>a.slotBits) + 1
-	slot := v & (1<<a.slotBits - 1)
-	pg := a.page(h)
-	return &pg.links[(uint32(h)-uint32(pg.base))*uint32(a.cfg.LinksPerNode)+slot]
+	return &a.links[uint(v>>a.slotBits)*uint(a.cfg.LinksPerNode)+uint(v&(1<<a.slotBits-1))]
 }
 
 // LoadLink atomically reads the Ptr stored in link id.
@@ -529,20 +328,15 @@ func (a *Arena) LinkRange(h Handle, fn func(id LinkID)) {
 // --- value words ----------------------------------------------------------
 
 // Val atomically reads value word i of node h.
-func (a *Arena) Val(h Handle, i int) uint64 {
-	pg := a.page(h)
-	return pg.vals[(uint32(h)-uint32(pg.base))*uint32(a.cfg.ValsPerNode)+uint32(i)].Load()
-}
+func (a *Arena) Val(h Handle, i int) uint64 { return a.ValCell(h, i).Load() }
 
 // SetVal atomically writes value word i of node h.
-func (a *Arena) SetVal(h Handle, i int, v uint64) {
-	pg := a.page(h)
-	pg.vals[(uint32(h)-uint32(pg.base))*uint32(a.cfg.ValsPerNode)+uint32(i)].Store(v)
-}
+func (a *Arena) SetVal(h Handle, i int, v uint64) { a.ValCell(h, i).Store(v) }
 
 // ValCell returns the atomic cell of value word i of node h, for callers
-// that need CAS on values.
+// that need CAS on values.  The index is widened to uint before the
+// multiply, so Nil's wrapped h-1 stays huge and panics like any other
+// wild handle.
 func (a *Arena) ValCell(h Handle, i int) *atomic.Uint64 {
-	pg := a.page(h)
-	return &pg.vals[(uint32(h)-uint32(pg.base))*uint32(a.cfg.ValsPerNode)+uint32(i)]
+	return &a.vals[uint(uint32(h)-1)*uint(a.cfg.ValsPerNode)+uint(i)]
 }

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -223,5 +224,122 @@ func TestAuditRCDetectsViolations(t *testing.T) {
 	a.Ref(1).Store(0)
 	if errs := a.AuditRC(map[Handle]int{2: 1, 3: 1}, nil); len(errs) == 0 {
 		t.Error("audit missed leaked node")
+	}
+}
+
+// TestFixedArenaDoesNotGrow: the capacity is Config.Nodes for the
+// arena's whole life, and no handle past it is ever valid.
+func TestFixedArenaDoesNotGrow(t *testing.T) {
+	a := MustNew(Config{Nodes: 16, LinksPerNode: 1, ValsPerNode: 1})
+	if a.Nodes() != 16 {
+		t.Fatalf("Nodes = %d, want 16", a.Nodes())
+	}
+	if a.Valid(17) {
+		t.Error("handle 17 valid in a 16-node arena")
+	}
+	count := 0
+	a.ForEachNode(func(h Handle) {
+		count++
+		if h != Handle(count) {
+			t.Fatalf("ForEachNode visited %d at step %d", h, count)
+		}
+	})
+	if count != 16 {
+		t.Fatalf("ForEachNode visited %d handles, want 16", count)
+	}
+}
+
+// TestWildHandlePanics: every cell accessor fails the slice bounds
+// check on Nil and on Nodes+1 instead of aliasing another node's cells
+// (a wild node-link id would otherwise wrap onto a root).
+func TestWildHandlePanics(t *testing.T) {
+	a := MustNew(Config{Nodes: 4, LinksPerNode: 2, ValsPerNode: 2, RootLinks: 3})
+	access := map[string]func(Handle){
+		"Ref":  func(h Handle) { a.Ref(h) },
+		"Next": func(h Handle) { a.Next(h) },
+		"Link": func(h Handle) { a.Link(a.LinkOf(h, 0)) },
+		"Val":  func(h Handle) { a.Val(h, 0) },
+	}
+	for name, fn := range access {
+		for _, h := range []Handle{Nil, 5} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) on a 4-node arena did not panic", name, h)
+					}
+				}()
+				fn(h)
+			}()
+		}
+		fn(4) // the last valid handle must not panic
+	}
+}
+
+// TestForEachLinkCoversSegments: ForEachLink visits every root and every
+// node link slot exactly once (the name predates the flat arena).
+func TestForEachLinkCoversSegments(t *testing.T) {
+	a := MustNew(Config{Nodes: 10, LinksPerNode: 3, RootLinks: 2})
+	want := 2 + a.Nodes()*3
+	seen := map[LinkID]bool{}
+	a.ForEachLink(func(id LinkID) {
+		if seen[id] {
+			t.Fatalf("link id %d visited twice", id)
+		}
+		seen[id] = true
+	})
+	if len(seen) != want {
+		t.Fatalf("ForEachLink visited %d cells, want %d", len(seen), want)
+	}
+}
+
+// TestAuditRCAcrossSegments: the audit holds on the arena's last node
+// and catches a leak there, and it reports a link to a handle above
+// Nodes instead of indexing past its incoming table.
+func TestAuditRCAcrossSegments(t *testing.T) {
+	a := MustNew(Config{Nodes: 200, LinksPerNode: 1, RootLinks: 1})
+	root := a.NewRoot()
+	free := map[Handle]int{}
+	a.ForEachNode(func(h Handle) { free[h] = 1 })
+	if errs := a.AuditRC(free, nil); len(errs) != 0 {
+		t.Fatalf("clean audit failed: %v", errs)
+	}
+
+	target := Handle(a.Nodes())
+	a.StoreLink(root, MakePtr(target, false))
+	a.Ref(target).Store(2)
+	delete(free, target)
+	if errs := a.AuditRC(free, nil); len(errs) != 0 {
+		t.Fatalf("live last-node audit failed: %v", errs)
+	}
+
+	// Leak it: drop the link and the count without freeing.
+	a.StoreLink(root, NilPtr)
+	a.Ref(target).Store(0)
+	if errs := a.AuditRC(free, nil); len(errs) == 0 {
+		t.Fatal("audit missed a leak at the last node")
+	}
+	a.Ref(target).Store(1)
+	free[target] = 1
+
+	a.StoreLink(root, MakePtr(target+1, false))
+	if errs := a.AuditRC(free, nil); len(errs) != 1 {
+		t.Fatalf("link to handle %d above Nodes: %d errors %v, want 1", target+1, len(errs), errs)
+	}
+	a.StoreLink(root, NilPtr)
+}
+
+// TestConfigValidationGrowable: New rejects a configuration whose packed
+// link ids overflow 32 bits before it allocates any cell.  Allocating
+// this one would take 4 GiB of metadata and 128 GiB of links.
+func TestConfigValidationGrowable(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := New(Config{Nodes: 1 << 28, LinksPerNode: 64})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("link-id overflow accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the config allocated %d bytes", grew)
 	}
 }

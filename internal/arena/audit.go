@@ -15,10 +15,6 @@ import "fmt"
 // link cells (for example handles a test still holds); each such
 // reference accounts for mm_ref weight 2.
 //
-// The walk covers every attached segment (ForEachLink/ForEachNode), so
-// nodes that live in segments attached by Grow after startup are audited
-// with exactly the same invariants as segment-0 nodes.
-//
 // The invariants checked, in the paper's terms:
 //
 //  1. a free node has mm_ref == 1 (odd, reclaimed) and no link refers to it;
@@ -27,10 +23,7 @@ import "fmt"
 //     lost.
 func (a *Arena) AuditRC(freeNodes map[Handle]int, extraRefs map[Handle]int) []error {
 	var errs []error
-	// Handles are sparse past segment 0's tail gap, so size the incoming
-	// table by the full handle span of the attached pages, not by Nodes().
-	span := int(a.nPages.Load()) << a.pageShift
-	incoming := make([]int, span+1)
+	incoming := make([]int, a.Nodes()+1)
 	a.ForEachLink(func(id LinkID) {
 		p := a.LoadLink(id)
 		if h := p.Handle(); h != Nil {

@@ -175,7 +175,7 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 		// leave, so transient exhaustion is as common as under epochs.
 		lim = 256*cfg.Threads + 1024
 	}
-	cap := ar.MaxNodes() + 1
+	cap := ar.Nodes() + 1
 	s := &Scheme{
 		ar: ar, n: cfg.Threads, threshold: threshold, lim: lim,
 		slots: make([]slotCell, cfg.Threads),

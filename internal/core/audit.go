@@ -33,15 +33,6 @@ func (s *Scheme) FreeNodes() map[arena.Handle]int {
 			free[h]++
 		}
 	}
-	// On a growable arena, fresh-node chains published by the growth
-	// pool but not yet spliced into any free-list are part of the free
-	// universe too: their nodes are attached, mm_ref==1 and reachable by
-	// the next Refill.
-	if s.pool != nil {
-		for h, c := range s.pool.PendingNodes() {
-			free[h] += c
-		}
-	}
 	return free
 }
 

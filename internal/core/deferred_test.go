@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"wfrc/internal/arena"
 )
@@ -246,4 +247,17 @@ func TestDeferredSlackBound(t *testing.T) {
 	th.Flush()
 	audit(t, s, nil)
 	th.Unregister()
+}
+
+// TestPinSetLayout: a 2-way pin-cache set divides a cache line and sits
+// at a multiple of its own size inside Thread, so the open-coded pin hit
+// in DeRefLink reads one line, never two.
+func TestPinSetLayout(t *testing.T) {
+	set := unsafe.Sizeof(pinEntry{}) * pinWays
+	if 64%set != 0 {
+		t.Fatalf("a %d-way pin set is %d bytes, which does not divide a 64-byte line", pinWays, set)
+	}
+	if off := unsafe.Offsetof(Thread{}.pinCache); off%set != 0 {
+		t.Fatalf("pinCache at offset %d of Thread is not a multiple of the %d-byte set", off, set)
+	}
 }

@@ -48,21 +48,19 @@ func oomYield(round int) {
 // attempt, so a continuously CAS-losing allocator is eventually handed a
 // node through its annAlloc cell (paper Lemma 9).
 //
-// On a growable arena (DESIGN.md §12) the footnote-4 exhaustion verdict
-// gains an escape hatch ordered by cost: first the deferred variant
-// flushes its own ZCT (reusing memory it already owns), then the
-// thread pulls one chain of fresh nodes from the growth pool and
-// splices it into its own free-list (attaching an arena segment if the
-// pool is dry), and only with the arena at MaxNodes does the PR-6
-// memPressure broadcast — and finally ErrOutOfMemory — apply.  Each
+// The footnote-4 exhaustion verdict gains escapes on the deferred
+// variant only, ordered by cost: first the thread flushes its own ZCT
+// (reusing memory it already owns), then it broadcasts memPressure so
+// peers surrender theirs, and only then reports ErrOutOfMemory.  Each
 // escape re-arms the step budget because each is paid for by reclaimed
-// or freshly attached nodes, so the call stays bounded.
+// nodes or bounded by oomBroadcastRounds, so the call stays bounded.
 //
 // In front of all that sits the slot's magazine (magRow): a hit returns
 // the most recently freed node and touches no list head, cursor or
-// grant cell, only the node's own mm_ref.  Only a miss runs Figure 5, so every list-head CAS failure a starving
-// allocator suffers is still caused by a peer's successful Figure-5
-// step, which still helps (A11–A16, F1–F3): Lemma 9 is untouched.
+// grant cell, only the node's own mm_ref.  Only a miss runs Figure 5,
+// so every list-head CAS failure a starving allocator suffers is still
+// caused by a peer's successful Figure-5 step, which still helps
+// (A11–A16, F1–F3): Lemma 9 is untouched.
 func (t *Thread) AllocNode() (arena.Handle, error) {
 	s := t.s
 	helped := false                // A1
@@ -93,24 +91,6 @@ func (t *Thread) AllocNode() (arena.Handle, error) {
 					steps = 0 // budget re-armed; paid for by freed nodes
 					continue
 				}
-			}
-			// Growable arena: splice a chain of fresh nodes into our own
-			// free-list before bothering peers or giving up.  Refill
-			// fails only with the arena at MaxNodes and no pending
-			// chains, so past this point exhaustion is genuine.
-			if s.pool != nil {
-				if first, count, attached, ok := s.pool.Refill(t.id); ok {
-					t.at(PG1)
-					t.spliceFresh(first, count)
-					t.stats.GrowRefills++
-					if attached {
-						t.stats.SegmentAttaches++
-					}
-					steps = 0 // budget re-armed; paid for by fresh nodes
-					continue
-				}
-			}
-			if s.deferred {
 				// Nothing left in our own ZCT or the arena, but peers
 				// may hold reclaimable slack in theirs (which only they
 				// can flush).  Broadcast memory pressure and yield a
@@ -262,65 +242,6 @@ func (t *Thread) freeShared(node arena.Handle) (steps uint64) {
 		index = (index + int64(s.n)) % int64(2*s.n) // F10
 	}
 	return steps
-}
-
-// spliceFresh chains count fresh nodes (a contiguous run starting at
-// first, exclusively owned by this thread, every mm_ref already at the
-// free value 1) through mm_next and inserts the whole chain into one of
-// the thread's two free-lists with a single head CAS — the F4–F10
-// insertion discipline applied to a chain instead of a single node.
-// Exclusive ownership makes the local chaining race-free; only the head
-// CAS touches shared state, so a refill costs O(count) private writes
-// plus one contended step.
-func (t *Thread) spliceFresh(first arena.Handle, count int) {
-	s := t.s
-	for i := 0; i < count-1; i++ {
-		s.ar.Next(first + arena.Handle(i)).Store(uint64(first) + uint64(i) + 1)
-	}
-	tail := first + arena.Handle(count-1)
-	// F4–F6: pick whichever of this thread's two list heads the
-	// allocators are not working on.
-	current := s.currentFreeList.Load()
-	var index int64
-	if current <= int64(t.id) || current > int64(s.n+t.id) {
-		index = int64(s.n + t.id)
-	} else {
-		index = int64(t.id)
-	}
-	for {
-		t.at(PF7)
-		head := s.freeList[index].Load()
-		s.ar.Next(tail).Store(head)
-		t.at(PF9)
-		if s.freeList[index].CompareAndSwap(head, uint64(first)) {
-			return
-		}
-		t.stats.CASFailures++
-		index = (index + int64(s.n)) % int64(2*s.n)
-	}
-}
-
-// Growable implements mm.Grower: whether the scheme's arena can attach
-// capacity beyond its initial segment.
-func (s *Scheme) Growable() bool { return s.pool != nil }
-
-// Capacity implements mm.Grower: the currently attached node capacity.
-func (s *Scheme) Capacity() int { return s.ar.Nodes() }
-
-// MaxCapacity implements mm.Grower: the capacity ceiling.
-func (s *Scheme) MaxCapacity() int { return s.ar.MaxNodes() }
-
-// Segments implements mm.Grower: the number of attached arena segments.
-func (s *Scheme) Segments() int { return s.ar.SegmentsAttached() }
-
-// GrowEvents returns how many segment attaches and refill chains the
-// growth pool has served (both zero on fixed arenas); the KV server's
-// STATS and Prometheus surfaces read these.
-func (s *Scheme) GrowEvents() (attaches, refills uint64) {
-	if s.pool == nil {
-		return 0, 0
-	}
-	return s.pool.Attaches(), s.pool.Refills()
 }
 
 // Alloc implements mm.Thread.

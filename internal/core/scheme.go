@@ -42,16 +42,6 @@
 // derived from the arena (magDepthFor): small arenas get 0, which is
 // Figure 5 exactly.  See DESIGN.md §5.
 //
-// # Growth
-//
-// On a growable arena (MaxNodes > Nodes) the free-lists sit in front of
-// an internal/alloc.NodePool.  An exhausted AllocNode flushes its own
-// deferred frees, then refills from the pool — attaching a fresh arena
-// segment if the pool is also empty — and only signals memory pressure
-// and reports ErrOutOfMemory once the capacity ceiling is reached, so
-// footnote 4's exhaustion verdict is unchanged at the ceiling.  See
-// DESIGN.md §12 for the design and its constant-time argument.
-//
 // # Erratum
 //
 // The paper's line F3 inserts a freed node (mm_ref==1) directly into
@@ -68,7 +58,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"wfrc/internal/alloc"
 	"wfrc/internal/arena"
 	"wfrc/internal/mm"
 )
@@ -164,12 +153,12 @@ type magRow struct {
 
 // pinEntry is one owner-private pin-cache slot: the published handle and
 // the number of live local guards on it (refs==0 with h!=Nil marks a
-// sticky cached publication).  16 bytes, so a 2-way set shares one cache
-// line.
+// sticky cached publication).  8 bytes, so a 2-way set is 16 bytes at a
+// 16-aligned offset of Thread and never straddles a cache line
+// (TestPinSetLayout).
 type pinEntry struct {
 	h    arena.Handle
 	refs uint32
-	_    uint32
 }
 
 // Scheme is the wait-free reference-counting memory manager.  It
@@ -190,12 +179,6 @@ type Scheme struct {
 	// magDepth the depth in use (0 disables it); see magRow.
 	mag      []magRow
 	magDepth int
-
-	// pool is the growth backend (nil on fixed arenas): when AllocNode's
-	// footnote-4 budget would declare the free-lists exhausted, the
-	// thread pulls one chain of fresh nodes from here and splices it
-	// into its own free-list (see AllocNode and internal/alloc.NodePool).
-	pool *alloc.NodePool
 
 	reg mm.Registry
 
@@ -386,13 +369,6 @@ func New(ar *arena.Arena, cfg Config) (*Scheme, error) {
 		// never fire for them).
 		s.ann[i].index.Store(-1)
 	}
-	// Growth auto-enables whenever the arena is growable: the pool owns
-	// all capacity beyond segment 0 and AllocNode refills from it, so no
-	// scheme-level configuration is needed (fixed arenas get a nil pool
-	// and the pre-growable behaviour, bit for bit).
-	s.pool = alloc.NewNodePool(ar, n)
-	// Chain segment 0's nodes onto freeList[0] (at construction time only
-	// segment 0 is attached, so ar.Nodes() is exactly its span).
 	s.freeList[0].Store(uint64(mm.ChainFree(ar)))
 	s.reg.Init("core", n)
 	return s, nil
@@ -620,9 +596,6 @@ const (
 	PFL1 // a counted decrement applied to mm_ref, zero check not yet acted on
 	PZ1  // ZCT pin scan found no pins, reclaim election CAS not yet tried
 
-	// Growable-arena point (see freelist.go / internal/alloc.NodePool).
-	PG1 // pool refill chain obtained, not yet spliced into the free-list
-
 	// NumPoints is the number of hook points (for tables indexed by
 	// Point).
 	NumPoints
@@ -633,7 +606,6 @@ var pointNames = [...]string{
 	PA9: "PA9", PA12: "PA12", PF3: "PF3", PF9: "PF9", PR2: "PR2",
 	PD1: "PD1", PH2: "PH2", PR1: "PR1", PA3: "PA3", PA5: "PA5", PF7: "PF7",
 	PP2: "PP2", PFL1: "PFL1", PZ1: "PZ1",
-	PG1: "PG1",
 }
 
 // String returns the paper line label of the hook point.

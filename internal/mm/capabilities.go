@@ -4,8 +4,8 @@ package mm
 // Thread interfaces stay at the paper's surface (§3.2); schemes whose
 // reclamation model needs more — thread-local buffers to drain, whole
 // batches to retire, robustness metrics to expose — implement these
-// additional interfaces, and callers discover them by type assertion
-// like [Grower].  Formalizing them here (instead of ad-hoc anonymous
+// additional interfaces, and callers discover them by type assertion.
+// Formalizing them here (instead of ad-hoc anonymous
 // interface assertions at call sites) is the interface refactor the
 // Hyaline baseline forces: its per-thread batches and retirement lists
 // do not fit a per-node Retire-and-forget model.

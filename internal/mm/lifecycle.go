@@ -48,7 +48,7 @@ type LifecycleSink interface {
 
 // LifecycleSource is the optional telemetry surface of a Scheme that
 // can publish lifecycle transitions, discovered by type assertion like
-// [Grower] and [Robust].  Setting a nil sink detaches the current one.
+// [Robust].  Setting a nil sink detaches the current one.
 // wfrc-kv attaches one LifecycleTracker, to its store's one scheme, for
 // the life of the server; benchmark/ attaches a fresh one per traced run.
 type LifecycleSource interface {
@@ -58,7 +58,7 @@ type LifecycleSource interface {
 // LifecycleTracker is a wait-free LifecycleSink over one arena: a side
 // array of per-node retire stamps plus floating-garbage accounting and
 // a log2 retire→free lag histogram.  Construct with NewLifecycleTracker
-// sized for the arena's capacity ceiling; all methods are safe for
+// sized for the arena's node count; all methods are safe for
 // concurrent use.
 type LifecycleTracker struct {
 	base time.Time
@@ -72,17 +72,16 @@ type LifecycleTracker struct {
 	reclaimed atomic.Uint64
 	floating  atomic.Int64
 	hwm       atomic.Int64
-	// dropped counts notes on handles beyond the stamp array (an arena
-	// outgrowing the tracker's construction-time ceiling) — exported so
-	// truncated coverage is visible instead of silent.
+	// dropped counts notes on handles beyond the stamp array (a tracker
+	// sized below its arena) — exported so truncated coverage is
+	// visible instead of silent.
 	dropped atomic.Uint64
 
 	lag LatencyHist
 }
 
 // NewLifecycleTracker returns a tracker covering handles 1..maxNodes
-// (size it with the arena's MaxNodes so attached segments stay
-// covered).
+// (size it with the arena's Nodes).
 func NewLifecycleTracker(maxNodes int) *LifecycleTracker {
 	if maxNodes < 1 {
 		maxNodes = 1

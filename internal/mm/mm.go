@@ -26,9 +26,7 @@
 // registers once and performs all operations through its Thread context.
 //
 // Capacity is a property of the scheme's arena, not of this interface:
-// a scheme backed by a growable arena additionally implements [Grower],
-// which callers discover by type assertion (README "Capacity model",
-// DESIGN.md §12).
+// the arena is fixed at construction (README "Capacity model").
 package mm
 
 import "wfrc/internal/arena"
@@ -56,25 +54,6 @@ type Scheme interface {
 	// Threads returns the maximum number of concurrently registered
 	// threads (the paper's NR_THREADS).
 	Threads() int
-}
-
-// Grower is the optional capacity surface of a Scheme whose arena can
-// attach segments at runtime (README "Capacity model", DESIGN.md §12).
-// Capacity planners and gauges type-assert a Scheme to it; a Scheme
-// that does not implement Grower — or one whose Growable reports false
-// — is fixed at its arena's construction-time capacity.
-type Grower interface {
-	// Growable reports whether the scheme can attach capacity beyond
-	// its initial arena segment.
-	Growable() bool
-	// Capacity returns the currently attached node capacity; it grows
-	// monotonically as segments attach.
-	Capacity() int
-	// MaxCapacity returns the capacity ceiling (== Capacity for fixed
-	// schemes).
-	MaxCapacity() int
-	// Segments returns the number of attached arena segments (>= 1).
-	Segments() int
 }
 
 // Thread is a per-goroutine context for memory-management operations.

@@ -151,14 +151,6 @@ type OpStats struct {
 	// (explicit Flush, alloc out-of-memory retries, the memory-pressure
 	// answer and Unregister); the ZCT's overflow drains are not counted.
 	DeferredFlushes uint64
-	// GrowRefills counts allocation attempts rescued by a fresh-node
-	// chain from the growth pool instead of a footnote-4 out-of-memory
-	// verdict (growable arenas only; see internal/alloc.NodePool).
-	GrowRefills uint64
-	// SegmentAttaches counts arena segments this thread attached while
-	// refilling — the only non-constant-time events of the growable
-	// allocator, each paid for by a whole segment of fresh nodes.
-	SegmentAttaches uint64
 	// Retired counts Retire calls (hazard/epoch schemes).
 	Retired uint64
 	// Scans counts reclamation scans (hazard-pointer scan passes or epoch
@@ -238,8 +230,6 @@ func (s *OpStats) merge(o *OpStats, by uint32) {
 	s.PinFastPaths += o.PinFastPaths
 	s.DeferredDecs += o.DeferredDecs
 	s.DeferredFlushes += o.DeferredFlushes
-	s.GrowRefills += o.GrowRefills
-	s.SegmentAttaches += o.SegmentAttaches
 	s.Retired += o.Retired
 	s.Scans += o.Scans
 	s.DeRefHist.Merge(&o.DeRefHist)

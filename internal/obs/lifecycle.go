@@ -15,7 +15,7 @@ import (
 // mm.LifecycleTracker.  Schemes report retire/reclaim transitions into
 // per-arena trackers (wait-free, zero-alloc — see internal/mm); this
 // collector gathers one tracker per scheme label plus scheme-level
-// memory gauges (arena and block-pool segments, value liveness) into one
+// memory gauges (block-pool segments, value liveness) into one
 // published MemSnapshot, and renders the three export surfaces:
 //
 //   - Prometheus exposition (WriteProm): wfrc_mem_* families, with the
@@ -57,8 +57,8 @@ func (c *LifecycleCollector) AttachTracker(scheme string, t *mm.LifecycleTracker
 }
 
 // AttachMemGauge registers a named memory gauge — occupancy numbers the
-// trackers cannot see, like attached arena or block-pool segments or
-// live value blocks.  The name must be a valid
+// trackers cannot see, like attached block-pool segments or live value
+// blocks.  The name must be a valid
 // Prometheus metric name; it is exported verbatim with a scheme label.
 func (c *LifecycleCollector) AttachMemGauge(name, scheme string, read func() int64) (detach func()) {
 	return c.gauges.attach(gaugeSource{name: name, scheme: scheme, read: read})

@@ -49,7 +49,7 @@ func TestStallDifferentiatesFloatingGarbage(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement mm.LifecycleSource", name)
 		}
-		tr := mm.NewLifecycleTracker(s.Arena().MaxNodes())
+		tr := mm.NewLifecycleTracker(s.Arena().Nodes())
 		src.SetLifecycleSink(tr)
 
 		reader, err := s.Register()

@@ -4,77 +4,7 @@ import (
 	"fmt"
 
 	"wfrc/internal/alloc"
-	"wfrc/internal/arena"
-	"wfrc/internal/core"
 )
-
-// --- alloc-during-grow ------------------------------------------------------
-
-// buildAllocDuringGrow races two allocators over a growable arena whose
-// segment 0 is far too small: both threads exhaust their footnote-4
-// budgets at roughly the same time and enter the growth escape hatch
-// concurrently, so the pool's pop, the arena's segment-attach CAS and
-// the chain splice into the free-lists (PG1 and the F7/F9 head CAS of
-// spliceFresh) all interleave with the paper's normal A1–A18 traffic.
-// The end audit must hold across whatever segments were attached, and
-// every schedule must actually have grown (segments >= 2).
-func buildAllocDuringGrow(w *World) {
-	// Segment 0 holds 4 nodes; the growth granularity is the arena's
-	// minimum segment of 64, so a single refill ends the scramble — the
-	// interesting interleavings are the ones on the way there.
-	ar := arena.MustNew(arena.Config{Nodes: 4, MaxNodes: 256, LinksPerNode: 1, ValsPerNode: 1, RootLinks: 1})
-	s := core.MustNew(ar, core.Config{Threads: 2, AllocRetryLimit: 24})
-	tA, tB := mustRegister(s), mustRegister(s)
-	arrived := 0
-
-	body := func(name string, ct *core.Thread) {
-		w.Spawn(name, func(t *T) {
-			t.Instrument(ct)
-			// Rendezvous so both bursts hit the 4-node segment together.
-			arrived++
-			t.BlockUntil(func() bool { return arrived == 2 })
-			var held []arena.Handle
-			for k := 0; k < 5; k++ {
-				h, err := ct.AllocNode()
-				if err != nil {
-					// MaxNodes 256 with 10 requests outstanding: any OOM
-					// means the growth path failed.
-					panic(fmt.Sprintf("alloc-during-grow: %s alloc %d: %v", name, k, err))
-				}
-				held = append(held, h)
-				w.Note("allocs", 1)
-			}
-			for _, h := range held {
-				ct.ReleaseRef(h)
-			}
-		})
-	}
-	body("grow-a", tA)
-	body("grow-b", tB)
-
-	w.AtEnd(func() error {
-		for _, ct := range []*core.Thread{tA, tB} {
-			ct.SetHook(nil)
-		}
-		stA, stB := tA.Stats(), tB.Stats()
-		w.Note("grow-refills", int64(stA.GrowRefills+stB.GrowRefills))
-		w.Note("segment-attaches", int64(stA.SegmentAttaches+stB.SegmentAttaches))
-		for _, ct := range []*core.Thread{tA, tB} {
-			ct.Unregister()
-		}
-		noteCoreStats(w, tA, tB)
-		if w.notes["allocs"] != 10 {
-			return fmt.Errorf("completed %d of 10 allocations on a growable arena", w.notes["allocs"])
-		}
-		if s.Segments() < 2 {
-			return fmt.Errorf("10 allocations over a 4-node segment 0 attached no segment (segments=%d)", s.Segments())
-		}
-		if w.notes["grow-refills"] < 1 {
-			return fmt.Errorf("no thread recorded a growth refill (segments=%d)", s.Segments())
-		}
-		return SortedErrors(s.Audit(nil))
-	})
-}
 
 // --- free-into-detached-class -----------------------------------------------
 
@@ -137,7 +67,6 @@ func buildFreeIntoDetachedClass(w *World) {
 		}
 		st := a.Stats()
 		w.Note("seals", int64(st.BlocksSealed))
-		w.Note("attaches", int64(st.Attaches))
 		if st.BlocksSealed < 2 {
 			return fmt.Errorf("freeing 8 slots with BlockSlots=4 sealed %d blocks, want >= 2", st.BlocksSealed)
 		}
@@ -158,11 +87,6 @@ func buildFreeIntoDetachedClass(w *World) {
 }
 
 func init() {
-	Register(Scenario{
-		Name:  "alloc-during-grow",
-		About: "growable arena: two exhausted allocators race the segment attach and chain splice",
-		Build: buildAllocDuringGrow,
-	})
 	Register(Scenario{
 		Name:  "free-into-detached-class",
 		About: "block-pool allocator: sealed-block pushes race an allocator's pops and the class grow",

@@ -124,7 +124,7 @@ func TestConformanceChurn(t *testing.T) {
 			s := newConformant(t, f, nodes, workers+1)
 			ar := s.Arena()
 			root := ar.NewRoot()
-			tr := mm.NewLifecycleTracker(ar.MaxNodes())
+			tr := mm.NewLifecycleTracker(ar.Nodes())
 			survivor := mustRegister(t, s)
 
 			half := make(chan struct{}) // closed once worker 0 is half way (or gave up)

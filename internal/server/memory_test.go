@@ -51,7 +51,6 @@ func TestServerMemoryTelemetry(t *testing.T) {
 		"waitfree_retired:",
 		"waitfree_reclaim_lag_p99_ns:",
 		"waitfree_floating_hwm:",
-		"wfrc_mem_arena_segments_waitfree:",
 		"wfrc_mem_value_blocks_live_values:",
 	} {
 		if !strings.Contains(info, want) {
@@ -81,7 +80,6 @@ func TestServerMemoryTelemetry(t *testing.T) {
 		`wfrc_mem_reclaimed_total{scheme="waitfree"}`,
 		`wfrc_mem_floating_hwm{scheme="waitfree"}`,
 		`wfrc_mem_reclaim_lag_seconds_bucket{scheme="waitfree",le="+Inf"}`,
-		`wfrc_mem_arena_segments{scheme="waitfree"}`,
 		`wfrc_mem_value_blocks_live{scheme="values"}`,
 	} {
 		if !strings.Contains(prom, want) {

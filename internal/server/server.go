@@ -50,10 +50,6 @@ type StatsReply struct {
 	ConnsTotal  uint64         `json:"conns_total"`
 	Busy        uint64         `json:"busy_rejects"`
 	ProtoErrors uint64         `json:"proto_errors"`
-	// Growable reports whether the store's arena can attach segments at
-	// runtime (README "Capacity model"); the attached count is Memory's
-	// wfrc_mem_arena_segments gauge.
-	Growable bool `json:"growable"`
 	// RequestsNative and RequestsRESP count requests by front-end
 	// protocol (RESP commands count one each, including multi-key ones).
 	RequestsNative uint64 `json:"requests_native"`
@@ -102,8 +98,8 @@ type Server struct {
 	// for /metrics (wfrc-kv registers it on the obs HTTP server).
 	collector *obs.Collector
 	// memCollector aggregates the memory-lifecycle telemetry: one
-	// mm.LifecycleTracker on the scheme plus occupancy gauges (arena
-	// segments, live value blocks).  It backs the INFO "# Memory"
+	// mm.LifecycleTracker on the scheme plus occupancy gauges (value
+	// segments and live value blocks).  It backs the INFO "# Memory"
 	// section, the /metrics wfrc_mem_* families and StatsReply.Memory.
 	memCollector *obs.LifecycleCollector
 }
@@ -156,12 +152,9 @@ func New(cfg Config) (*Server, error) {
 	// times the retire→free lag; the gauges read occupancy the tracker
 	// cannot see.  All wait-free reads — the sampler never blocks the
 	// reclamation hot path.
-	tr := mm.NewLifecycleTracker(cs.Arena().MaxNodes())
+	tr := mm.NewLifecycleTracker(cs.Arena().Nodes())
 	cs.SetLifecycleSink(tr)
 	s.memCollector.AttachTracker(scheme, tr)
-	s.memCollector.AttachMemGauge("wfrc_mem_arena_segments", scheme, func() int64 {
-		return int64(cs.Segments())
-	})
 	if vs := store.Values(); vs != nil {
 		s.memCollector.AttachMemGauge("wfrc_mem_value_blocks_live", "values", vs.LiveBlocks)
 		s.memCollector.AttachMemGauge("wfrc_mem_value_segments", "values", func() int64 {
@@ -435,7 +428,6 @@ func (s *Server) Stats() StatsReply {
 		ConnsTotal:  s.connsTotal.Load(),
 		Busy:        s.busy.Load(),
 		ProtoErrors: s.protoErrors.Load(),
-		Growable:    s.store.Growable(),
 
 		RequestsNative: s.reqsNative.Load(),
 		RequestsRESP:   s.reqsRESP.Load(),

@@ -337,8 +337,8 @@ func TestStoreNodeBudgetIsOnePool(t *testing.T) {
 }
 
 // TestStoreGeometry pins the index sizing rule: one bucket per 4 nodes of
-// the arena's ceiling (not of its first segment), rounded down to a
-// power of two, never below 16; an explicit bucket count is honoured.
+// the arena, rounded down to a power of two, never below 16; an explicit
+// bucket count is honoured.
 func TestStoreGeometry(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -348,10 +348,8 @@ func TestStoreGeometry(t *testing.T) {
 		{"default", StoreConfig{}, 1 << 16},
 		{"fixed", StoreConfig{Nodes: 1 << 10}, 256},
 		{"fixed, not a power of two", StoreConfig{Nodes: 1000}, 128},
-		{"growable: ceiling, not first segment", StoreConfig{Nodes: 1 << 10, MaxNodes: 1 << 13}, 2048},
-		{"ceiling below the first segment", StoreConfig{Nodes: 1 << 10, MaxNodes: 64}, 256},
 		{"tiny", StoreConfig{Nodes: 8}, 16},
-		{"explicit", StoreConfig{Nodes: 1 << 10, MaxNodes: 1 << 13, Buckets: 32}, 32},
+		{"explicit", StoreConfig{Nodes: 1 << 10, Buckets: 32}, 32},
 	} {
 		c.cfg.Slots = 1
 		if got := c.cfg.ArenaConfig().RootLinks; got != c.want+2 {

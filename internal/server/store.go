@@ -19,15 +19,11 @@ type StoreConfig struct {
 	// Slots is the scheme's thread-slot count — the paper's NR_THREADS,
 	// and the slotpool lease capacity (default 8).
 	Slots int
-	// Nodes sizes the arena's initial segment (default 1<<18).
+	// Nodes sizes the arena: the store's whole node capacity (default
+	// 1<<18; README "Capacity model").
 	Nodes int
-	// MaxNodes caps the arena across runtime-attached segments (README
-	// "Capacity model").  Zero (or <= Nodes) keeps the arena fixed at
-	// Nodes.  wfrc-kv derives this from -max-memory.
-	MaxNodes int
 	// Buckets is the hashmap bucket count (power of two).  Zero derives
-	// it from the node ceiling — MaxNodes when the arena can grow, Nodes
-	// otherwise — one bucket per nodesPerBucket nodes (DESIGN.md §9).
+	// it from Nodes, one bucket per nodesPerBucket nodes (DESIGN.md §9).
 	Buckets int
 	// MaxValue, when positive, enables the variable-size value layer
 	// (internal/value): RESP SETs carry byte payloads up to MaxValue
@@ -47,18 +43,15 @@ func (c *StoreConfig) defaults() {
 		c.Nodes = 1 << 18
 	}
 	if c.Buckets == 0 {
-		// The table cannot grow after construction, so it is sized for what
-		// the arena may reach, not for its first segment.
-		ceiling := max(c.Nodes, c.MaxNodes)
 		c.Buckets = minBuckets
-		for c.Buckets*2 <= ceiling/nodesPerBucket {
+		for c.Buckets*2 <= c.Nodes/nodesPerBucket {
 			c.Buckets *= 2
 		}
 	}
 }
 
 // The derived index geometry: one bucket (8 bytes of root link, untouched
-// until used) per nodesPerBucket nodes of ceiling, rounded down to a
+// until used) per nodesPerBucket nodes of arena, rounded down to a
 // power of two.  With the arena full a chain averages between
 // nodesPerBucket and twice that, so a store operation visits O(1) nodes
 // whatever the capacity.
@@ -86,15 +79,12 @@ type Store struct {
 }
 
 // ArenaConfig returns the arena geometry this configuration gives the
-// store.  Capacity planners use it before the store exists: wfrc-kv
-// divides its -max-memory byte budget by BytesPerNode() of this config
-// to derive MaxNodes.
+// store.
 func (c StoreConfig) ArenaConfig() arena.Config {
 	cc := c
 	cc.defaults()
 	return arena.Config{
 		Nodes:        cc.Nodes,
-		MaxNodes:     cc.MaxNodes,
 		LinksPerNode: 1,
 		ValsPerNode:  2,
 		RootLinks:    cc.Buckets + 2,
@@ -290,29 +280,15 @@ func (st *Store) Audit() []error {
 	return errs
 }
 
-// Growable reports whether the arena can attach capacity at runtime
-// (MaxNodes above Nodes).
-func (st *Store) Growable() bool { return st.scheme.Growable() }
-
-// SegmentsAttached returns the arena's attached segments; a value above
-// 1 means the store grew past its initial capacity.
-func (st *Store) SegmentsAttached() int { return st.scheme.Segments() }
-
-// WriteProm writes the store's op counter and capacity gauges in
-// Prometheus text format.  The attached-segment gauge is the memory
-// collector's wfrc_mem_arena_segments.  Safe while the store serves
-// traffic (the gauges lag attaches by at most one publish CAS).
+// WriteProm writes the store's op counter and capacity gauge in
+// Prometheus text format.  Safe while the store serves traffic.
 func (st *Store) WriteProm(w io.Writer) error {
-	attaches, refills := st.scheme.GrowEvents()
 	for _, m := range []struct {
 		name, help, typ string
 		val             uint64
 	}{
 		{"wfrc_server_store_ops_total", "Store operations (a batch counts each of its ops).", "counter", st.opsTotal()},
-		{"wfrc_server_arena_nodes", "Attached node capacity of the store arena.", "gauge", uint64(st.scheme.Capacity())},
-		{"wfrc_server_arena_max_nodes", "Node capacity ceiling of the store arena.", "gauge", uint64(st.scheme.MaxCapacity())},
-		{"wfrc_server_arena_segment_attaches_total", "Segments attached at runtime by the arena's growth pool.", "counter", attaches},
-		{"wfrc_server_arena_grow_refills_total", "Fresh-node chains spliced into free-lists.", "counter", refills},
+		{"wfrc_server_arena_nodes", "Node capacity of the store arena.", "gauge", uint64(st.scheme.Arena().Nodes())},
 	} {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.val); err != nil {
 			return err
